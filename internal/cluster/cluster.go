@@ -605,17 +605,38 @@ func (s *Schedule) ServersOf(j JobID) int {
 }
 
 // reorderScratch carries Reorder's working storage between calls. Reorder
-// runs once per evolution candidate, so the map and the slot copy used to
-// dominate the engine's allocation profile; a pool caps them at one live
-// set per concurrent caller.
+// runs once per evolution candidate, so its buffers used to dominate the
+// engine's allocation profile; a pool caps them at one live set per
+// concurrent caller.
 type reorderScratch struct {
-	slots []Slot        // pre-reorder copy of the genome
-	next  map[JobID]int // job → next write index during the packing pass
-	order []JobID       // jobs in first-occurrence order
+	slots []Slot       // pre-reorder copy of the genome
+	jobs  []reorderJob // running jobs in first-occurrence order
+}
+
+// reorderJob is one running job's slot count, then its write cursor.
+type reorderJob struct {
+	id   JobID
+	next int
 }
 
 var reorderPool = sync.Pool{
-	New: func() any { return &reorderScratch{next: make(map[JobID]int)} },
+	New: func() any { return new(reorderScratch) },
+}
+
+// find returns the index of job j in sc.jobs, or -1. hint is the previous
+// slot's hit: a genome runs a few jobs, mostly in contiguous runs, so
+// checking it first and otherwise scanning the few entries beats hashing
+// the job ID for every slot.
+func (sc *reorderScratch) find(j JobID, hint int) int {
+	if hint < len(sc.jobs) && sc.jobs[hint].id == j {
+		return hint
+	}
+	for i := range sc.jobs {
+		if sc.jobs[i].id == j {
+			return i
+		}
+	}
+	return -1
 }
 
 // Reorder packs the workers of each job contiguously, in order of each
@@ -625,36 +646,38 @@ var reorderPool = sync.Pool{
 func (s *Schedule) Reorder() {
 	sc := reorderPool.Get().(*reorderScratch)
 	defer reorderPool.Put(sc)
-	clear(sc.next)
-	sc.order = sc.order[:0]
+	sc.jobs = sc.jobs[:0]
 	// Pass 1: count each job's slots in first-occurrence order.
+	i := 0
 	for _, sl := range s.slots {
 		if sl.Idle() {
 			continue
 		}
-		if _, ok := sc.next[sl.Job]; !ok {
-			sc.order = append(sc.order, sl.Job)
+		if i = sc.find(sl.Job, i); i < 0 {
+			i = len(sc.jobs)
+			sc.jobs = append(sc.jobs, reorderJob{id: sl.Job})
 		}
-		sc.next[sl.Job]++
+		sc.jobs[i].next++
 	}
 	// Turn counts into write cursors: each job packs into one contiguous
 	// span starting where the previous job's span ends.
 	idx := 0
-	for _, j := range sc.order {
-		n := sc.next[j]
-		sc.next[j] = idx
+	for k := range sc.jobs {
+		n := sc.jobs[k].next
+		sc.jobs[k].next = idx
 		idx += n
 	}
 	// Pass 2: replay the old genome, placing each slot at its job's cursor
 	// so every job keeps its batch multiset in slot order.
 	sc.slots = append(sc.slots[:0], s.slots...)
+	i = 0
 	for _, sl := range sc.slots {
 		if sl.Idle() {
 			continue
 		}
-		p := sc.next[sl.Job]
-		s.slots[p] = sl
-		sc.next[sl.Job] = p + 1
+		i = sc.find(sl.Job, i)
+		s.slots[sc.jobs[i].next] = sl
+		sc.jobs[i].next++
 	}
 	for ; idx < len(s.slots); idx++ {
 		s.slots[idx] = Slot{Job: NoJob}

@@ -320,6 +320,82 @@ func TestReorderPreservesPerJobTotalsProperty(t *testing.T) {
 	}
 }
 
+// reorderReference is the map-based Reorder that the hash-free scan
+// replaced, kept as the oracle for TestReorderMatchesMapReferenceProperty.
+func reorderReference(s *Schedule) {
+	next := make(map[JobID]int)
+	var order []JobID
+	for _, sl := range s.slots {
+		if sl.Idle() {
+			continue
+		}
+		if _, ok := next[sl.Job]; !ok {
+			order = append(order, sl.Job)
+		}
+		next[sl.Job]++
+	}
+	idx := 0
+	for _, j := range order {
+		n := next[j]
+		next[j] = idx
+		idx += n
+	}
+	old := append([]Slot(nil), s.slots...)
+	for _, sl := range old {
+		if sl.Idle() {
+			continue
+		}
+		s.slots[next[sl.Job]] = sl
+		next[sl.Job]++
+	}
+	for ; idx < len(s.slots); idx++ {
+		s.slots[idx] = Slot{Job: NoJob}
+	}
+}
+
+// sparseSchedule builds a random genome on a random ragged topology whose
+// jobs interleave non-contiguously and carry sparse, large IDs: the
+// inputs on which a scan that starts from the previous slot's hit has to
+// fall back to a full search.
+func sparseSchedule(rng *rand.Rand) *Schedule {
+	specs := make([]ServerSpec, 1+rng.Intn(8))
+	for i := range specs {
+		specs[i] = ServerSpec{GPUs: 1 + rng.Intn(8)}
+	}
+	s := NewSchedule(Topology{Servers: specs})
+	ids := make([]JobID, 1+rng.Intn(40))
+	for i := range ids {
+		ids[i] = JobID(1_000_000 + rng.Intn(1<<30))
+	}
+	for g := 0; g < s.NumGPUs(); g++ {
+		if rng.Float64() < 0.25 {
+			continue // leave idle
+		}
+		s.SetSlot(GPUID(g), ids[rng.Intn(len(ids))], 1+rng.Intn(512))
+	}
+	return s
+}
+
+// TestReorderMatchesMapReferenceProperty pins Reorder slot for slot —
+// order, job and local batch — against the map-based reference.
+func TestReorderMatchesMapReferenceProperty(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		s := sparseSchedule(rng)
+		want := s.Clone()
+		reorderReference(want)
+		s.Reorder()
+		if !s.Equal(want) {
+			t.Logf("Reorder = %v\nreference = %v", s, want)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestGlobalBatchEqualsSumOfSlotsProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))

@@ -14,6 +14,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/cluster"
+	"repro/internal/mathx"
 	"repro/internal/obs"
 	"repro/internal/predictor"
 )
@@ -204,27 +205,42 @@ type jobAgg struct {
 // GPUsOf, IdleGPUs) that dominated the engine's profile; load digests the
 // genome once and the operators read these aggregates instead.
 type evalScratch struct {
-	idx  map[cluster.JobID]int // job → index into aggs
-	aggs []jobAgg              // running jobs in first-occurrence order
-	gpus []cluster.GPUID       // arena backing the per-job GPU lists
-	idle []cluster.GPUID       // idle GPUs in index order
-	buf  []cluster.GPUID       // fill's per-assignment GPU gather list
+	aggs []jobAgg        // running jobs in first-occurrence order
+	gpus []cluster.GPUID // arena backing the per-job GPU lists
+	idle []cluster.GPUID // idle GPUs in index order
+	buf  []cluster.GPUID // fill's per-assignment GPU gather list
 }
 
 var scratchPool = sync.Pool{
-	New: func() any { return &evalScratch{idx: make(map[cluster.JobID]int)} },
+	New: func() any { return new(evalScratch) },
+}
+
+// find returns the index of job j in sc.aggs, or -1 when j is not
+// running. hint is the previous slot's hit: a genome runs a few jobs and
+// keeps each mostly contiguous (every candidate is reordered), so checking
+// it first and otherwise scanning the few entries beats hashing the job
+// ID for every slot.
+func (sc *evalScratch) find(j cluster.JobID, hint int) int {
+	if hint < len(sc.aggs) && sc.aggs[hint].id == j {
+		return hint
+	}
+	for i := range sc.aggs {
+		if sc.aggs[i].id == j {
+			return i
+		}
+	}
+	return -1
 }
 
 // load digests schedule s: per-job aggregates in first-occurrence order,
 // plus — by mode — the idle list and per-job GPU index lists (ascending
 // within each job, exactly as GPUsOf reports them).
 func (sc *evalScratch) load(s *cluster.Schedule, mode int) {
-	clear(sc.idx)
 	sc.aggs = sc.aggs[:0]
 	sc.idle = sc.idle[:0]
 	slots := s.Slots()
 	topo := s.Topology()
-	g := 0
+	g, i := 0, 0
 	for srv := range topo.Servers {
 		for end := g + topo.Servers[srv].GPUs; g < end; g++ {
 			sl := slots[g]
@@ -234,10 +250,8 @@ func (sc *evalScratch) load(s *cluster.Schedule, mode int) {
 				}
 				continue
 			}
-			i, ok := sc.idx[sl.Job]
-			if !ok {
+			if i = sc.find(sl.Job, i); i < 0 {
 				i = len(sc.aggs)
-				sc.idx[sl.Job] = i
 				sc.aggs = append(sc.aggs, jobAgg{id: sl.Job, lastSrv: -1})
 			}
 			a := &sc.aggs[i]
@@ -264,11 +278,13 @@ func (sc *evalScratch) load(s *cluster.Schedule, mode int) {
 		sc.gpus = make([]cluster.GPUID, total)
 	}
 	sc.gpus = sc.gpus[:total]
+	i = 0
 	for g, sl := range slots {
 		if sl.Idle() {
 			continue
 		}
-		a := &sc.aggs[sc.idx[sl.Job]]
+		i = sc.find(sl.Job, i)
+		a := &sc.aggs[i]
 		sc.gpus[a.cur] = cluster.GPUID(g)
 		a.cur++
 	}
@@ -421,7 +437,8 @@ func fill(s *cluster.Schedule, ctx *Context, sc *evalScratch) {
 		// Gather the job's current GPUs (index order) followed by the
 		// consumed idle prefix — the same list the per-query scans built.
 		sc.buf = sc.buf[:0]
-		if i, ok := sc.idx[opt.job]; ok && sc.aggs[i].c > 0 {
+		i := sc.find(opt.job, 0)
+		if i >= 0 && sc.aggs[i].c > 0 {
 			for g, sl := range s.Slots() {
 				if sl.Job == opt.job {
 					sc.buf = append(sc.buf, cluster.GPUID(g))
@@ -431,10 +448,8 @@ func fill(s *cluster.Schedule, ctx *Context, sc *evalScratch) {
 		sc.buf = append(sc.buf, idle[:opt.gpus]...)
 		B := assign(s, info, sc.buf, opt.batch)
 		// Refresh the job's aggregate in place; no other job's slots moved.
-		i, ok := sc.idx[opt.job]
-		if !ok {
+		if i < 0 {
 			i = len(sc.aggs)
-			sc.idx[opt.job] = i
 			sc.aggs = append(sc.aggs, jobAgg{id: opt.job})
 		}
 		a := &sc.aggs[i]
@@ -481,7 +496,7 @@ func bestFillOption(ctx *Context, sc *evalScratch, idle int) (fillOption, bool) 
 // aggregates, or reports false when the job cannot use more resources.
 func expandOption(ctx *Context, sc *evalScratch, info *JobInfo, idle int) (fillOption, bool) {
 	var c, B, servers int
-	if i, ok := sc.idx[info.ID]; ok {
+	if i := sc.find(info.ID, 0); i >= 0 {
 		a := &sc.aggs[i]
 		c, B, servers = a.c, a.B, a.servers
 	}
@@ -737,11 +752,12 @@ type genTask struct {
 	outB int
 }
 
-// rngPool recycles the per-task *rand.Rand. Seed fully resets the source
-// state, so a recycled generator re-seeded with t.seed yields exactly the
-// stream rand.New(rand.NewSource(t.seed)) would.
+// rngPool recycles the per-task *rand.Rand. Each is backed by a
+// mathx.Source, whose stream is bit for bit the stdlib source's but whose
+// Seed is O(1), so re-seeding a recycled generator with t.seed is cheap
+// and yields exactly the stream a freshly seeded stdlib generator would.
 var rngPool = sync.Pool{
-	New: func() any { return rand.New(rand.NewSource(0)) },
+	New: func() any { return rand.New(mathx.NewSource(0)) },
 }
 
 // cancelled reports whether the optional cancellation probe fired.

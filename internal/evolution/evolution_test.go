@@ -439,3 +439,68 @@ func TestScoreMemoMatchesRecompute(t *testing.T) {
 		pop[i%2] = cand
 	}
 }
+
+// sparseSchedule builds a random genome on a random ragged topology whose
+// jobs interleave non-contiguously and carry sparse, large IDs: the
+// inputs on which evalScratch's scan from the previous slot's hit has to
+// fall back to a full search.
+func sparseSchedule(rng *rand.Rand) *cluster.Schedule {
+	specs := make([]cluster.ServerSpec, 1+rng.Intn(8))
+	for i := range specs {
+		specs[i] = cluster.ServerSpec{GPUs: 1 + rng.Intn(8)}
+	}
+	s := cluster.NewSchedule(cluster.Topology{Servers: specs})
+	ids := make([]cluster.JobID, 1+rng.Intn(40))
+	for i := range ids {
+		ids[i] = cluster.JobID(1_000_000 + rng.Intn(1<<30))
+	}
+	for g := 0; g < s.NumGPUs(); g++ {
+		if rng.Float64() < 0.25 {
+			continue // leave idle
+		}
+		s.SetSlot(cluster.GPUID(g), ids[rng.Intn(len(ids))], 1+rng.Intn(512))
+	}
+	return s
+}
+
+// TestLoadMatchesScheduleQueriesProperty pins the one-pass aggregates
+// against the per-job Schedule queries they replace: the running jobs in
+// first-occurrence order with their c, B and server span, each job's GPU
+// list, and the idle list. One scratch is reused throughout, so state
+// left over from a previous genome would show.
+func TestLoadMatchesScheduleQueriesProperty(t *testing.T) {
+	sc := new(evalScratch)
+	f := func(seed int64) bool {
+		s := sparseSchedule(rand.New(rand.NewSource(seed)))
+		sc.load(s, loadGPUs)
+		jobs := s.RunningJobs()
+		if len(sc.aggs) != len(jobs) {
+			t.Logf("%d aggregates for %d running jobs", len(sc.aggs), len(jobs))
+			return false
+		}
+		for i, j := range jobs {
+			a := &sc.aggs[i]
+			if a.id != j || a.c != s.GPUCount(j) || a.B != s.GlobalBatch(j) || a.servers != s.ServersOf(j) {
+				t.Logf("aggregate %d = %+v, want job %d c=%d B=%d servers=%d",
+					i, *a, j, s.GPUCount(j), s.GlobalBatch(j), s.ServersOf(j))
+				return false
+			}
+			if got, want := fmt.Sprint(sc.gpusOf(a)), fmt.Sprint(s.GPUsOf(j)); got != want {
+				t.Logf("job %d GPUs = %s, want %s", j, got, want)
+				return false
+			}
+			if got := sc.find(j, len(jobs)-1-i); got != i {
+				t.Logf("find(%d) = %d, want %d", j, got, i)
+				return false
+			}
+		}
+		if got, want := fmt.Sprint(sc.idle), fmt.Sprint(s.IdleGPUs()); got != want {
+			t.Logf("idle = %s, want %s", got, want)
+			return false
+		}
+		return sc.find(cluster.NoJob, 0) == -1
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
+	}
+}

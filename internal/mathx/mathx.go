@@ -1,7 +1,8 @@
 // Package mathx provides the special functions and random-variate
 // generators needed by the ONES predictor and statistics modules:
 // log-gamma, digamma, trigamma, the regularized incomplete beta function,
-// the standard normal CDF, and Beta/Gamma samplers.
+// the standard normal CDF, Beta/Gamma samplers, and Source, a lazily
+// seeded generator that reproduces rand.NewSource's stream exactly.
 //
 // Everything is implemented from scratch on top of math so the module has
 // no dependencies outside the standard library.
