@@ -40,7 +40,7 @@ func TestRunnerPersistWarmRestart(t *testing.T) {
 			t.Fatal(err)
 		}
 		r := NewRunner(p)
-		r.Persist = c
+		r.Cache = c
 		return r
 	}
 
@@ -102,7 +102,7 @@ func TestRunnerPersistMatchesUnpersisted(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := NewRunner(p)
-	r.Persist = c
+	r.Cache = c
 	cached, err := r.Results(context.Background(), cells)
 	if err != nil {
 		t.Fatal(err)
@@ -128,7 +128,7 @@ func TestRunnerPersistSharedAcrossRunners(t *testing.T) {
 	ran := 0
 	for i := 0; i < 2; i++ {
 		r := NewRunner(p)
-		r.Persist = c
+		r.Cache = c
 		r.OnCell = func(Cell, *simulator.Result, time.Duration) {
 			mu.Lock()
 			ran++

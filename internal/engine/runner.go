@@ -12,14 +12,16 @@ import (
 	"repro/internal/obs"
 	"repro/internal/scenario"
 	"repro/internal/schedulers"
+	"repro/internal/servecache"
 	"repro/internal/simulator"
 	"repro/internal/workload"
 )
 
 // Runner executes simulation cells across a bounded worker pool and
-// memoizes every result. It is safe for concurrent use; each distinct
-// cell runs exactly once per Runner even when several experiments request
-// it at the same time.
+// memoizes every result in its Cache. It is safe for concurrent use;
+// each distinct cell runs once per cache even when several experiments
+// request it at the same time (a cache with limits may evict a finished
+// cell, which then reloads from disk or recomputes identically).
 //
 // Every entry point takes a context.Context. Cancellation takes effect
 // both between cells and inside them: cells that have not yet claimed a
@@ -34,12 +36,13 @@ type Runner struct {
 	workers int
 	sem     chan struct{}
 
-	// Persist, when set before the first use, backs the in-memory cell
-	// cache with a shared result cache (see internal/servecache): results
-	// are recalled from and written through to it, so they survive this
-	// Runner — and, with a disk-backed cache, this process. The Runner
-	// keys it by CellKey, which folds in every result-shaping parameter.
-	Persist Cache
+	// Cache memoizes and deduplicates the Runner's cells, keyed by
+	// CellKey (which folds in every result-shaping parameter). NewRunner
+	// installs a private memory-only cache; replace it before the first
+	// use with a shared one (see internal/servecache) and results are
+	// recalled from and written through to it, so they survive this
+	// Runner — and, with a disk-backed cache, this process.
+	Cache *servecache.Cache
 
 	// Obs, when set before the first use, receives out-of-band runtime
 	// telemetry: cells started/completed/cancelled/failed, worker-pool
@@ -58,9 +61,14 @@ type Runner struct {
 	// cell's result. Calls may come from multiple goroutines; the result
 	// is shared and must not be mutated.
 	OnCell func(cell Cell, res *simulator.Result, elapsed time.Duration)
+	// OnCellCached, when set before the first Results call, is invoked
+	// when Result returns a cell without simulating it: a memory or disk
+	// hit, or a wait on another caller's computation. Together with
+	// OnCell it fires once per successful Result call. Calls may come
+	// from multiple goroutines.
+	OnCellCached func(cell Cell)
 
 	mu     sync.Mutex
-	cells  map[Cell]*cellEntry
 	traces map[traceKey]*traceEntry
 
 	obsOnce sync.Once
@@ -116,15 +124,6 @@ type traceKey struct {
 	arrival scenario.ArrivalSpec
 }
 
-// cellEntry is a cancellation-aware singleflight slot: the goroutine
-// that inserts the entry computes it and closes done; everyone else
-// waits on done or their own context, whichever ends first.
-type cellEntry struct {
-	done chan struct{}
-	res  *simulator.Result
-	err  error
-}
-
 type traceEntry struct {
 	once  sync.Once
 	trace *workload.Trace
@@ -164,11 +163,13 @@ func NewRunner(p Params) *Runner {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
+	// A memory-only cache never touches the filesystem, so New cannot fail.
+	cache, _ := servecache.New("", nil)
 	return &Runner{
 		params:  p,
 		workers: workers,
 		sem:     make(chan struct{}, workers),
-		cells:   make(map[Cell]*cellEntry),
+		Cache:   cache,
 		traces:  make(map[traceKey]*traceEntry),
 	}
 }
@@ -179,36 +180,10 @@ func (r *Runner) Params() Params { return r.params }
 // Workers returns the effective worker-pool size.
 func (r *Runner) Workers() int { return r.workers }
 
-// CachedCells reports how many distinct cells have been simulated (or
-// are currently simulating).
-func (r *Runner) CachedCells() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.cells)
-}
-
-// CachedOf reports how many of the given cells are already successfully
-// simulated in the cache — the cells a new batch will satisfy without
-// executing anything. In-flight and failed cells do not count.
-func (r *Runner) CachedOf(cells []Cell) int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	n := 0
-	for _, c := range cells {
-		e, ok := r.cells[c.normalize(r.params)]
-		if !ok {
-			continue
-		}
-		select {
-		case <-e.done:
-			if e.err == nil {
-				n++
-			}
-		default:
-		}
-	}
-	return n
-}
+// CachedCells reports how many entries the Runner's cache holds in
+// memory: cells simulated, loaded or still in flight — through any
+// Runner sharing the cache.
+func (r *Runner) CachedCells() int { return r.Cache.Stats().Entries }
 
 // CachedTraces reports how many distinct traces have been generated —
 // one per (seed, arrival-process) pair, however many scenarios share it.
@@ -224,53 +199,30 @@ func isCtxErr(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// Result runs (or recalls) a single cell. The worker-pool slot is
-// acquired inside the flight, so cache hits return immediately and
-// goroutines waiting on another's in-flight computation of the same cell
-// do not hold slots the pool could be simulating with. A caller whose
-// context ends stops waiting at once. The claim/wait/evict-on-cancel
-// protocol is mirrored by servecache.Cache.Do (the shared cache behind
-// Persist); a change to either's cancellation semantics must be made in
-// both.
+// Result runs (or recalls) a single cell through the Runner's cache,
+// whose singleflight (servecache.Cache.Do) runs each cell once however
+// many callers want it and never keeps a cancelled computation. The
+// worker-pool slot is acquired inside the flight, so cache hits return
+// immediately and goroutines waiting on another's in-flight computation
+// of the same cell do not hold slots the pool could be simulating with.
+// A caller whose context ends stops waiting at once.
 func (r *Runner) Result(ctx context.Context, cell Cell) (*simulator.Result, error) {
 	cell = cell.normalize(r.params)
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, err
+	simulated := false
+	res, err := r.Cache.Do(ctx, CellKey(r.params, cell), func() (*simulator.Result, error) {
+		simulated = true
+		return r.simulate(ctx, cell)
+	})
+	switch {
+	case err == nil:
+		if !simulated && r.OnCellCached != nil {
+			r.OnCellCached(cell)
 		}
-		r.mu.Lock()
-		e, ok := r.cells[cell]
-		if !ok {
-			e = &cellEntry{done: make(chan struct{})}
-			r.cells[cell] = e
-			r.mu.Unlock()
-			e.res, e.err = r.runCell(ctx, cell)
-			if e.err != nil && isCtxErr(e.err) {
-				// Do not poison the cache with a cancellation: forget the
-				// entry so a later call with a live context recomputes and
-				// an uncancelled rerun stays byte-identical.
-				r.mu.Lock()
-				delete(r.cells, cell)
-				r.mu.Unlock()
-			}
-			close(e.done)
-		} else {
-			r.mu.Unlock()
-		}
-		select {
-		case <-e.done:
-			if e.err != nil {
-				if isCtxErr(e.err) && ctx.Err() == nil {
-					// The computing goroutine was cancelled but we are
-					// alive: the entry is gone, claim a fresh one.
-					continue
-				}
-				return nil, fmt.Errorf("engine: cell %s: %w", cell, e.err)
-			}
-			return e.res, nil
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
+		return res, nil
+	case isCtxErr(err):
+		return nil, err
+	default:
+		return nil, fmt.Errorf("engine: cell %s: %w", cell, err)
 	}
 }
 
@@ -336,31 +288,10 @@ func (r *Runner) trace(seed int64, arrival scenario.ArrivalSpec) (*workload.Trac
 	return e.trace, e.err
 }
 
-// Cache is a pluggable cross-runner result cache (implemented by
-// internal/servecache). Do returns the cached result for key or computes,
-// stores and returns a fresh one; concurrent calls with the same key are
-// deduplicated (singleflight) across every Runner sharing the cache. A
-// compute aborted by ctx cancellation must not be stored.
-type Cache interface {
-	Do(ctx context.Context, key string, compute func() (*simulator.Result, error)) (*simulator.Result, error)
-}
-
-// runCell produces one cell's result: through the shared persistent
-// cache when one is plugged in (a cache hit consumes no worker slot),
-// directly otherwise.
-func (r *Runner) runCell(ctx context.Context, c Cell) (*simulator.Result, error) {
-	if r.Persist == nil {
-		return r.simulate(ctx, c)
-	}
-	return r.Persist.Do(ctx, CellKey(r.params, c), func() (*simulator.Result, error) {
-		return r.simulate(ctx, c)
-	})
-}
-
 // simulate executes one simulation: wait for a worker slot (or the
 // context), resolve the scenario, generate (or recall) the trace its
 // arrival process shapes, build the scheduler from the registry with the
-// cell-derived seed, expand the capacity timeline, simulate. Out of
+// cell-derived seed, compose the capacity sources, simulate. Out of
 // band, it records the cell lifecycle — queued → trace-gen → simulate →
 // done — as engine metrics and, when the context carries a trace (see
 // obs.StartSpan), as a span tree.
@@ -457,32 +388,25 @@ func (r *Runner) simulate(ctx context.Context, c Cell) (res *simulator.Result, e
 	simCfg := simulator.DefaultConfig(trace)
 	simCfg.Topo = topo
 	simCfg.RecordEvents = r.params.RecordEvents
+	simCfg.MinServers = scn.Capacity.MinServers
 	// The capacity timeline is seeded from the cell key minus the
 	// scheduler, so paired comparisons face the identical world.
-	timeline := scn.Capacity.Timeline(c.scenarioSeed(r.params.Seed), simCfg.MaxTime)
-	simCfg.MinServers = scn.Capacity.MinServers
-	if c.Autoscaler == "" && scn.Capacity.DrainMTBF <= 0 {
-		// No state-dependent producers: the precomputed timeline replays
-		// on the exact pre-source path, byte-for-byte.
-		simCfg.Capacity = timeline
-	} else {
-		var srcs []scenario.CapacitySource
-		if len(timeline) > 0 {
-			srcs = append(srcs, scenario.NewTimelineSource(timeline))
-		}
-		if scn.Capacity.DrainMTBF > 0 {
-			srcs = append(srcs, scenario.NewDrainMTBFSource(scn.Capacity, c.drainSeed(r.params.Seed), simCfg.MaxTime))
-		}
-		if c.Autoscaler != "" {
-			policy, perr := autoscale.Get(c.Autoscaler)
-			if perr != nil {
-				simSpan.End()
-				return nil, perr
-			}
-			srcs = append(srcs, autoscale.NewController(policy, c.autoscalerSeed(r.params.Seed), r.Obs))
-		}
-		simCfg.Source = scenario.Sources(srcs...)
+	var srcs []scenario.CapacitySource
+	if timeline := scn.Capacity.Timeline(c.scenarioSeed(r.params.Seed), simCfg.MaxTime); len(timeline) > 0 {
+		srcs = append(srcs, scenario.NewTimelineSource(timeline))
 	}
+	if scn.Capacity.DrainMTBF > 0 {
+		srcs = append(srcs, scenario.NewDrainMTBFSource(scn.Capacity, c.drainSeed(r.params.Seed), simCfg.MaxTime))
+	}
+	if c.Autoscaler != "" {
+		policy, perr := autoscale.Get(c.Autoscaler)
+		if perr != nil {
+			simSpan.End()
+			return nil, perr
+		}
+		srcs = append(srcs, autoscale.NewController(policy, c.autoscalerSeed(r.params.Seed), r.Obs))
+	}
+	simCfg.Source = scenario.Sources(srcs...)
 	res, err = simulator.RunContext(ctx, simCfg, sched)
 	simSpan.End()
 	elapsed := time.Since(start) //ones:allow detrand obs-only wall-time measurement paired with the start read above

@@ -80,10 +80,15 @@ func TestRunnerSeedChangesResults(t *testing.T) {
 func TestRunnerCacheDedupes(t *testing.T) {
 	r := NewRunner(testParams(4))
 	var mu sync.Mutex
-	ran := 0
+	ran, hits := 0, 0
 	r.OnCell = func(Cell, *simulator.Result, time.Duration) {
 		mu.Lock()
 		ran++
+		mu.Unlock()
+	}
+	r.OnCellCached = func(Cell) {
+		mu.Lock()
+		hits++
 		mu.Unlock()
 	}
 	cells := testCells()
@@ -103,6 +108,10 @@ func TestRunnerCacheDedupes(t *testing.T) {
 	}
 	if got := r.CachedCells(); got != want {
 		t.Errorf("CachedCells = %d, want %d", got, want)
+	}
+	// Every request that did not simulate was served by the cache.
+	if requests := len(batch) + len(cells); hits != requests-want {
+		t.Errorf("OnCellCached fired %d times, want %d (one per request served without simulating)", hits, requests-want)
 	}
 }
 

@@ -73,8 +73,10 @@ func (v ClusterView) Pressure() float64 {
 // consultation, -1 before the first); the simulator schedules a decision
 // boundary there. Next(now, view) is called at that boundary with a
 // read-only ClusterView and returns the events to apply, in order, each
-// applied at the current time (the event's own Time field is
-// informational). Sources are consulted from the single-threaded
+// applied at the current time. An event's own Time stamps when it fell
+// due (its scheduled time, or now for a controller's decision) and must
+// never go back: the simulator rejects an event earlier than the last
+// one it consumed. Sources are consulted from the single-threaded
 // simulation loop, with now nondecreasing across calls, so a
 // deterministic source yields deterministic runs at any engine worker
 // count or evolution parallelism.
@@ -92,9 +94,8 @@ type CapacitySource interface {
 // TimelineSource adapts a precomputed, time-sorted capacity timeline
 // (see CapacitySpec.Timeline) to the CapacitySource interface: it wakes
 // at each event's exact time and returns the events that have come due.
-// The simulator recognizes a bare *TimelineSource and replays it on the
-// exact event-queue path pre-source builds used, so planned-timeline
-// results are byte-identical to before the interface existed.
+// An unsorted timeline delivers an event earlier than its predecessor,
+// which the simulator rejects.
 type TimelineSource struct {
 	events []CapacityEvent
 	idx    int
@@ -105,9 +106,6 @@ type TimelineSource struct {
 func NewTimelineSource(events []CapacityEvent) *TimelineSource {
 	return &TimelineSource{events: events}
 }
-
-// Events returns the underlying timeline.
-func (s *TimelineSource) Events() []CapacityEvent { return s.events }
 
 // NextWake implements CapacitySource: the time of the first event not
 // yet delivered.
@@ -139,9 +137,8 @@ type multiSource struct {
 }
 
 // Sources composes capacity sources into one. Nil entries are dropped;
-// zero live sources yield nil, a single source is returned as itself
-// (preserving the simulator's exact-timeline fast path for a lone
-// TimelineSource).
+// zero live sources yield nil (a static world), a single source is
+// returned as itself.
 func Sources(srcs ...CapacitySource) CapacitySource {
 	live := make([]CapacitySource, 0, len(srcs))
 	for _, s := range srcs {

@@ -91,9 +91,10 @@ type Limits struct {
 	MaxDiskBytes int64
 }
 
-// Cache implements engine.Cache: a singleflight, in-memory result memo
-// with optional disk write-through. Safe for concurrent use by any
-// number of runners.
+// Cache is a singleflight, in-memory result memo with optional disk
+// write-through: every engine.Runner memoizes its cells in one (a
+// private memory-only Cache unless a shared one is plugged in). Safe
+// for concurrent use by any number of runners.
 type Cache struct {
 	dir  string // "" ⇒ memory only
 	warn func(format string, args ...any)
@@ -430,11 +431,8 @@ func isCtxErr(err error) bool {
 // A caller whose ctx ends stops waiting immediately. A compute that
 // returns a context error is not cached (in memory or on disk): the next
 // caller with a live context recomputes, so cancelled runs can never
-// poison the cache.
-//
-// The claim/wait/evict-on-cancel protocol deliberately mirrors
-// engine.Runner.Result (the per-runner memo in front of this cache);
-// a change to either's cancellation semantics must be made in both.
+// poison the cache. This is the only singleflight in front of the
+// simulator: engine.Runner.Result runs every cell through it.
 func (c *Cache) Do(ctx context.Context, key string, compute func() (*simulator.Result, error)) (*simulator.Result, error) {
 	for {
 		if err := ctx.Err(); err != nil {

@@ -10,6 +10,7 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/scenario"
@@ -37,10 +38,10 @@ func simulate(t *testing.T, sched string, recordEvents bool) *simulator.Result {
 	cfg.Topo = cluster.Uniform(4, 4)
 	cfg.RecordEvents = recordEvents
 	if recordEvents {
-		cfg.Capacity = []scenario.CapacityEvent{
+		cfg.Source = scenario.NewTimelineSource([]scenario.CapacityEvent{
 			{Time: 40, Kind: scenario.CapacityFail, Servers: 1, Pick: 0.3},
 			{Time: 400, Kind: scenario.CapacityJoin, Servers: 1, Restocks: scenario.CapacityFail},
-		}
+		})
 	}
 	res, err := simulator.Run(cfg, s)
 	if err != nil {
@@ -325,6 +326,60 @@ func TestCancelledComputeNotCached(t *testing.T) {
 	}
 	if st := c.Stats(); st.Computes != 1 || st.Entries != 1 {
 		t.Errorf("stats = %+v after the live retry, want 1 compute, 1 entry", st)
+	}
+}
+
+// TestWaiterReclaimsAfterClaimerCancelled pins Do's re-claim branch —
+// the onesd case where one of two identical runs is cancelled mid-cell:
+// the cancelled claimer's entry is evicted, and the live waiter claims a
+// fresh one and returns the result of its own single compute.
+func TestWaiterReclaimsAfterClaimerCancelled(t *testing.T) {
+	c := mustCache(t, "")
+	res := simulate(t, "fifo", false)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	started := make(chan struct{})
+	claimerErr := make(chan error, 1)
+	go func() {
+		_, err := c.Do(ctx, "k", func() (*simulator.Result, error) {
+			close(started)
+			<-ctx.Done()
+			return nil, ctx.Err()
+		})
+		claimerErr <- err
+	}()
+	<-started
+	type outcome struct {
+		res      *simulator.Result
+		err      error
+		computes int
+	}
+	waiter := make(chan outcome, 1)
+	go func() {
+		computes := 0
+		got, err := c.Do(context.Background(), "k", func() (*simulator.Result, error) {
+			computes++
+			return res, nil
+		})
+		waiter <- outcome{got, err, computes}
+	}()
+	// Cancel the claimer only once the waiter is parked on its flight.
+	for c.Stats().DedupWaits == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	cancel()
+	if err := <-claimerErr; !errors.Is(err, context.Canceled) {
+		t.Fatalf("claimer err = %v, want context.Canceled", err)
+	}
+	w := <-waiter
+	if w.err != nil || w.res != res {
+		t.Fatalf("waiter got (%p, %v), want its own result %p", w.res, w.err, res)
+	}
+	if w.computes != 1 {
+		t.Errorf("waiter computed %d times, want once after re-claiming", w.computes)
+	}
+	if st := c.Stats(); st.Computes != 1 || st.DedupWaits != 1 {
+		t.Errorf("stats = %+v, want 1 compute and 1 dedup wait", st)
 	}
 }
 

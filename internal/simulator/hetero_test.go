@@ -39,10 +39,10 @@ func TestRackDrainEvictsWholeRack(t *testing.T) {
 	cfg.RecordEvents = true
 	// Drain rack 0 (8 of 12 GPUs) early, while jobs are running, and
 	// power it back later.
-	cfg.Capacity = []scenario.CapacityEvent{
+	cfg.Source = scenario.NewTimelineSource([]scenario.CapacityEvent{
 		{Time: 40, Kind: scenario.CapacityRackDrain, Rack: 0},
 		{Time: 400, Kind: scenario.CapacityJoin, Restocks: scenario.CapacityRackDrain},
-	}
+	})
 	res, err := Run(cfg, &fifoTest{})
 	if err != nil {
 		t.Fatal(err)
@@ -73,9 +73,9 @@ func TestRackDrainEvictsWholeRack(t *testing.T) {
 
 func TestRackDrainOfAbsentRackIsNoOp(t *testing.T) {
 	cfg := mixedConfig(t, 6)
-	cfg.Capacity = []scenario.CapacityEvent{
+	cfg.Source = scenario.NewTimelineSource([]scenario.CapacityEvent{
 		{Time: 40, Kind: scenario.CapacityRackDrain, Rack: 9},
-	}
+	})
 	res, err := Run(cfg, &fifoTest{})
 	if err != nil {
 		t.Fatal(err)
@@ -91,9 +91,9 @@ func TestRackDrainClampsAtMinServersFloor(t *testing.T) {
 	cfg.MinServers = 3
 	cfg.RecordEvents = true
 	// Rack 0 has servers 0 and 1; the floor allows removing only one.
-	cfg.Capacity = []scenario.CapacityEvent{
+	cfg.Source = scenario.NewTimelineSource([]scenario.CapacityEvent{
 		{Time: 40, Kind: scenario.CapacityRackDrain, Rack: 0},
-	}
+	})
 	res, err := Run(cfg, &fifoTest{})
 	if err != nil {
 		t.Fatal(err)
@@ -114,11 +114,11 @@ func TestRackDrainDuringElasticScaleUp(t *testing.T) {
 	// A scale-up of two 4-GPU servers lands (in a fresh rack 2) just
 	// before rack 1 drains; the drain must hit only rack 1's servers and
 	// the restock must return exactly rack 1's two 2-GPU machines.
-	cfg.Capacity = []scenario.CapacityEvent{
+	cfg.Source = scenario.NewTimelineSource([]scenario.CapacityEvent{
 		{Time: 30, Kind: scenario.CapacityJoin, Servers: 2, GPUs: 4},
 		{Time: 60, Kind: scenario.CapacityRackDrain, Rack: 1},
 		{Time: 300, Kind: scenario.CapacityJoin, Restocks: scenario.CapacityRackDrain},
-	}
+	})
 	res, err := Run(cfg, &fifoTest{})
 	if err != nil {
 		t.Fatal(err)
@@ -147,9 +147,9 @@ func TestRackDrainDuringElasticScaleUp(t *testing.T) {
 func TestPlannedJoinWithExplicitGPUs(t *testing.T) {
 	cfg := mixedConfig(t, 6)
 	cfg.RecordEvents = true
-	cfg.Capacity = []scenario.CapacityEvent{
+	cfg.Source = scenario.NewTimelineSource([]scenario.CapacityEvent{
 		{Time: 40, Kind: scenario.CapacityJoin, Servers: 1, GPUs: 16},
-	}
+	})
 	res, err := Run(cfg, &fifoTest{})
 	if err != nil {
 		t.Fatal(err)
@@ -167,10 +167,10 @@ func TestMixedDeterminism(t *testing.T) {
 	run := func() *Result {
 		cfg := mixedConfig(t, 8)
 		cfg.RecordEvents = true
-		cfg.Capacity = []scenario.CapacityEvent{
+		cfg.Source = scenario.NewTimelineSource([]scenario.CapacityEvent{
 			{Time: 50, Kind: scenario.CapacityRackDrain, Rack: 0},
 			{Time: 500, Kind: scenario.CapacityJoin, Restocks: scenario.CapacityRackDrain},
-		}
+		})
 		res, err := Run(cfg, &fifoTest{})
 		if err != nil {
 			t.Fatal(err)

@@ -1,14 +1,10 @@
 package simulator
 
-import "sync"
-
 // eventLess orders the simulation timeline: time, then kind, then job,
 // then sequence. The order is a strict total order over every event a run
 // can enqueue — arrivals are unique per job, epoch ends unique per
-// (job, seq), ticks form a single chain, capacity events are unique per
-// timeline index, and source wakes (seq -1) form a single chain like
-// ticks (at most one in flight; a run uses either the timeline path or
-// the source path, never both) — so any correct priority queue pops the
+// (job, seq), and ticks and capacity-source wakes each form a single
+// chain (at most one in flight) — so any correct priority queue pops the
 // identical sequence and the queue implementation can never change
 // results.
 func eventLess(a, b event) bool {
@@ -21,7 +17,7 @@ func eventLess(a, b event) bool {
 	if a.job != b.job {
 		return a.job < b.job
 	}
-	// Same-time capacity events must apply in timeline index order.
+	// Same-time epoch ends of one job differ only by validity sequence.
 	return a.seq < b.seq
 }
 
@@ -83,8 +79,3 @@ func (q *eventQueue) pop() event {
 	}
 	return top
 }
-
-// eventQueuePool recycles queue backing arrays across runs: a parallel
-// experiment sweep multiplies allocation pressure, and the queue is the
-// one simulation-length buffer every run needs.
-var eventQueuePool = sync.Pool{New: func() any { return new(eventQueue) }}

@@ -359,14 +359,14 @@ func TestNodeFailureEvictsAndRequeues(t *testing.T) {
 	cfg.RecordEvents = true
 	// Three failures spread across the run, each repaired: jobs must be
 	// evicted but every one of them still completes.
-	cfg.Capacity = []scenario.CapacityEvent{
+	cfg.Source = scenario.NewTimelineSource([]scenario.CapacityEvent{
 		{Time: 30, Kind: scenario.CapacityFail, Servers: 1, Pick: 0.0},
 		{Time: 200, Kind: scenario.CapacityJoin, Servers: 1},
 		{Time: 260, Kind: scenario.CapacityFail, Servers: 1, Pick: 0.5},
 		{Time: 500, Kind: scenario.CapacityJoin, Servers: 1},
 		{Time: 560, Kind: scenario.CapacityFail, Servers: 1, Pick: 0.9},
 		{Time: 900, Kind: scenario.CapacityJoin, Servers: 1},
-	}
+	})
 	cfg.MinServers = 2
 	res, err := Run(cfg, &fifoTest{})
 	if err != nil {
@@ -405,9 +405,9 @@ func TestCapacityJoinGrowsCluster(t *testing.T) {
 	// join doubles the cluster.
 	cfg := smallConfig(t, 6)
 	cfg.Topo = cluster.Uniform(1, 4)
-	cfg.Capacity = []scenario.CapacityEvent{
+	cfg.Source = scenario.NewTimelineSource([]scenario.CapacityEvent{
 		{Time: 100, Kind: scenario.CapacityJoin, Servers: 3},
-	}
+	})
 	res, err := Run(cfg, &fifoTest{})
 	if err != nil {
 		t.Fatal(err)
@@ -433,7 +433,7 @@ func TestCapacityJoinGrowsCluster(t *testing.T) {
 func TestCapacityRemovalRespectsMinServers(t *testing.T) {
 	cfg := smallConfig(t, 4)
 	cfg.MinServers = 4 // equal to the starting size: removals are no-ops
-	cfg.Capacity = failureTimeline(20, 40)
+	cfg.Source = scenario.NewTimelineSource(failureTimeline(20, 40))
 	res, err := Run(cfg, &fifoTest{})
 	if err != nil {
 		t.Fatal(err)
@@ -461,10 +461,10 @@ func TestSameTimeCapacityEventsApplyInTimelineOrder(t *testing.T) {
 	// 12 GPUs then 20 — never 20 then 16.
 	cfg := smallConfig(t, 3)
 	cfg.RecordEvents = true
-	cfg.Capacity = []scenario.CapacityEvent{
+	cfg.Source = scenario.NewTimelineSource([]scenario.CapacityEvent{
 		{Time: 100, Kind: scenario.CapacityLeave, Servers: 1, Pick: 0.999},
 		{Time: 100, Kind: scenario.CapacityJoin, Servers: 2},
-	}
+	})
 	res, err := Run(cfg, &fifoTest{})
 	if err != nil {
 		t.Fatal(err)
@@ -487,12 +487,12 @@ func TestRestockNeverExceedsWhatWasRemoved(t *testing.T) {
 	cfg := smallConfig(t, 3)
 	cfg.RecordEvents = true
 	cfg.MinServers = 3
-	cfg.Capacity = []scenario.CapacityEvent{
+	cfg.Source = scenario.NewTimelineSource([]scenario.CapacityEvent{
 		{Time: 20, Kind: scenario.CapacityFail, Servers: 1, Pick: 0.1},
 		{Time: 30, Kind: scenario.CapacityFail, Servers: 1, Pick: 0.1}, // clamped
 		{Time: 60, Kind: scenario.CapacityJoin, Servers: 1, Restocks: scenario.CapacityFail},
 		{Time: 70, Kind: scenario.CapacityJoin, Servers: 1, Restocks: scenario.CapacityFail}, // phantom
-	}
+	})
 	res, err := Run(cfg, &fifoTest{})
 	if err != nil {
 		t.Fatal(err)
@@ -514,7 +514,7 @@ func TestRestockNeverExceedsWhatWasRemoved(t *testing.T) {
 func TestCapacityScenarioDeterministic(t *testing.T) {
 	run := func() *Result {
 		cfg := smallConfig(t, 8)
-		cfg.Capacity = failureTimeline(25, 300)
+		cfg.Source = scenario.NewTimelineSource(failureTimeline(25, 300))
 		res, err := Run(cfg, &fifoTest{})
 		if err != nil {
 			t.Fatal(err)
@@ -530,10 +530,10 @@ func TestCapacityScenarioDeterministic(t *testing.T) {
 
 func TestCapacityTimelineMustBeSorted(t *testing.T) {
 	cfg := smallConfig(t, 2)
-	cfg.Capacity = []scenario.CapacityEvent{
+	cfg.Source = scenario.NewTimelineSource([]scenario.CapacityEvent{
 		{Time: 50, Kind: scenario.CapacityJoin},
 		{Time: 10, Kind: scenario.CapacityFail},
-	}
+	})
 	if _, err := Run(cfg, &fifoTest{}); err == nil {
 		t.Error("unsorted capacity timeline accepted")
 	}
@@ -542,7 +542,7 @@ func TestCapacityTimelineMustBeSorted(t *testing.T) {
 func TestEvictedJobAccruesQueueNotExec(t *testing.T) {
 	cfg := smallConfig(t, 3)
 	cfg.RecordEvents = true
-	cfg.Capacity = failureTimeline(15, 600)
+	cfg.Source = scenario.NewTimelineSource(failureTimeline(15, 600))
 	res, err := Run(cfg, &fifoTest{})
 	if err != nil {
 		t.Fatal(err)

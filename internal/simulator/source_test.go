@@ -2,14 +2,13 @@ package simulator
 
 import (
 	"reflect"
-	"strings"
 	"testing"
 
 	"repro/internal/scenario"
 )
 
-// elasticTimeline is a small planned schedule with same-time events, the
-// case where wake-batch semantics could diverge from the per-index path.
+// elasticTimeline is a small planned schedule with same-time events,
+// which one wake delivers together.
 func elasticTimeline() []scenario.CapacityEvent {
 	return []scenario.CapacityEvent{
 		{Time: 60, Kind: scenario.CapacityLeave, Pick: 0.999},
@@ -20,52 +19,34 @@ func elasticTimeline() []scenario.CapacityEvent {
 	}
 }
 
-// The three ways of feeding the same timeline — the Capacity slice, a
-// bare TimelineSource (unwrapped onto the slice path), and a TimelineSource
-// forced through the generic wake path by composing it with a second
-// (empty) source — must yield identical Results, or the CapacitySource
-// refactor changed planned-scenario physics.
+// A lone TimelineSource and the same timeline composed with a second
+// (empty) source must yield identical Results: composition changes who
+// is polled at each wake, never the physics of the planned events.
 func TestSourcePathsEquivalent(t *testing.T) {
-	run := func(mutate func(*Config)) *Result {
+	run := func(src scenario.CapacitySource) *Result {
 		cfg := smallConfig(t, 10)
 		cfg.MinServers = 1
-		mutate(&cfg)
+		cfg.Source = src
 		res, err := Run(cfg, &fifoTest{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-	viaSlice := run(func(c *Config) { c.Capacity = elasticTimeline() })
-	viaSource := run(func(c *Config) { c.Source = scenario.NewTimelineSource(elasticTimeline()) })
-	viaWake := run(func(c *Config) {
-		c.Source = scenario.Sources(
-			scenario.NewTimelineSource(elasticTimeline()),
-			scenario.NewTimelineSource(nil), // forces the multi-source wake path
-		)
-	})
-	if viaSlice.CapacityEvents == 0 || viaSlice.Evictions == 0 {
+	lone := run(scenario.NewTimelineSource(elasticTimeline()))
+	composed := run(scenario.Sources(
+		scenario.NewTimelineSource(elasticTimeline()),
+		scenario.NewTimelineSource(nil),
+	))
+	if lone.CapacityEvents == 0 || lone.Evictions == 0 {
 		t.Fatalf("timeline had no effect (events=%d evictions=%d) — equivalence would be vacuous",
-			viaSlice.CapacityEvents, viaSlice.Evictions)
+			lone.CapacityEvents, lone.Evictions)
 	}
-	if !reflect.DeepEqual(viaSlice, viaSource) {
-		t.Errorf("bare TimelineSource diverged from Capacity slice:\n%+v\nvs\n%+v", viaSource, viaSlice)
+	if !reflect.DeepEqual(lone, composed) {
+		t.Errorf("composed source diverged from a lone timeline:\n%+v\nvs\n%+v", composed, lone)
 	}
-	if !reflect.DeepEqual(viaSlice, viaWake) {
-		t.Errorf("wake-path source diverged from Capacity slice:\n%+v\nvs\n%+v", viaWake, viaSlice)
-	}
-	if viaWake.ScaleUps != 0 || viaWake.ScaleDowns != 0 || viaWake.AutoscaleEvents != 0 {
-		t.Errorf("timeline events counted as autoscaler activity: %+v", viaWake)
-	}
-}
-
-func TestCapacityAndSourceMutuallyExclusive(t *testing.T) {
-	cfg := smallConfig(t, 4)
-	cfg.Capacity = elasticTimeline()
-	cfg.Source = scenario.NewTimelineSource(nil)
-	_, err := Run(cfg, &fifoTest{})
-	if err == nil || !strings.Contains(err.Error(), "both Capacity and Source") {
-		t.Fatalf("err = %v, want rejection of double capacity feed", err)
+	if composed.ScaleUps != 0 || composed.ScaleDowns != 0 || composed.AutoscaleEvents != 0 {
+		t.Errorf("timeline events counted as autoscaler activity: %+v", composed)
 	}
 }
 

@@ -132,11 +132,11 @@ func (c *Cache) Instrument(m *Metrics) {
 }
 
 // WithCache plugs a shared (and optionally persistent) result cache into
-// the Session. Sessions sharing one Cache share results: a cell any of
-// them has computed — in this process or, with persistence, a previous
-// one — is recalled instead of resimulated. Cache hits recalled from
-// outside the Session's own memo do not emit cell progress events (like
-// in-session memo hits, they execute nothing).
+// the Session in place of its private in-memory one. Sessions sharing
+// one Cache share results: a cell any of them has computed — in this
+// process or, with persistence, a previous one — is recalled instead of
+// resimulated. A cache hit emits no cell progress events (it executes
+// nothing) but counts toward the batch's Done like any resolved cell.
 func WithCache(c *Cache) Option {
 	return func(s *settings) {
 		s.cache = c

@@ -3,7 +3,6 @@ package ones
 import (
 	"context"
 	"encoding/json"
-	"sync"
 	"testing"
 )
 
@@ -23,6 +22,20 @@ func cacheSession(t *testing.T, c *Cache, extra ...Option) *Session {
 		t.Fatal(err)
 	}
 	return s
+}
+
+// checkHitProgress asserts that a one-cell run served from the cache
+// simulated nothing (no cell events) yet finished its cell: a single
+// run-done at Done == Total == 1.
+func checkHitProgress(t *testing.T, rec *recorder) {
+	t.Helper()
+	got := rec.byKind()
+	if n := len(got[KindCellStart]) + len(got[KindCellDone]); n != 0 {
+		t.Errorf("cache hit emitted %d cell events, want 0", n)
+	}
+	if rd := got[KindRunDone]; len(rd) != 1 || rd[0].Done != 1 || rd[0].Total != 1 {
+		t.Errorf("cache hit run-done events %+v, want one at Done == Total == 1", rd)
+	}
 }
 
 // TestWithCacheWarmRestart: a second session over the same cache
@@ -46,21 +59,12 @@ func TestWithCacheWarmRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var mu sync.Mutex
-	simulated := 0
-	warm, err := cacheSession(t, c2, WithObserver(ObserverFunc(func(p Progress) {
-		if p.Kind == KindCellStart {
-			mu.Lock()
-			simulated++
-			mu.Unlock()
-		}
-	}))).Run(context.Background())
+	rec := &recorder{}
+	warm, err := cacheSession(t, c2, WithObserver(rec)).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if simulated != 0 {
-		t.Errorf("warm restart simulated %d cells, want 0", simulated)
-	}
+	checkHitProgress(t, rec)
 	if st := c2.Stats(); st.DiskHits != 1 || st.Computes != 0 {
 		t.Errorf("warm stats = %+v, want 1 disk hit and 0 computes", st)
 	}
@@ -78,7 +82,8 @@ func TestWithCacheWarmRestart(t *testing.T) {
 }
 
 // TestWithCacheSharedAcrossSessions: two sessions sharing one in-memory
-// cache compute the identical run once between them.
+// cache compute the identical run once between them; the second still
+// reports its cell done.
 func TestWithCacheSharedAcrossSessions(t *testing.T) {
 	c, err := NewCache("", nil)
 	if err != nil {
@@ -88,10 +93,12 @@ func TestWithCacheSharedAcrossSessions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := cacheSession(t, c).Run(context.Background())
+	rec := &recorder{}
+	b, err := cacheSession(t, c, WithObserver(rec)).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkHitProgress(t, rec)
 	if st := c.Stats(); st.Computes != 1 || st.MemoryHits != 1 {
 		t.Errorf("stats = %+v, want the second session's run served from memory", st)
 	}

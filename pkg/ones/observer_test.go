@@ -83,6 +83,27 @@ func TestObserverStreamsCellProgress(t *testing.T) {
 	}
 }
 
+// TestExperimentProgressCountsEachCellOnce: fig15 and table4 share the
+// four comparison cells, prewarmed once and then re-read by each
+// renderer; the batch still ends at Done == Total == 4.
+func TestExperimentProgressCountsEachCellOnce(t *testing.T) {
+	rec := &recorder{}
+	s, err := New(WithQuickScale(), WithObserver(rec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.RunExperiments(context.Background(), "fig15", "table4"); err != nil {
+		t.Fatal(err)
+	}
+	runDone := rec.byKind()[KindRunDone]
+	if len(runDone) != 1 {
+		t.Fatalf("run-done events = %d, want 1", len(runDone))
+	}
+	if p := runDone[0]; p.Done != 4 || p.Total != 4 {
+		t.Errorf("run-done progress = %d/%d, want 4/4", p.Done, p.Total)
+	}
+}
+
 // TestStreamCloseWhileBlocked: a consumer that stops reading and closes
 // the stream must unblock a sender stuck on the full buffer — the
 // engine can never deadlock on an abandoned stream.

@@ -218,14 +218,34 @@ func TestDaemonConcurrentClients(t *testing.T) {
 	}
 }
 
+// runToDone runs quickSpec to completion and checks that it reports its
+// one cell done, on GET /v1/runs/{id} and on the stream's end line,
+// whether it simulated or was served from the cache.
+func runToDone(t *testing.T, base string) RunStatus {
+	t.Helper()
+	st := createRun(t, base, quickSpec())
+	done := waitStatus(t, base, st.ID, StatusDone, 30*time.Second)
+	if done.CellsDone != 1 || done.CellsTotal != 1 {
+		t.Errorf("run %s: cells_done=%d cells_total=%d, want 1/1", st.ID, done.CellsDone, done.CellsTotal)
+	}
+	if _, end := streamRun(t, base, st.ID); end.Done != 1 || end.Total != 1 {
+		t.Errorf("run %s: stream end line done=%d total=%d, want 1/1", st.ID, end.Done, end.Total)
+	}
+	return done
+}
+
 // TestDaemonWarmRestart: a second server over the same cache directory
 // serves an identical run from disk — no simulation — byte-identical to
-// the cold result.
+// the cold result. The cold run, a memo hit on the live daemon and the
+// disk hit after the restart each report their one cell done.
 func TestDaemonWarmRestart(t *testing.T) {
 	dir := t.TempDir()
 	srv1, ts1 := newTestServer(t, dir)
-	st := createRun(t, ts1.URL, quickSpec())
-	cold := waitStatus(t, ts1.URL, st.ID, StatusDone, 30*time.Second)
+	cold := runToDone(t, ts1.URL)
+	runToDone(t, ts1.URL)
+	if cs := srv1.Cache().Stats(); cs.Computes != 1 || cs.MemoryHits != 1 {
+		t.Errorf("live daemon stats = %+v, want 1 compute and 1 memory hit", cs)
+	}
 	if err := srv1.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -236,8 +256,7 @@ func TestDaemonWarmRestart(t *testing.T) {
 		srv2.Shutdown(context.Background())
 		ts2.Close()
 	}()
-	st2 := createRun(t, ts2.URL, quickSpec())
-	warm := waitStatus(t, ts2.URL, st2.ID, StatusDone, 30*time.Second)
+	warm := runToDone(t, ts2.URL)
 	cs := srv2.Cache().Stats()
 	if cs.Computes != 0 || cs.DiskHits != 1 {
 		t.Errorf("restarted daemon stats = %+v, want a pure disk hit", cs)

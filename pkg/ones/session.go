@@ -18,7 +18,8 @@ import (
 // suite: one worker pool, one memoized result cache, one deterministic
 // master seed. Sessions are safe for concurrent use; every distinct
 // simulation cell runs at most once per session however many calls
-// request it.
+// request it, as long as its cache is unbounded. Under CacheLimits an
+// evicted cell reloads from disk or recomputes, with identical results.
 type Session struct {
 	params     engine.Params
 	scheduler  string
@@ -86,7 +87,7 @@ func New(opts ...Option) (*Session, error) {
 		runner:     engine.NewRunner(p),
 	}
 	if st.cache != nil {
-		s.runner.Persist = st.cache.impl
+		s.runner.Cache = st.cache.impl
 	}
 	if st.metrics != nil {
 		s.runner.Obs = st.metrics.reg
@@ -100,11 +101,10 @@ func New(opts ...Option) (*Session, error) {
 			s.emit(s.cellProgress(KindCellStart, cell, 0, nil))
 		}
 		s.runner.OnCell = func(cell engine.Cell, res *simulator.Result, elapsed time.Duration) {
-			s.progress.Lock()
-			s.progress.done++
-			s.progress.Unlock()
+			s.credit()
 			s.emit(s.cellProgress(KindCellDone, cell, elapsed, newResult(cell, s.params, res)))
 		}
+		s.runner.OnCellCached = func(engine.Cell) { s.credit() }
 	}
 	return s, nil
 }
@@ -115,8 +115,9 @@ func (s *Session) Workers() int { return s.runner.Workers() }
 // Seed returns the session's master RNG seed.
 func (s *Session) Seed() int64 { return s.params.Seed }
 
-// SimulatedCells reports how many distinct simulation cells the
-// session's cache holds.
+// SimulatedCells reports how many simulation cells the session's cache
+// holds in memory: with WithCache, every cell any session sharing the
+// cache has simulated or loaded, less those CacheLimits evicted.
 func (s *Session) SimulatedCells() int { return s.runner.CachedCells() }
 
 func (s *Session) emit(p Progress) {
@@ -132,17 +133,26 @@ func (s *Session) counts() (done, total int) {
 	return s.progress.done, s.progress.total
 }
 
-// beginBatch grows the planned-cell total, credits cells the cache
-// already holds (they never surface as cell events, so Done jumps for
-// them immediately), and emits run-start.
+// beginBatch grows the planned-cell total and emits run-start. Each
+// planned cell is credited as it resolves: simulated cells with their
+// cell-done event, cache hits silently (they execute nothing).
 func (s *Session) beginBatch(cells []engine.Cell) {
-	cached := s.runner.CachedOf(cells)
 	s.progress.Lock()
 	s.progress.total += len(cells)
-	s.progress.done += cached
 	s.progress.Unlock()
 	done, total := s.counts()
 	s.emit(Progress{Kind: KindRunStart, Done: done, Total: total})
+}
+
+// credit counts one resolved cell toward Done. Experiment rendering
+// re-reads cells its batch already resolved; those reads are not new
+// work, so Done never passes Total.
+func (s *Session) credit() {
+	s.progress.Lock()
+	if s.progress.done < s.progress.total {
+		s.progress.done++
+	}
+	s.progress.Unlock()
 }
 
 func (s *Session) endBatch(start time.Time) {
