@@ -71,7 +71,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		interarrival = fs.Float64("interarrival", 12, "mean seconds between arrivals")
 		seed         = fs.Int64("seed", 1, "master RNG seed")
 		pop          = fs.Int("pop", 32, "ONES population size K")
-		evoParallel  = fs.Int("evo-parallel", 0, "goroutines for ONES's in-cell evolution (0 = derive from free workers); results are identical at any setting")
 		cacheDir     = fs.String("cache-dir", "", "persist completed runs here; identical reruns load instead of simulating")
 		verbose      = fs.Bool("verbose", false, "print per-job metrics")
 		progressV    = fs.Bool("v", false, "stream per-cell progress lines to stderr, ending with a one-line summary")
@@ -97,7 +96,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		ones.WithTrace(ones.Trace{Jobs: *jobs, MeanInterarrival: *interarrival, Seed: *seed}),
 		ones.WithSeed(*seed),
 		ones.WithPopulation(*pop),
-		ones.WithEvolutionParallelism(*evoParallel),
 		ones.WithEventLog(*events),
 	}
 	if *autoscaler != "" {

@@ -18,10 +18,10 @@ import (
 // bug class PRs 6 and 8 each had to guard by hand with golden tests:
 // two cells that compute different results would share one cache entry,
 // and whichever ran first would silently serve the other's answer
-// forever. The exemption is for pure-throughput knobs (Workers,
-// EvolutionParallelism) and experiment-rendering parameters (Capacities,
-// ParamScale, CFPoints) whose exclusion is the point — the annotation
-// forces that argument into the source next to the field.
+// forever. The exemption is for pure-throughput knobs (Workers) and
+// experiment-rendering parameters (Capacities, ParamScale, CFPoints)
+// whose exclusion is the point — the annotation forces that argument into
+// the source next to the field.
 var CellKey = &Analyzer{
 	Name: "cellkey",
 	Doc:  "every Cell/Params field must feed CellKey or carry //ones:nokey <reason>",

@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // JobID identifies a job. NoJob marks an idle GPU.
@@ -338,9 +337,10 @@ func (s *Schedule) NumGPUs() int { return len(s.slots) }
 func (s *Schedule) Slot(g GPUID) Slot { return s.slots[g] }
 
 // Slots returns the genome's backing slice, one Slot per GPU in axis
-// order. Callers must treat it as read-only and must not retain it across
-// mutations; it exists so hot paths (the evolution scorer) can make one
-// pass over the genome without per-GPU method calls or copies.
+// order. Callers must not retain it across mutations, and may write to it
+// only by permuting its entries; it exists so hot paths (the evolution
+// scorer and reorder operator) can make one pass over the genome without
+// per-GPU method calls or copies.
 func (s *Schedule) Slots() []Slot { return s.slots }
 
 // SetSlot assigns GPU g to job j with local batch b. Passing NoJob (or a
@@ -602,86 +602,6 @@ func (s *Schedule) ServersOf(j JobID) int {
 		idx += spec.GPUs
 	}
 	return n
-}
-
-// reorderScratch carries Reorder's working storage between calls. Reorder
-// runs once per evolution candidate, so its buffers used to dominate the
-// engine's allocation profile; a pool caps them at one live set per
-// concurrent caller.
-type reorderScratch struct {
-	slots []Slot       // pre-reorder copy of the genome
-	jobs  []reorderJob // running jobs in first-occurrence order
-}
-
-// reorderJob is one running job's slot count, then its write cursor.
-type reorderJob struct {
-	id   JobID
-	next int
-}
-
-var reorderPool = sync.Pool{
-	New: func() any { return new(reorderScratch) },
-}
-
-// find returns the index of job j in sc.jobs, or -1. hint is the previous
-// slot's hit: a genome runs a few jobs, mostly in contiguous runs, so
-// checking it first and otherwise scanning the few entries beats hashing
-// the job ID for every slot.
-func (sc *reorderScratch) find(j JobID, hint int) int {
-	if hint < len(sc.jobs) && sc.jobs[hint].id == j {
-		return hint
-	}
-	for i := range sc.jobs {
-		if sc.jobs[i].id == j {
-			return i
-		}
-	}
-	return -1
-}
-
-// Reorder packs the workers of each job contiguously, in order of each
-// job's first occurrence, preserving every job's multiset of local batch
-// sizes (the paper's reorder operation, Figure 10). Idle slots are pushed
-// to the tail.
-func (s *Schedule) Reorder() {
-	sc := reorderPool.Get().(*reorderScratch)
-	defer reorderPool.Put(sc)
-	sc.jobs = sc.jobs[:0]
-	// Pass 1: count each job's slots in first-occurrence order.
-	i := 0
-	for _, sl := range s.slots {
-		if sl.Idle() {
-			continue
-		}
-		if i = sc.find(sl.Job, i); i < 0 {
-			i = len(sc.jobs)
-			sc.jobs = append(sc.jobs, reorderJob{id: sl.Job})
-		}
-		sc.jobs[i].next++
-	}
-	// Turn counts into write cursors: each job packs into one contiguous
-	// span starting where the previous job's span ends.
-	idx := 0
-	for k := range sc.jobs {
-		n := sc.jobs[k].next
-		sc.jobs[k].next = idx
-		idx += n
-	}
-	// Pass 2: replay the old genome, placing each slot at its job's cursor
-	// so every job keeps its batch multiset in slot order.
-	sc.slots = append(sc.slots[:0], s.slots...)
-	i = 0
-	for _, sl := range sc.slots {
-		if sl.Idle() {
-			continue
-		}
-		i = sc.find(sl.Job, i)
-		s.slots[sc.jobs[i].next] = sl
-		sc.jobs[i].next++
-	}
-	for ; idx < len(s.slots); idx++ {
-		s.slots[idx] = Slot{Job: NoJob}
-	}
 }
 
 // String renders the genome like Figure 1: one bracketed group per server,

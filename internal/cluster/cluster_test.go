@@ -252,30 +252,6 @@ func TestFragmentsAndServers(t *testing.T) {
 	}
 }
 
-func TestReorderPacksByFirstOccurrence(t *testing.T) {
-	// Mirrors Figure 10: [3 1 2 2 2 1] reorders to [3 1 1 2 2 2].
-	s := NewSchedule(Uniform(1, 6))
-	vals := []struct {
-		j JobID
-		b int
-	}{{3, 4}, {1, 8}, {2, 2}, {2, 2}, {2, 2}, {1, 8}}
-	for i, v := range vals {
-		s.SetSlot(GPUID(i), v.j, v.b)
-	}
-	s.Reorder()
-	wantJobs := []JobID{3, 1, 1, 2, 2, 2}
-	for i, w := range wantJobs {
-		if got := s.Slot(GPUID(i)).Job; got != w {
-			t.Fatalf("after Reorder slot %d = job %d, want %d (%v)", i, got, w, s)
-		}
-	}
-	for _, j := range []JobID{1, 2, 3} {
-		if got := s.Fragments(j); got != 1 {
-			t.Errorf("after Reorder Fragments(%d) = %d, want 1", j, got)
-		}
-	}
-}
-
 // randomSchedule builds a valid random schedule for property tests.
 func randomSchedule(rng *rand.Rand) *Schedule {
 	topo := Uniform(1+rng.Intn(4), 1+rng.Intn(6))
@@ -287,113 +263,6 @@ func randomSchedule(rng *rand.Rand) *Schedule {
 		s.SetSlot(GPUID(g), JobID(rng.Intn(5)), 1<<uint(rng.Intn(8)))
 	}
 	return s
-}
-
-func TestReorderPreservesPerJobTotalsProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		s := randomSchedule(rng)
-		before := make(map[JobID][2]int)
-		for _, j := range s.RunningJobs() {
-			before[j] = [2]int{s.GlobalBatch(j), s.GPUCount(j)}
-		}
-		idleBefore := s.NumIdle()
-		s.Reorder()
-		if s.Validate() != nil || s.NumIdle() != idleBefore {
-			return false
-		}
-		for j, w := range before {
-			if s.GlobalBatch(j) != w[0] || s.GPUCount(j) != w[1] {
-				return false
-			}
-		}
-		// Every running job must be contiguous after reorder.
-		for _, j := range s.RunningJobs() {
-			if s.Fragments(j) != 1 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-// reorderReference is the map-based Reorder that the hash-free scan
-// replaced, kept as the oracle for TestReorderMatchesMapReferenceProperty.
-func reorderReference(s *Schedule) {
-	next := make(map[JobID]int)
-	var order []JobID
-	for _, sl := range s.slots {
-		if sl.Idle() {
-			continue
-		}
-		if _, ok := next[sl.Job]; !ok {
-			order = append(order, sl.Job)
-		}
-		next[sl.Job]++
-	}
-	idx := 0
-	for _, j := range order {
-		n := next[j]
-		next[j] = idx
-		idx += n
-	}
-	old := append([]Slot(nil), s.slots...)
-	for _, sl := range old {
-		if sl.Idle() {
-			continue
-		}
-		s.slots[next[sl.Job]] = sl
-		next[sl.Job]++
-	}
-	for ; idx < len(s.slots); idx++ {
-		s.slots[idx] = Slot{Job: NoJob}
-	}
-}
-
-// sparseSchedule builds a random genome on a random ragged topology whose
-// jobs interleave non-contiguously and carry sparse, large IDs: the
-// inputs on which a scan that starts from the previous slot's hit has to
-// fall back to a full search.
-func sparseSchedule(rng *rand.Rand) *Schedule {
-	specs := make([]ServerSpec, 1+rng.Intn(8))
-	for i := range specs {
-		specs[i] = ServerSpec{GPUs: 1 + rng.Intn(8)}
-	}
-	s := NewSchedule(Topology{Servers: specs})
-	ids := make([]JobID, 1+rng.Intn(40))
-	for i := range ids {
-		ids[i] = JobID(1_000_000 + rng.Intn(1<<30))
-	}
-	for g := 0; g < s.NumGPUs(); g++ {
-		if rng.Float64() < 0.25 {
-			continue // leave idle
-		}
-		s.SetSlot(GPUID(g), ids[rng.Intn(len(ids))], 1+rng.Intn(512))
-	}
-	return s
-}
-
-// TestReorderMatchesMapReferenceProperty pins Reorder slot for slot —
-// order, job and local batch — against the map-based reference.
-func TestReorderMatchesMapReferenceProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		s := sparseSchedule(rng)
-		want := s.Clone()
-		reorderReference(want)
-		s.Reorder()
-		if !s.Equal(want) {
-			t.Logf("Reorder = %v\nreference = %v", s, want)
-			return false
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
-	}
 }
 
 func TestGlobalBatchEqualsSumOfSlotsProperty(t *testing.T) {

@@ -35,16 +35,6 @@ type Params struct {
 	// cells (0 ⇒ GOMAXPROCS). Results are identical at any setting.
 	//ones:nokey pure throughput knob: results are byte-identical at any worker count (pinned by the determinism tests)
 	Workers int
-	// EvolutionParallelism bounds the goroutines ONES's evolutionary
-	// search uses inside one simulation cell (0 ⇒ derive from the worker
-	// slots left free when the cell starts, so small batches use the
-	// whole budget and full batches stay serial; >0 ⇒ that many exactly).
-	// Like Workers this is a pure throughput knob: candidate randomness
-	// is pre-seeded serially and the reduction is order-independent, so
-	// results are identical at any setting. It is deliberately excluded
-	// from CellKey — cached results are shared across settings.
-	//ones:nokey pure throughput knob: parallelism-invariance is pinned by the evopar golden test
-	EvolutionParallelism int
 	// RecordEvents retains the per-job scheduling event log on every
 	// simulated cell's Result (off by default: the log is bulky).
 	RecordEvents bool

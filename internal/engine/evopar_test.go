@@ -8,43 +8,29 @@ import (
 )
 
 // TestEvolutionParallelismGoldenResults is the golden byte-identity test
-// for intra-cell evolution parallelism: the marshaled Result of an ONES
-// cell must be identical at parallelism 1, 4, GOMAXPROCS and 0 (auto,
-// derived from free worker slots). Each setting uses a fresh Runner so
-// every run truly simulates — EvolutionParallelism is excluded from
-// CellKey, so a shared cache would short-circuit the comparison.
+// for intra-cell evolution parallelism: a lone cell's evolution fans out
+// over all Workers slots, so the marshaled Result of an ONES cell must be
+// identical at Workers 1, 4 and GOMAXPROCS. Each setting uses a fresh
+// Runner so every run truly simulates — Workers is excluded from CellKey,
+// so a shared cache would short-circuit the comparison.
 func TestEvolutionParallelismGoldenResults(t *testing.T) {
 	cell := Cell{Scheduler: "ones", Capacity: 16}
 	var golden []byte
-	for _, par := range []int{1, 4, runtime.GOMAXPROCS(0), 0} {
-		p := testParams(2)
-		p.EvolutionParallelism = par
-		res, err := NewRunner(p).Result(context.Background(), cell)
+	for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
+		res, err := NewRunner(testParams(workers)).Result(context.Background(), cell)
 		if err != nil {
-			t.Fatalf("parallelism %d: %v", par, err)
+			t.Fatalf("workers %d: %v", workers, err)
 		}
 		raw, err := json.Marshal(res)
 		if err != nil {
-			t.Fatalf("parallelism %d: marshal: %v", par, err)
+			t.Fatalf("workers %d: marshal: %v", workers, err)
 		}
 		if golden == nil {
 			golden = raw
 			continue
 		}
 		if string(raw) != string(golden) {
-			t.Errorf("evolution parallelism %d changed the Result bytes:\nwant %s\ngot  %s", par, golden, raw)
+			t.Errorf("workers %d changed the Result bytes:\nwant %s\ngot  %s", workers, golden, raw)
 		}
-	}
-}
-
-// TestCellKeyIgnoresEvolutionParallelism pins the cache-compatibility
-// contract: the knob is pure throughput, so cached cells must be shared
-// across settings.
-func TestCellKeyIgnoresEvolutionParallelism(t *testing.T) {
-	a, b := testParams(2), testParams(2)
-	b.EvolutionParallelism = 8
-	cell := Cell{Scheduler: "ones", Capacity: 16}
-	if CellKey(a, cell) != CellKey(b, cell) {
-		t.Errorf("CellKey depends on EvolutionParallelism: %q vs %q", CellKey(a, cell), CellKey(b, cell))
 	}
 }

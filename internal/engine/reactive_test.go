@@ -71,16 +71,14 @@ func TestReactiveCellsDeterministicAcrossWorkers(t *testing.T) {
 
 // Evolution parallelism is pure throughput for reactive cells too: the
 // ONES search fans out inside one Decide call, strictly between two
-// controller observations.
+// controller observations. A lone cell's fan-out is its Workers count.
 func TestReactiveEvolutionParallelismByteIdentical(t *testing.T) {
 	cell := Cell{Scheduler: "ones", Capacity: 16, Scenario: "burst", Autoscaler: "reactive-aggressive"}
 	var golden []byte
-	for _, par := range []int{1, 0} {
-		p := testParams(2)
-		p.EvolutionParallelism = par
-		res, err := NewRunner(p).Result(context.Background(), cell)
+	for _, workers := range []int{1, 4} {
+		res, err := NewRunner(testParams(workers)).Result(context.Background(), cell)
 		if err != nil {
-			t.Fatalf("parallelism %d: %v", par, err)
+			t.Fatalf("workers %d: %v", workers, err)
 		}
 		raw, err := json.Marshal(res)
 		if err != nil {
@@ -91,7 +89,7 @@ func TestReactiveEvolutionParallelismByteIdentical(t *testing.T) {
 			continue
 		}
 		if string(raw) != string(golden) {
-			t.Errorf("evolution parallelism %d changed the reactive Result bytes", par)
+			t.Errorf("workers %d changed the reactive Result bytes", workers)
 		}
 	}
 }

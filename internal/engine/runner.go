@@ -354,17 +354,11 @@ func (r *Runner) simulate(ctx context.Context, c Cell) (res *simulator.Result, e
 	// candidate randomness is pre-seeded serially from the master RNG
 	// before the fan-out and selection ties break by candidate index, so
 	// the champion — and every Result byte — matches the serial run. The
-	// snapshot of free slots is taken once per cell; a busy pool yields
-	// 1 (serial, never oversubscribing), a lone cell gets every core.
-	evoPar := r.params.EvolutionParallelism
-	if evoPar <= 0 {
-		// One slot is ours (already acquired); the rest of the budget is
-		// whatever no other cell has claimed.
-		evoPar = r.workers - len(r.sem) + 1
-		if evoPar < 1 {
-			evoPar = 1
-		}
-	}
+	// snapshot of free slots is taken once per cell: this cell's own slot
+	// (already acquired) plus every slot no other cell has claimed. A busy
+	// pool yields 1 (serial, never oversubscribing); a lone cell gets all
+	// Workers slots. This rule is the only source of the fan-out width.
+	evoPar := max(r.workers-len(r.sem)+1, 1)
 	simSpan := cellSpan.StartChild("simulate")
 	simSpan.Annotate("scheduler", c.Scheduler)
 	sched, err := schedulers.New(c.Scheduler, schedulers.Config{

@@ -209,10 +209,9 @@ type evalScratch struct {
 	gpus []cluster.GPUID // arena backing the per-job GPU lists
 	idle []cluster.GPUID // idle GPUs in index order
 	buf  []cluster.GPUID // fill's per-assignment GPU gather list
-}
 
-var scratchPool = sync.Pool{
-	New: func() any { return new(evalScratch) },
+	spans reorderSpans   // reorder's per-job slot counts, then cursors
+	old   []cluster.Slot // reorder's pre-reorder copy of the genome
 }
 
 // find returns the index of job j in sc.aggs, or -1 when j is not
@@ -295,6 +294,78 @@ func (sc *evalScratch) gpusOf(a *jobAgg) []cluster.GPUID {
 	return sc.gpus[a.gpuOff : a.gpuOff+a.c]
 }
 
+// reorderSpan is one running job's slot count, then its write cursor.
+type reorderSpan struct {
+	id   cluster.JobID
+	next int
+}
+
+// reorderSpans lists the running jobs in first-occurrence order.
+type reorderSpans []reorderSpan
+
+// find returns the index of job j, or -1; hint is the previous slot's hit,
+// as in evalScratch.find.
+func (rs reorderSpans) find(j cluster.JobID, hint int) int {
+	if hint < len(rs) && rs[hint].id == j {
+		return hint
+	}
+	for i := range rs {
+		if rs[i].id == j {
+			return i
+		}
+	}
+	return -1
+}
+
+// reorder packs the workers of each job in s contiguously, in order of
+// each job's first occurrence, preserving every job's multiset of local
+// batch sizes (the paper's reorder operation, Figure 10). Idle slots are
+// pushed to the tail.
+//
+// reorder keeps its own count pass instead of building on load: it needs
+// only an ID and a count per job, not load's batch sums and server spans.
+// DESIGN.md ("Hash-free grouping") records the measurements behind this.
+func (sc *evalScratch) reorder(s *cluster.Schedule) {
+	slots := s.Slots()
+	spans := sc.spans[:0]
+	// Pass 1: count each job's slots in first-occurrence order.
+	i := 0
+	for _, sl := range slots {
+		if sl.Idle() {
+			continue
+		}
+		if i = spans.find(sl.Job, i); i < 0 {
+			i = len(spans)
+			spans = append(spans, reorderSpan{id: sl.Job})
+		}
+		spans[i].next++
+	}
+	// Turn counts into write cursors: each job packs into one contiguous
+	// span starting where the previous job's span ends.
+	idx := 0
+	for k := range spans {
+		n := spans[k].next
+		spans[k].next = idx
+		idx += n
+	}
+	// Pass 2: replay the old genome, placing each slot at its job's cursor
+	// so every job keeps its batch multiset in slot order.
+	sc.old = append(sc.old[:0], slots...)
+	i = 0
+	for _, sl := range sc.old {
+		if sl.Idle() {
+			continue
+		}
+		i = spans.find(sl.Job, i)
+		slots[spans[i].next] = sl
+		spans[i].next++
+	}
+	for ; idx < len(slots); idx++ {
+		slots[idx] = cluster.Slot{Job: cluster.NoJob}
+	}
+	sc.spans = spans
+}
+
 // Score computes the SRUF objective of Equation 8 for schedule s:
 //
 //	Σ_{j∈J_r}  Y_processed_j · c_j / X_j · (1/ρ_j − 1)
@@ -308,8 +379,11 @@ func (sc *evalScratch) gpusOf(a *jobAgg) []cluster.GPUID {
 // remaining utilization per allocated GPU. Without this, the objective
 // would reward starving jobs of GPUs they could productively use.
 func Score(s *cluster.Schedule, ctx *Context, rhos map[cluster.JobID]float64) float64 {
-	sc := scratchPool.Get().(*evalScratch)
-	defer scratchPool.Put(sc)
+	return score(s, ctx, rhos, new(evalScratch))
+}
+
+// score is Score over the caller's scratch.
+func score(s *cluster.Schedule, ctx *Context, rhos map[cluster.JobID]float64, sc *evalScratch) float64 {
 	sc.load(s, loadAggs)
 	var total float64
 	used := 0
@@ -549,23 +623,26 @@ func expandOption(ctx *Context, sc *evalScratch, info *JobInfo, idle int) (fillO
 	return fillOption{job: info.ID, gpus: extra, batch: newB, score: gain}, true
 }
 
-// cloneFunc produces the working copy an operator mutates. The engine
-// substitutes a pool-backed clone that recycles retired candidates.
-type cloneFunc func(*cluster.Schedule) *cluster.Schedule
-
-func cloneSchedule(s *cluster.Schedule) *cluster.Schedule { return s.Clone() }
+// copyInto returns dst overwritten with s, or a clone of s when dst is
+// nil: the working copy an operator mutates.
+func copyInto(dst, s *cluster.Schedule) *cluster.Schedule {
+	if dst == nil {
+		return s.Clone()
+	}
+	dst.CopyFrom(s)
+	return dst
+}
 
 // Refresh applies the paper's refresh operation to a clone of s: clean up
 // completed jobs, enforce limits, allocate new jobs preferentially (taking
 // GPUs from the longest-running jobs if needed), then fill idle GPUs.
 func Refresh(s *cluster.Schedule, ctx *Context) *cluster.Schedule {
-	sc := scratchPool.Get().(*evalScratch)
-	defer scratchPool.Put(sc)
-	return refreshWith(s, ctx, cloneSchedule, sc)
+	return refresh(nil, s, ctx, new(evalScratch))
 }
 
-func refreshWith(s *cluster.Schedule, ctx *Context, clone cloneFunc, sc *evalScratch) *cluster.Schedule {
-	out := clone(s)
+// refresh is Refresh writing into dst (see copyInto).
+func refresh(dst, s *cluster.Schedule, ctx *Context, sc *evalScratch) *cluster.Schedule {
+	out := copyInto(dst, s)
 	normalize(out, ctx, sc)
 	allocateNewJobs(out, ctx)
 	fill(out, ctx, sc)
@@ -648,13 +725,13 @@ func shrinkByOne(s *cluster.Schedule, ctx *Context, j cluster.JobID) {
 // parent B's, with the orientation chosen by an independent fair coin.
 // Children are normalized and filled so they remain feasible.
 func Crossover(a, b *cluster.Schedule, ctx *Context) (*cluster.Schedule, *cluster.Schedule) {
-	sc := scratchPool.Get().(*evalScratch)
-	defer scratchPool.Put(sc)
-	return crossoverWith(a, b, ctx, cloneSchedule, sc)
+	return crossover(nil, nil, a, b, ctx, new(evalScratch))
 }
 
-func crossoverWith(a, b *cluster.Schedule, ctx *Context, clone cloneFunc, sc *evalScratch) (*cluster.Schedule, *cluster.Schedule) {
-	c1, c2 := clone(a), clone(b)
+// crossover is Crossover writing the children into dst1 and dst2 (see
+// copyInto).
+func crossover(dst1, dst2, a, b *cluster.Schedule, ctx *Context, sc *evalScratch) (*cluster.Schedule, *cluster.Schedule) {
+	c1, c2 := copyInto(dst1, a), copyInto(dst2, b)
 	for g := 0; g < c1.NumGPUs(); g++ {
 		if ctx.Rng.Intn(2) == 0 {
 			continue
@@ -675,13 +752,12 @@ func crossoverWith(a, b *cluster.Schedule, ctx *Context, clone cloneFunc, sc *ev
 // running job is preempted with probability theta and the freed GPUs are
 // refilled with waiting or other running jobs.
 func Mutate(s *cluster.Schedule, ctx *Context, theta float64) *cluster.Schedule {
-	sc := scratchPool.Get().(*evalScratch)
-	defer scratchPool.Put(sc)
-	return mutateWith(s, ctx, theta, cloneSchedule, sc)
+	return mutate(nil, s, ctx, theta, new(evalScratch))
 }
 
-func mutateWith(s *cluster.Schedule, ctx *Context, theta float64, clone cloneFunc, sc *evalScratch) *cluster.Schedule {
-	out := clone(s)
+// mutate is Mutate writing into dst (see copyInto).
+func mutate(dst, s *cluster.Schedule, ctx *Context, theta float64, sc *evalScratch) *cluster.Schedule {
+	out := copyInto(dst, s)
 	sc.load(out, loadAggs)
 	for i := range sc.aggs {
 		if ctx.Rng.Float64() < theta {
@@ -729,15 +805,26 @@ type Engine struct {
 	pop []*cluster.Schedule
 
 	// Per-Iterate working storage, reused across rounds.
-	tasks  []genTask
-	cands  []*cluster.Schedule
-	scores []float64
-	order  []int
-	// clonePool recycles the genomes of candidates that lost selection as
-	// the backing storage for the next round's clones. Only rejected
-	// candidates enter the pool: the selected population — including the
-	// returned champion — may be retained by callers and is never reused.
-	clonePool sync.Pool
+	tasks []genTask
+	// cands holds one slot per candidate. Selection sets the slots of the
+	// genomes it keeps to nil: the population, and with it the returned
+	// champion, may be retained by callers and is never overwritten. A
+	// rejected genome stays in its slot, and the next round's candidate
+	// for that slot is copied into it.
+	cands   []*cluster.Schedule
+	scores  []float64
+	order   []int
+	workers []*worker
+}
+
+// worker is the working state of one fan-out goroutine, kept across
+// rounds. Its rng is backed by a mathx.Source, whose stream is bit for bit
+// the stdlib source's but whose Seed is O(1), so re-seeding it with each
+// task's seed is cheap and yields exactly the stream a freshly seeded
+// stdlib generator would.
+type worker struct {
+	rng *rand.Rand
+	sc  evalScratch
 }
 
 // genTask describes one pre-seeded candidate generation: the parent
@@ -750,14 +837,6 @@ type genTask struct {
 	seed int64
 	outA int // candidate slot(s)
 	outB int
-}
-
-// rngPool recycles the per-task *rand.Rand. Each is backed by a
-// mathx.Source, whose stream is bit for bit the stdlib source's but whose
-// Seed is O(1), so re-seeding a recycled generator with t.seed is cheap
-// and yields exactly the stream a freshly seeded stdlib generator would.
-var rngPool = sync.Pool{
-	New: func() any { return rand.New(mathx.NewSource(0)) },
 }
 
 // cancelled reports whether the optional cancellation probe fired.
@@ -780,20 +859,11 @@ func (e *Engine) Population() []*cluster.Schedule { return e.pop }
 // though every member starts from the empty genome.
 func (e *Engine) Init(ctx *Context) {
 	e.pop = e.pop[:0]
+	empty := cluster.NewSchedule(ctx.Topo)
+	sc := new(evalScratch)
 	for i := 0; i < e.K; i++ {
-		e.pop = append(e.pop, Refresh(cluster.NewSchedule(ctx.Topo), ctx))
+		e.pop = append(e.pop, refresh(nil, empty, ctx, sc))
 	}
-}
-
-// clone returns a working copy of s for a new candidate, reusing a
-// rejected candidate's storage when one is available.
-func (e *Engine) clone(s *cluster.Schedule) *cluster.Schedule {
-	if v := e.clonePool.Get(); v != nil {
-		c := v.(*cluster.Schedule)
-		c.CopyFrom(s)
-		return c
-	}
-	return s.Clone()
 }
 
 // Iterate runs one evolution round: derive candidates from the current
@@ -835,32 +905,27 @@ func (e *Engine) Iterate(ctx *Context) *cluster.Schedule {
 		e.cands = make([]*cluster.Schedule, nCand)
 	}
 	candidates := e.cands[:nCand]
-	clone := e.clone
-	runTask := func(t genTask) {
-		rng := rngPool.Get().(*rand.Rand)
-		rng.Seed(t.seed)
-		sc := scratchPool.Get().(*evalScratch)
+	e.forEach(len(tasks), func(w *worker, i int) {
+		t := &tasks[i]
+		w.rng.Seed(t.seed)
+		sc := &w.sc
 		sub := *ctx
-		sub.Rng = rng
+		sub.Rng = w.rng
 		switch t.kind {
 		case 0:
-			candidates[t.outA] = refreshWith(t.a, &sub, clone, sc)
+			candidates[t.outA] = refresh(candidates[t.outA], t.a, &sub, sc)
 		case 1:
-			c1, c2 := crossoverWith(t.a, t.b, &sub, clone, sc)
-			candidates[t.outA], candidates[t.outB] = c1, c2
+			candidates[t.outA], candidates[t.outB] = crossover(candidates[t.outA], candidates[t.outB], t.a, t.b, &sub, sc)
 		default:
-			candidates[t.outA] = mutateWith(t.a, &sub, e.Theta, clone, sc)
+			candidates[t.outA] = mutate(candidates[t.outA], t.a, &sub, e.Theta, sc)
 		}
 		if !e.DisableReorder {
-			candidates[t.outA].Reorder()
+			sc.reorder(candidates[t.outA])
 			if t.kind == 1 {
-				candidates[t.outB].Reorder()
+				sc.reorder(candidates[t.outB])
 			}
 		}
-		scratchPool.Put(sc)
-		rngPool.Put(rng)
-	}
-	e.forEach(len(tasks), func(i int) { runTask(tasks[i]) })
+	})
 	if e.cancelled() {
 		// The probe is monotonic, so firing here proves some workers may
 		// have skipped tasks: candidate slots can be stale and must not be
@@ -875,7 +940,7 @@ func (e *Engine) Iterate(ctx *Context) *cluster.Schedule {
 		e.scores = make([]float64, nCand)
 	}
 	scores := e.scores[:nCand]
-	e.forEach(nCand, func(i int) { scores[i] = Score(candidates[i], ctx, rhos) })
+	e.forEach(nCand, func(w *worker, i int) { scores[i] = score(candidates[i], ctx, rhos, &w.sc) })
 	if e.cancelled() {
 		return e.pop[0]
 	}
@@ -891,39 +956,40 @@ func (e *Engine) Iterate(ctx *Context) *cluster.Schedule {
 	if keep > nCand {
 		keep = nCand
 	}
+	// The kept genomes leave their slots so that no later round copies a
+	// candidate into them (see Engine.cands).
 	next := make([]*cluster.Schedule, keep)
 	for i := 0; i < keep; i++ {
 		next[i] = candidates[order[i]]
-	}
-	// Retire the rejected candidates into the clone pool. They were all
-	// created inside this round, so no caller can hold a reference.
-	for i := keep; i < nCand; i++ {
-		e.clonePool.Put(candidates[order[i]])
+		candidates[order[i]] = nil
 	}
 	e.pop = next
 	return e.pop[0]
 }
 
-// forEach runs fn over [0, n) — serially, or on Parallelism goroutines.
-// The optional Cancel probe is polled before each call; tasks after it
-// fires are skipped (callers must not consume their outputs).
-func (e *Engine) forEach(n int, fn func(i int)) {
-	if e.Parallelism <= 1 || n < 2 {
+// forEach runs fn over [0, n) — serially, or on Parallelism goroutines —
+// passing each call the worker of the goroutine that runs it. Workers are
+// created on first use and kept across rounds. The optional Cancel probe
+// is polled before each call; tasks after it fires are skipped (callers
+// must not consume their outputs).
+func (e *Engine) forEach(n int, fn func(w *worker, i int)) {
+	par := min(e.Parallelism, n)
+	for len(e.workers) < max(par, 1) {
+		e.workers = append(e.workers, &worker{rng: rand.New(mathx.NewSource(0))})
+	}
+	if par <= 1 {
+		w := e.workers[0]
 		for i := 0; i < n; i++ {
 			if e.cancelled() {
 				return
 			}
-			fn(i)
+			fn(w, i)
 		}
 		return
 	}
-	workers := e.Parallelism
-	if workers > n {
-		workers = n
-	}
 	var wg sync.WaitGroup
-	var next int64
-	for w := 0; w < workers; w++ {
+	var next atomic.Int64
+	for _, w := range e.workers[:par] {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -931,11 +997,11 @@ func (e *Engine) forEach(n int, fn func(i int)) {
 				if e.cancelled() {
 					return
 				}
-				i := int(atomic.AddInt64(&next, 1)) - 1
+				i := int(next.Add(1)) - 1
 				if i >= n {
 					return
 				}
-				fn(i)
+				fn(w, i)
 			}
 		}()
 	}
@@ -959,21 +1025,4 @@ func (e *Engine) progressDraws(ctx *Context) map[cluster.JobID]float64 {
 		rhos[id] = m
 	}
 	return rhos
-}
-
-// Best returns the current champion (lowest sampled score) without
-// evolving, or nil for an empty population.
-func (e *Engine) Best(ctx *Context) *cluster.Schedule {
-	if len(e.pop) == 0 {
-		return nil
-	}
-	rhos := e.progressDraws(ctx)
-	best := e.pop[0]
-	bestScore := Score(best, ctx, rhos)
-	for _, s := range e.pop[1:] {
-		if sc := Score(s, ctx, rhos); sc < bestScore {
-			best, bestScore = s, sc
-		}
-	}
-	return best
 }

@@ -298,19 +298,6 @@ func TestEngineImprovesOverRandomRefresh(t *testing.T) {
 	}
 }
 
-func TestEngineBestWithoutIterate(t *testing.T) {
-	topo := cluster.Uniform(1, 2)
-	ctx := testCtx(16, 3, topo)
-	e := NewEngine(4, 0.2)
-	if e.Best(ctx) != nil {
-		t.Error("Best on empty population should be nil")
-	}
-	e.Init(ctx)
-	if e.Best(ctx) == nil {
-		t.Error("Best after Init should not be nil")
-	}
-}
-
 func TestEngineAblationSwitches(t *testing.T) {
 	topo := cluster.Uniform(2, 2)
 	ctx := testCtx(17, 5, topo)
@@ -374,7 +361,7 @@ func TestEngineChampionInvariantsProperty(t *testing.T) {
 // genome, the whole population and every sampled score must be
 // byte-identical — the fan-out must never change a result, only wall
 // time. Run under -race this also exercises the shared throughput memo
-// and the scratch/RNG pools from concurrent workers.
+// and the recycled candidate slots from concurrent workers.
 func TestEngineParallelMatchesSerial(t *testing.T) {
 	run := func(parallelism int) string {
 		topo := cluster.Uniform(2, 4)
@@ -400,6 +387,33 @@ func TestEngineParallelMatchesSerial(t *testing.T) {
 	for _, par := range []int{4, runtime.GOMAXPROCS(0)} {
 		if got := run(par); got != serial {
 			t.Errorf("parallelism %d changed the outcome:\nserial:\n%s\nparallel:\n%s", par, serial, got)
+		}
+	}
+}
+
+// TestEngineNeverOverwritesRetainedGenomes pins the ownership rule that
+// candidate-slot recycling relies on: every champion Iterate returns and
+// every genome that was ever in the population may be retained by the
+// caller, so no later round may write into it. Each retained genome is
+// checked against its String() snapshot after every round.
+func TestEngineNeverOverwritesRetainedGenomes(t *testing.T) {
+	for _, par := range []int{1, 2} {
+		topo := cluster.Uniform(2, 4)
+		ctx := testCtx(31, 8, topo)
+		e := NewEngine(6, 0.3)
+		e.Parallelism = par
+		kept := map[*cluster.Schedule]string{}
+		for round := 0; round < 6; round++ {
+			best := e.Iterate(ctx)
+			kept[best] = best.String()
+			for _, s := range e.Population() {
+				kept[s] = s.String()
+			}
+			for s, want := range kept {
+				if got := s.String(); got != want {
+					t.Fatalf("parallelism %d, round %d: retained genome overwritten:\nwas %s\nnow %s", par, round, want, got)
+				}
+			}
 		}
 	}
 }
@@ -442,8 +456,8 @@ func TestScoreMemoMatchesRecompute(t *testing.T) {
 
 // sparseSchedule builds a random genome on a random ragged topology whose
 // jobs interleave non-contiguously and carry sparse, large IDs: the
-// inputs on which evalScratch's scan from the previous slot's hit has to
-// fall back to a full search.
+// inputs on which the load and reorder scans from the previous slot's hit
+// have to fall back to a full search.
 func sparseSchedule(rng *rand.Rand) *cluster.Schedule {
 	specs := make([]cluster.ServerSpec, 1+rng.Intn(8))
 	for i := range specs {
@@ -499,6 +513,118 @@ func TestLoadMatchesScheduleQueriesProperty(t *testing.T) {
 			return false
 		}
 		return sc.find(cluster.NoJob, 0) == -1
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestReorderPacksByFirstOccurrence(t *testing.T) {
+	// Mirrors Figure 10: [3 1 2 2 2 1] reorders to [3 1 1 2 2 2].
+	s := cluster.NewSchedule(cluster.Uniform(1, 6))
+	vals := []struct {
+		j cluster.JobID
+		b int
+	}{{3, 4}, {1, 8}, {2, 2}, {2, 2}, {2, 2}, {1, 8}}
+	for i, v := range vals {
+		s.SetSlot(cluster.GPUID(i), v.j, v.b)
+	}
+	new(evalScratch).reorder(s)
+	wantJobs := []cluster.JobID{3, 1, 1, 2, 2, 2}
+	for i, w := range wantJobs {
+		if got := s.Slot(cluster.GPUID(i)).Job; got != w {
+			t.Fatalf("after reorder slot %d = job %d, want %d (%v)", i, got, w, s)
+		}
+	}
+	for _, j := range []cluster.JobID{1, 2, 3} {
+		if got := s.Fragments(j); got != 1 {
+			t.Errorf("after reorder Fragments(%d) = %d, want 1", j, got)
+		}
+	}
+}
+
+// TestReorderPreservesPerJobTotalsProperty checks that reorder keeps every
+// job's GPU count and global batch and leaves each job in one contiguous
+// span. One scratch is reused throughout, so state left over from a
+// previous genome would show.
+func TestReorderPreservesPerJobTotalsProperty(t *testing.T) {
+	sc := new(evalScratch)
+	f := func(seed int64) bool {
+		s := sparseSchedule(rand.New(rand.NewSource(seed)))
+		before := make(map[cluster.JobID][2]int)
+		for _, j := range s.RunningJobs() {
+			before[j] = [2]int{s.GlobalBatch(j), s.GPUCount(j)}
+		}
+		idleBefore := s.NumIdle()
+		sc.reorder(s)
+		if s.Validate() != nil || s.NumIdle() != idleBefore {
+			return false
+		}
+		for j, w := range before {
+			if s.GlobalBatch(j) != w[0] || s.GPUCount(j) != w[1] {
+				return false
+			}
+		}
+		for _, j := range s.RunningJobs() {
+			if s.Fragments(j) != 1 {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+}
+
+// reorderReference is the map-based reorder that the hash-free scan
+// replaced, kept as the oracle for TestReorderMatchesMapReferenceProperty.
+func reorderReference(s *cluster.Schedule) {
+	slots := s.Slots()
+	next := make(map[cluster.JobID]int)
+	var order []cluster.JobID
+	for _, sl := range slots {
+		if sl.Idle() {
+			continue
+		}
+		if _, ok := next[sl.Job]; !ok {
+			order = append(order, sl.Job)
+		}
+		next[sl.Job]++
+	}
+	idx := 0
+	for _, j := range order {
+		n := next[j]
+		next[j] = idx
+		idx += n
+	}
+	old := append([]cluster.Slot(nil), slots...)
+	for _, sl := range old {
+		if sl.Idle() {
+			continue
+		}
+		slots[next[sl.Job]] = sl
+		next[sl.Job]++
+	}
+	for ; idx < len(slots); idx++ {
+		slots[idx] = cluster.Slot{Job: cluster.NoJob}
+	}
+}
+
+// TestReorderMatchesMapReferenceProperty pins reorder slot for slot —
+// order, job and local batch — against the map-based reference.
+func TestReorderMatchesMapReferenceProperty(t *testing.T) {
+	sc := new(evalScratch)
+	f := func(seed int64) bool {
+		s := sparseSchedule(rand.New(rand.NewSource(seed)))
+		want := s.Clone()
+		reorderReference(want)
+		sc.reorder(s)
+		if !s.Equal(want) {
+			t.Logf("reorder = %v\nreference = %v", s, want)
+			return false
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)

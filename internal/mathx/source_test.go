@@ -108,7 +108,7 @@ func FuzzSourceMatchesMathRand(f *testing.F) {
 	})
 }
 
-// BenchmarkSeedAndDraw compares seeding a pooled generator and drawing
+// BenchmarkSeedAndDraw compares re-seeding a reused generator and drawing
 // the ~33 values an average evolution candidate consumes.
 func BenchmarkSeedAndDraw(b *testing.B) {
 	for _, bc := range []struct {

@@ -215,7 +215,6 @@ func (o *ONES) Decide(trigger simulator.Trigger, view *simulator.View) *cluster.
 // finalized into the predictor's training set.
 func (o *ONES) ingest(view *simulator.View) {
 	alive := make(map[cluster.JobID]bool, len(view.Jobs))
-	maxGlobal := view.Topo.TotalGPUs() * 1 // refined per job below
 	for _, j := range view.Jobs {
 		alive[j.ID] = true
 		st, ok := o.jobs[j.ID]
@@ -229,7 +228,7 @@ func (o *ONES) ingest(view *simulator.View) {
 		// Epoch crossings since last view.
 		newEpochs := math.Floor(j.WallEpochs)
 		for e := math.Floor(st.seenEpochs) + 1; e <= newEpochs; e++ {
-			o.onEpochEnd(&j, st, view.Topo, maxGlobal)
+			o.onEpochEnd(&j, st, view.Topo)
 		}
 		st.seenEpochs = j.WallEpochs
 		st.lastSeen = j
@@ -250,7 +249,7 @@ func (o *ONES) ingest(view *simulator.View) {
 
 // onEpochEnd applies the per-epoch limit update (the §3.3.2 scale-up /
 // scale-down rule) and logs a predictor sample.
-func (o *ONES) onEpochEnd(j *simulator.JobView, st *onesJob, topo cluster.Topology, _ int) {
+func (o *ONES) onEpochEnd(j *simulator.JobView, st *onesJob, topo cluster.Topology) {
 	maxGlobal := topo.TotalGPUs() * j.Task.Profile.MaxPerGPU
 	if j.WallEpochs < o.WarmupEpochs {
 		// Still warming up: hold the start limit.

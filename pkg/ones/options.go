@@ -117,8 +117,10 @@ func WithSeed(seed int64) Option {
 }
 
 // WithWorkers bounds how many simulations run concurrently (0 or unset ⇒
-// GOMAXPROCS). Purely a throughput knob — results are identical at any
-// setting.
+// GOMAXPROCS). The worker slots a cell finds free when it starts also run
+// ONES's evolutionary search inside that cell, so for a lone cell n bounds
+// the evolution fan-out. Purely a throughput knob — results are identical
+// at any setting.
 func WithWorkers(n int) Option {
 	return func(s *settings) {
 		if n < 0 {
@@ -126,22 +128,6 @@ func WithWorkers(n int) Option {
 			return
 		}
 		s.params.Workers = n
-	}
-}
-
-// WithEvolutionParallelism bounds the goroutines ONES's evolutionary
-// search uses inside one simulation cell (0 or unset ⇒ derive from the
-// worker slots free when the cell starts; n ⇒ exactly n). Like
-// WithWorkers this is purely a throughput knob — candidate randomness is
-// pre-seeded serially before the fan-out, so results are byte-identical
-// at any setting and cached cells are shared across settings.
-func WithEvolutionParallelism(n int) Option {
-	return func(s *settings) {
-		if n < 0 {
-			s.fail(fmt.Errorf("ones: WithEvolutionParallelism(%d): negative parallelism", n))
-			return
-		}
-		s.params.EvolutionParallelism = n
 	}
 }
 

@@ -104,12 +104,8 @@ type RunSpec struct {
 	MaxGPUs       int     `json:"max_gpus,omitempty"`
 	Population    int     `json:"population,omitempty"`
 	MutationRate  float64 `json:"mutation_rate,omitempty"`
-	// EvolutionParallelism bounds ONES's intra-cell evolution goroutines
-	// (0 ⇒ auto-derive from free workers). Purely a throughput knob:
-	// results and cache keys are identical at any setting.
-	EvolutionParallelism int  `json:"evolution_parallelism,omitempty"`
-	RecordEvents         bool `json:"record_events,omitempty"`
-	Quick                bool `json:"quick,omitempty"`
+	RecordEvents  bool    `json:"record_events,omitempty"`
+	Quick         bool    `json:"quick,omitempty"`
 }
 
 // options maps the spec onto SDK options (validated by ones.New).
@@ -156,9 +152,6 @@ func (sp RunSpec) options(obs ones.Observer, cache *ones.Cache) []ones.Option {
 	}
 	if sp.MutationRate != 0 {
 		opts = append(opts, ones.WithMutationRate(sp.MutationRate))
-	}
-	if sp.EvolutionParallelism != 0 {
-		opts = append(opts, ones.WithEvolutionParallelism(sp.EvolutionParallelism))
 	}
 	if sp.RecordEvents {
 		opts = append(opts, ones.WithEventLog(true))
