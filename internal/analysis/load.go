@@ -60,9 +60,6 @@ func NewLoader(root string) (*Loader, error) {
 	}, nil
 }
 
-// Fset returns the loader's shared file set.
-func (l *Loader) Fset() *token.FileSet { return l.fset }
-
 // Load resolves package patterns to loaded packages. A pattern is a
 // directory path relative to the loader root (or absolute), optionally
 // ending in "/..." for a recursive walk. Walks skip testdata, hidden and

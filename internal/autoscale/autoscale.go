@@ -156,9 +156,6 @@ func NewController(p Policy, seed int64, reg *obs.Registry) *Controller {
 	return c
 }
 
-// Policy returns the controller's configuration.
-func (c *Controller) Policy() Policy { return c.policy }
-
 // NextWake implements scenario.CapacitySource: the next evaluation
 // boundary (the first falls one Interval into the run).
 func (c *Controller) NextWake(now float64) float64 { return c.nextEval }

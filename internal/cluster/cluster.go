@@ -125,18 +125,6 @@ func (t Topology) TotalGPUs() int {
 	return n
 }
 
-// ServerOf returns the server index hosting GPU g.
-func (t Topology) ServerOf(g GPUID) int {
-	rem := int(g)
-	for i, s := range t.Servers {
-		if rem < s.GPUs {
-			return i
-		}
-		rem -= s.GPUs
-	}
-	return len(t.Servers) - 1
-}
-
 // ServerRange returns the half-open GPU index range [lo, hi) of server
 // idx.
 func (t Topology) ServerRange(idx int) (lo, hi GPUID) {
@@ -469,23 +457,6 @@ func (s *Schedule) NumIdle() int {
 	return n
 }
 
-// AddServers grows the topology by n idle servers appended at the tail —
-// elastic scale-up, a repaired node rejoining, spot capacity restocked.
-// The new servers match the first server's GPU count and open a fresh
-// rack (they are new capacity, physically elsewhere). Existing
-// assignments are untouched. For explicit shapes use AddServerSpecs.
-func (s *Schedule) AddServers(n int) {
-	if n <= 0 {
-		return
-	}
-	spec := ServerSpec{GPUs: s.topo.Servers[0].GPUs, Rack: s.topo.NextRack()}
-	specs := make([]ServerSpec, n)
-	for i := range specs {
-		specs[i] = spec
-	}
-	s.AddServerSpecs(specs...)
-}
-
 // AddServerSpecs appends idle servers with the given shapes and racks at
 // the tail of the GPU axis — mixed-fleet scale-up, or a drained rack's
 // exact servers restocked. Existing assignments are untouched.
@@ -629,30 +600,4 @@ func (s *Schedule) String() string {
 		idx += spec.GPUs
 	}
 	return b.String()
-}
-
-// Allocation summarizes one job's share of a schedule.
-type Allocation struct {
-	Job         JobID
-	GPUs        int // c_j
-	GlobalBatch int // B_j
-	Servers     int
-	Fragments   int
-}
-
-// Allocations returns per-job summaries for all running jobs in first-
-// occurrence order.
-func (s *Schedule) Allocations() []Allocation {
-	jobs := s.RunningJobs()
-	as := make([]Allocation, 0, len(jobs))
-	for _, j := range jobs {
-		as = append(as, Allocation{
-			Job:         j,
-			GPUs:        s.GPUCount(j),
-			GlobalBatch: s.GlobalBatch(j),
-			Servers:     s.ServersOf(j),
-			Fragments:   s.Fragments(j),
-		})
-	}
-	return as
 }

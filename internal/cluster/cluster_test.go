@@ -11,15 +11,6 @@ func TestTopologyBasics(t *testing.T) {
 	if got := topo.TotalGPUs(); got != 64 {
 		t.Fatalf("Longhorn TotalGPUs = %d, want 64", got)
 	}
-	if got := topo.ServerOf(0); got != 0 {
-		t.Errorf("ServerOf(0) = %d", got)
-	}
-	if got := topo.ServerOf(4); got != 1 {
-		t.Errorf("ServerOf(4) = %d, want 1", got)
-	}
-	if got := topo.ServerOf(63); got != 15 {
-		t.Errorf("ServerOf(63) = %d, want 15", got)
-	}
 	if err := topo.Validate(); err != nil {
 		t.Errorf("Validate: %v", err)
 	}
@@ -128,13 +119,14 @@ func TestEvict(t *testing.T) {
 func TestAddServersAppendsIdleCapacity(t *testing.T) {
 	s := NewSchedule(Uniform(2, 4))
 	s.SetSlot(0, 1, 8)
-	s.AddServers(2)
+	joined := ServerSpec{GPUs: 4, Rack: s.Topology().NextRack()}
+	s.AddServerSpecs(joined, joined)
 	got := s.Topology()
 	if got.NumServers() != 4 || got.TotalGPUs() != 16 {
-		t.Fatalf("topology after AddServers(2) = %+v", got)
+		t.Fatalf("topology after joining 2 servers = %+v", got)
 	}
-	// Joined servers match the first server's GPU count and open a fresh
-	// rack — new capacity is a new failure domain.
+	// Joined servers land at the tail with the shape and rack they were
+	// given: a fresh rack is a new failure domain.
 	for _, idx := range []int{2, 3} {
 		if got.Servers[idx] != (ServerSpec{GPUs: 4, Rack: 1}) {
 			t.Errorf("joined server %d = %+v, want 4 GPUs in rack 1", idx, got.Servers[idx])
@@ -149,10 +141,9 @@ func TestAddServersAppendsIdleCapacity(t *testing.T) {
 	if err := s.Validate(); err != nil {
 		t.Error(err)
 	}
-	s.AddServers(0)
-	s.AddServers(-3)
+	s.AddServerSpecs()
 	if s.Topology().NumServers() != 4 {
-		t.Error("non-positive AddServers changed the topology")
+		t.Error("joining no servers changed the topology")
 	}
 }
 
@@ -297,23 +288,6 @@ func TestStringRendering(t *testing.T) {
 	want := "[1:32 -] [- -]"
 	if got != want {
 		t.Errorf("String() = %q, want %q", got, want)
-	}
-}
-
-func TestAllocations(t *testing.T) {
-	s := NewSchedule(Uniform(2, 2))
-	s.SetSlot(0, 5, 16)
-	s.SetSlot(1, 5, 16)
-	s.SetSlot(2, 9, 64)
-	as := s.Allocations()
-	if len(as) != 2 {
-		t.Fatalf("Allocations len = %d, want 2", len(as))
-	}
-	if as[0].Job != 5 || as[0].GPUs != 2 || as[0].GlobalBatch != 32 || as[0].Servers != 1 {
-		t.Errorf("Allocations[0] = %+v", as[0])
-	}
-	if as[1].Job != 9 || as[1].GPUs != 1 || as[1].GlobalBatch != 64 {
-		t.Errorf("Allocations[1] = %+v", as[1])
 	}
 }
 

@@ -54,19 +54,12 @@ func (g *Group) Comm(rank int) (*Comm, error) {
 // collective operations in the same order (standard SPMD contract); the
 // implementation deadlocks otherwise, like a real collective library.
 type Comm struct {
-	g    *Comm0
+	g    *Group
 	rank int
 }
 
-// Comm0 aliases Group internally (kept separate so the public surface
-// stays small).
-type Comm0 = Group
-
 // Rank returns this endpoint's rank.
 func (c *Comm) Rank() int { return c.rank }
-
-// Size returns the group size.
-func (c *Comm) Size() int { return c.g.size }
 
 // sendRight pushes a chunk to the clockwise neighbour.
 func (c *Comm) sendRight(chunk []float32) { c.g.rings[c.rank] <- message{chunk: chunk} }
@@ -77,7 +70,7 @@ func (c *Comm) recvLeft() []float32 {
 	return (<-c.g.rings[left]).chunk
 }
 
-// chunkBounds splits length ln into Size() contiguous chunks; chunk i is
+// chunkBounds splits length ln into one contiguous chunk per rank; chunk i is
 // [lo, hi). Chunks differ in size by at most one element.
 func (c *Comm) chunkBounds(ln, i int) (lo, hi int) {
 	n := c.g.size
@@ -175,11 +168,4 @@ func (c *Comm) Broadcast(buf []float32, root int) error {
 	copy(buf, in)
 	c.sendRight(in) // forward (the last hop is absorbed by the root)
 	return nil
-}
-
-// Barrier blocks until every rank has entered it, by all-reducing a
-// single scalar.
-func (c *Comm) Barrier() {
-	one := []float32{1}
-	c.AllReduceSum(one)
 }

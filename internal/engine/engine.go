@@ -15,7 +15,7 @@ package engine
 
 import "repro/internal/workload"
 
-// Params parameterize the experiment suite (formerly core.Options).
+// Params parameterize the experiment suite.
 type Params struct {
 	Seed         int64
 	Jobs         int     // trace length for Fig 15/17/18

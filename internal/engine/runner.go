@@ -68,9 +68,6 @@ type Runner struct {
 	// from multiple goroutines.
 	OnCellCached func(cell Cell)
 
-	mu     sync.Mutex
-	traces map[traceKey]*traceEntry
-
 	obsOnce sync.Once
 	oh      *runnerObs
 }
@@ -115,21 +112,6 @@ func (r *Runner) obsHandles() *runnerObs {
 	return r.oh
 }
 
-// traceKey identifies a memoized trace: the seed plus the arrival
-// process that shaped it. Scenarios sharing an arrival spec (steady and
-// every pure-capacity scenario) share one trace, so cross-scenario
-// comparisons of capacity effects stay paired on identical job streams.
-type traceKey struct {
-	seed    int64
-	arrival scenario.ArrivalSpec
-}
-
-type traceEntry struct {
-	once  sync.Once
-	trace *workload.Trace
-	err   error
-}
-
 // NewRunner returns a Runner over the given params. Unset fields default
 // individually (to DefaultParams values), so a caller may set only the
 // fields it cares about.
@@ -170,7 +152,6 @@ func NewRunner(p Params) *Runner {
 		workers: workers,
 		sem:     make(chan struct{}, workers),
 		Cache:   cache,
-		traces:  make(map[traceKey]*traceEntry),
 	}
 }
 
@@ -184,14 +165,6 @@ func (r *Runner) Workers() int { return r.workers }
 // memory: cells simulated, loaded or still in flight — through any
 // Runner sharing the cache.
 func (r *Runner) CachedCells() int { return r.Cache.Stats().Entries }
-
-// CachedTraces reports how many distinct traces have been generated —
-// one per (seed, arrival-process) pair, however many scenarios share it.
-func (r *Runner) CachedTraces() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.traces)
-}
 
 // isCtxErr reports whether err is the computing goroutine's context
 // giving up, as opposed to the simulation itself failing.
@@ -270,31 +243,13 @@ func (r *Runner) Compare(ctx context.Context, capacity int, scheds []string) ([]
 	return r.Results(ctx, ComparisonCells(scheds, capacity))
 }
 
-// trace returns the memoized workload trace for a (seed, arrival) pair.
-func (r *Runner) trace(seed int64, arrival scenario.ArrivalSpec) (*workload.Trace, error) {
-	key := traceKey{seed: seed, arrival: arrival}
-	r.mu.Lock()
-	e, ok := r.traces[key]
-	if !ok {
-		e = &traceEntry{}
-		r.traces[key] = e
-	}
-	r.mu.Unlock()
-	e.once.Do(func() {
-		cfg := r.params.TraceConfig(seed)
-		cfg.Arrival = arrival
-		e.trace, e.err = workload.Generate(cfg)
-	})
-	return e.trace, e.err
-}
-
 // simulate executes one simulation: wait for a worker slot (or the
-// context), resolve the scenario, generate (or recall) the trace its
-// arrival process shapes, build the scheduler from the registry with the
-// cell-derived seed, compose the capacity sources, simulate. Out of
-// band, it records the cell lifecycle — queued → trace-gen → simulate →
-// done — as engine metrics and, when the context carries a trace (see
-// obs.StartSpan), as a span tree.
+// context), resolve the scenario, generate the trace its arrival process
+// shapes, build the scheduler from the registry with the cell-derived
+// seed, compose the capacity sources, simulate. Out of band, it records
+// the cell lifecycle — queued → trace-gen → simulate → done — as engine
+// metrics and, when the context carries a trace (see obs.StartSpan), as
+// a span tree.
 func (r *Runner) simulate(ctx context.Context, c Cell) (res *simulator.Result, err error) {
 	oh := r.obsHandles()
 	ctx, cellSpan := obs.StartSpan(ctx, "cell "+c.String())
@@ -335,12 +290,16 @@ func (r *Runner) simulate(ctx context.Context, c Cell) (res *simulator.Result, e
 		genSpan.End()
 		return nil, err
 	}
-	trace, err := r.trace(c.TraceSeed, scn.Arrival)
+	tcfg := r.params.TraceConfig(c.TraceSeed)
+	tcfg.Arrival = scn.Arrival
+	// Generate is a pure function of (params, seed, arrival spec), so
+	// every cell sharing them faces the identical job stream: paired
+	// comparisons across schedulers and capacity scenarios rest on that.
+	trace, err := workload.Generate(tcfg)
 	genSpan.End()
 	if err != nil {
 		return nil, err
 	}
-	tcfg := r.params.TraceConfig(c.TraceSeed)
 	oh.started.Inc()
 	if r.OnCellStart != nil {
 		r.OnCellStart(c)
@@ -386,11 +345,11 @@ func (r *Runner) simulate(ctx context.Context, c Cell) (res *simulator.Result, e
 	// The capacity timeline is seeded from the cell key minus the
 	// scheduler, so paired comparisons face the identical world.
 	var srcs []scenario.CapacitySource
-	if timeline := scn.Capacity.Timeline(c.scenarioSeed(r.params.Seed), simCfg.MaxTime); len(timeline) > 0 {
+	if timeline := scn.Capacity.Timeline(c.scenarioSeed(r.params.Seed), simulator.MaxTime); len(timeline) > 0 {
 		srcs = append(srcs, scenario.NewTimelineSource(timeline))
 	}
 	if scn.Capacity.DrainMTBF > 0 {
-		srcs = append(srcs, scenario.NewDrainMTBFSource(scn.Capacity, c.drainSeed(r.params.Seed), simCfg.MaxTime))
+		srcs = append(srcs, scenario.NewDrainMTBFSource(scn.Capacity, c.drainSeed(r.params.Seed), simulator.MaxTime))
 	}
 	if c.Autoscaler != "" {
 		policy, perr := autoscale.Get(c.Autoscaler)

@@ -3,12 +3,15 @@ package engine
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
-	"repro/internal/simulator"
 	"runtime"
+	"sort"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/simulator"
 )
 
 // testParams are small enough that the full scheduler × capacity grid
@@ -151,13 +154,14 @@ func TestRunnerComposedScenarioCell(t *testing.T) {
 	if res.CapacityEvents == 0 {
 		t.Error("composed scenario applied no spot capacity events")
 	}
-	// The composed cell's trace shares the plain-diurnal arrival spec:
-	// one more cell under "diurnal" must reuse the generated trace.
-	if _, err := r.Result(context.Background(), Cell{Scheduler: "fifo", Capacity: 32, Scenario: "diurnal"}); err != nil {
+	// The composed cell shares the plain-diurnal arrival spec, so it
+	// must replay the same job stream as a plain "diurnal" cell.
+	plain, err := r.Result(context.Background(), Cell{Scheduler: "fifo", Capacity: 32, Scenario: "diurnal"})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := r.CachedTraces(); got != 1 {
-		t.Errorf("CachedTraces = %d, want composed and plain diurnal to share one trace", got)
+	if got, want := jobStream(res), jobStream(plain); !reflect.DeepEqual(got, want) {
+		t.Errorf("diurnal+spot job stream %v, want plain diurnal's %v", got, want)
 	}
 }
 
@@ -177,19 +181,38 @@ func TestRunnerUnknownScenario(t *testing.T) {
 
 func TestRunnerSharesTracesAcrossScenarios(t *testing.T) {
 	r := NewRunner(testParams(2))
-	// steady and node-failure share the Poisson arrival spec ⇒ one
-	// trace; diurnal adds a second.
+	// steady and node-failure share the Poisson arrival spec ⇒ one job
+	// stream; diurnal draws another.
 	cells := []Cell{
 		{Scheduler: "fifo", Capacity: 16},
 		{Scheduler: "fifo", Capacity: 16, Scenario: "node-failure"},
 		{Scheduler: "fifo", Capacity: 16, Scenario: "diurnal"},
 	}
-	if _, err := r.Results(context.Background(), cells); err != nil {
+	res, err := r.Results(context.Background(), cells)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := r.CachedTraces(); got != 2 {
-		t.Errorf("CachedTraces = %d, want 2 (steady+node-failure share, diurnal differs)", got)
+	steady, failure, diurnal := jobStream(res[0]), jobStream(res[1]), jobStream(res[2])
+	if len(steady) == 0 {
+		t.Fatal("the steady cell finished no jobs")
 	}
+	if !reflect.DeepEqual(steady, failure) {
+		t.Errorf("node-failure job stream %v, want steady's %v", failure, steady)
+	}
+	if reflect.DeepEqual(steady, diurnal) {
+		t.Error("diurnal replayed the steady job stream")
+	}
+}
+
+// jobStream lists a result's jobs as "ID name submit", sorted: the job
+// stream its cell's trace produced.
+func jobStream(res *simulator.Result) []string {
+	out := make([]string, len(res.Jobs))
+	for i, j := range res.Jobs {
+		out[i] = fmt.Sprintf("%d %s %v", j.ID, j.Name, j.Submit)
+	}
+	sort.Strings(out)
+	return out
 }
 
 func TestRunnerNodeFailureEvictsButCompletes(t *testing.T) {

@@ -2,11 +2,15 @@ package experiments
 
 import (
 	"context"
+	"fmt"
+	"reflect"
 	"runtime"
+	"sort"
 	"strings"
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/simulator"
 )
 
 func quickRunner() *engine.Runner { return engine.NewRunner(engine.QuickParams()) }
@@ -158,11 +162,41 @@ func TestScenarioSweepQuick(t *testing.T) {
 			t.Errorf("scenario sweep output missing %q:\n%s", want, out)
 		}
 	}
-	// The pure-capacity scenarios must share the steady trace: 5
-	// scenarios but only 3 distinct arrival processes.
-	if got := r.CachedTraces(); got != 3 {
-		t.Errorf("CachedTraces = %d, want 3 (steady/spot/node-failure share one)", got)
+	// The pure-capacity scenarios replay the steady job stream under every
+	// scheduler; diurnal draws its own. The sweep's cells are cache hits.
+	cells := scenarioCells(r.Params())
+	results, err := r.Results(context.Background(), cells)
+	if err != nil {
+		t.Fatal(err)
 	}
+	steady := jobStream(results[0]) // scenario-major cells, steady first
+	if len(steady) == 0 {
+		t.Fatal("the steady cell finished no jobs")
+	}
+	for i, c := range cells {
+		got := jobStream(results[i])
+		switch c.Scenario {
+		case "steady", "spot", "node-failure":
+			if !reflect.DeepEqual(got, steady) {
+				t.Errorf("%v job stream %v, want steady's %v", c, got, steady)
+			}
+		case "diurnal":
+			if reflect.DeepEqual(got, steady) {
+				t.Errorf("%v replayed the steady job stream", c)
+			}
+		}
+	}
+}
+
+// jobStream lists a result's jobs as "ID name submit", sorted: the job
+// stream its cell's trace produced.
+func jobStream(res *simulator.Result) []string {
+	out := make([]string, len(res.Jobs))
+	for i, j := range res.Jobs {
+		out[i] = fmt.Sprintf("%d %s %v", j.ID, j.Name, j.Submit)
+	}
+	sort.Strings(out)
+	return out
 }
 
 func TestFullPipelineQuick(t *testing.T) {

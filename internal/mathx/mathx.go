@@ -42,24 +42,6 @@ func Digamma(x float64) float64 {
 	return result
 }
 
-// Trigamma returns ψ′(x), the derivative of the digamma function, for x > 0.
-// Used by Newton steps when fitting Beta distributions.
-func Trigamma(x float64) float64 {
-	if math.IsNaN(x) || math.IsInf(x, 0) {
-		return x
-	}
-	var result float64
-	for x < 6 {
-		result += 1 / (x * x)
-		x++
-	}
-	inv := 1 / x
-	inv2 := inv * inv
-	// Asymptotic expansion: 1/x + 1/(2x²) + 1/(6x³) − 1/(30x⁵) + 1/(42x⁷).
-	result += inv * (1 + inv*(0.5+inv*(1.0/6.0-inv2*(1.0/30.0-inv2/42.0))))
-	return result
-}
-
 // LogBeta returns ln B(a, b) = ln Γ(a) + ln Γ(b) − ln Γ(a+b).
 func LogBeta(a, b float64) float64 {
 	return Lgamma(a) + Lgamma(b) - Lgamma(a+b)
@@ -76,12 +58,6 @@ func BetaLogPDF(x, a, b float64) float64 {
 
 // BetaMean returns the mean a/(a+b) of a Beta(a, b) distribution.
 func BetaMean(a, b float64) float64 { return a / (a + b) }
-
-// BetaVariance returns the variance of a Beta(a, b) distribution.
-func BetaVariance(a, b float64) float64 {
-	s := a + b
-	return a * b / (s * s * (s + 1))
-}
 
 // RegIncBeta returns the regularized incomplete beta function I_x(a, b),
 // which is the CDF of the Beta(a, b) distribution at x. It uses the
@@ -238,17 +214,6 @@ func Clamp(v, lo, hi float64) float64 {
 	return v
 }
 
-// ClampInt limits v to the closed interval [lo, hi].
-func ClampInt(v, lo, hi int) int {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
-}
-
 // Mean returns the arithmetic mean of xs, or 0 for an empty slice.
 func Mean(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -260,22 +225,3 @@ func Mean(xs []float64) float64 {
 	}
 	return s / float64(len(xs))
 }
-
-// Variance returns the unbiased sample variance of xs, or 0 when fewer
-// than two observations are available.
-func Variance(xs []float64) float64 {
-	n := len(xs)
-	if n < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var s float64
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return s / float64(n-1)
-}
-
-// StdDev returns the sample standard deviation of xs.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }

@@ -56,31 +56,6 @@ func TestDigammaRecurrenceProperty(t *testing.T) {
 	}
 }
 
-func TestTrigammaKnownValues(t *testing.T) {
-	cases := []struct{ x, want float64 }{
-		{1, math.Pi * math.Pi / 6},
-		{2, math.Pi*math.Pi/6 - 1},
-		{0.5, math.Pi * math.Pi / 2},
-	}
-	for _, c := range cases {
-		if got := Trigamma(c.x); !almostEqual(got, c.want, 1e-8) {
-			t.Errorf("Trigamma(%v) = %v, want %v", c.x, got, c.want)
-		}
-	}
-}
-
-func TestTrigammaRecurrenceProperty(t *testing.T) {
-	// ψ′(x+1) = ψ′(x) − 1/x².
-	f := func(raw float64) bool {
-		x := math.Abs(raw)
-		x = math.Mod(x, 40) + 0.2
-		return almostEqual(Trigamma(x+1), Trigamma(x)-1/(x*x), 1e-8)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestLogBetaSymmetry(t *testing.T) {
 	f := func(ra, rb float64) bool {
 		a := math.Mod(math.Abs(ra), 20) + 0.1
@@ -253,12 +228,6 @@ func TestClamp(t *testing.T) {
 	if got := Clamp(2, 0, 3); got != 2 {
 		t.Errorf("Clamp mid = %v", got)
 	}
-	if got := ClampInt(9, 1, 4); got != 4 {
-		t.Errorf("ClampInt high = %v", got)
-	}
-	if got := ClampInt(0, 1, 4); got != 1 {
-		t.Errorf("ClampInt low = %v", got)
-	}
 }
 
 func TestMeanVarianceStdDev(t *testing.T) {
@@ -266,32 +235,7 @@ func TestMeanVarianceStdDev(t *testing.T) {
 	if got := Mean(xs); !almostEqual(got, 5, 1e-12) {
 		t.Errorf("Mean = %v, want 5", got)
 	}
-	// Unbiased variance of this classic dataset is 32/7.
-	if got := Variance(xs); !almostEqual(got, 32.0/7.0, 1e-12) {
-		t.Errorf("Variance = %v, want %v", got, 32.0/7.0)
-	}
-	if got := StdDev(xs); !almostEqual(got, math.Sqrt(32.0/7.0), 1e-12) {
-		t.Errorf("StdDev = %v", got)
-	}
-	if Mean(nil) != 0 || Variance([]float64{1}) != 0 {
-		t.Error("empty/short-slice guards failed")
-	}
-}
-
-func TestVariancePropertyShiftInvariant(t *testing.T) {
-	f := func(a, b, c float64, shift float64) bool {
-		if math.IsNaN(a) || math.IsNaN(b) || math.IsNaN(c) || math.IsNaN(shift) {
-			return true
-		}
-		a = math.Mod(a, 1e6)
-		b = math.Mod(b, 1e6)
-		c = math.Mod(c, 1e6)
-		shift = math.Mod(shift, 1e6)
-		xs := []float64{a, b, c}
-		ys := []float64{a + shift, b + shift, c + shift}
-		return almostEqual(Variance(xs), Variance(ys), 1e-4*(1+math.Abs(Variance(xs))))
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
+	if Mean(nil) != 0 {
+		t.Error("empty-slice guard failed")
 	}
 }

@@ -187,25 +187,6 @@ func RenderCF(series []CFSeries) string {
 	return b.String()
 }
 
-// RelativeJCT returns each scheduler's mean JCT divided by the reference
-// scheduler's (Figure 18's bars; reference = ONES ⇒ 1.00).
-func RelativeJCT(sums []Summary, reference string) map[string]float64 {
-	var ref float64
-	for _, s := range sums {
-		if s.Scheduler == reference {
-			ref = s.MeanJCT
-		}
-	}
-	out := make(map[string]float64, len(sums))
-	if ref <= 0 {
-		return out
-	}
-	for _, s := range sums {
-		out[s.Scheduler] = s.MeanJCT / ref
-	}
-	return out
-}
-
 // FractionWithin reports the share of jobs whose metric is at or below
 // the threshold (the paper's "fraction of jobs completed within 200 s").
 func FractionWithin(res *simulator.Result, m Metric, threshold float64) float64 {

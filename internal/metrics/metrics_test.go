@@ -116,23 +116,6 @@ func TestCFCurvesDegenerate(t *testing.T) {
 	}
 }
 
-func TestRelativeJCT(t *testing.T) {
-	sums := []Summary{
-		Summarize(fakeResult("ONES", []float64{100}, []float64{100})),
-		Summarize(fakeResult("DRL", []float64{150}, []float64{150})),
-	}
-	rel := RelativeJCT(sums, "ONES")
-	if rel["ONES"] != 1 {
-		t.Errorf("ONES relative = %v", rel["ONES"])
-	}
-	if rel["DRL"] != 1.5 {
-		t.Errorf("DRL relative = %v", rel["DRL"])
-	}
-	if len(RelativeJCT(sums, "missing")) != 0 {
-		t.Error("missing reference should yield empty map")
-	}
-}
-
 func TestFractionWithin(t *testing.T) {
 	r := fakeResult("x", []float64{100, 150, 250, 400}, []float64{0, 0, 0, 0})
 	if got := FractionWithin(r, JCT, 200); got != 0.5 {

@@ -185,16 +185,6 @@ func (r *Registry) CounterVec(name, help string, labelNames ...string) *CounterV
 	return &CounterVec{f: f}
 }
 
-// GaugeVec declares a labeled gauge family; With resolves one series.
-// Safe on a nil Registry.
-func (r *Registry) GaugeVec(name, help string, labelNames ...string) *GaugeVec {
-	f := r.familyFor(name, help, kindGauge, labelNames, nil)
-	if f == nil {
-		return nil
-	}
-	return &GaugeVec{f: f}
-}
-
 // HistogramVec declares a labeled histogram family (nil buckets ⇒
 // DefBuckets); With resolves one series. Safe on a nil Registry.
 func (r *Registry) HistogramVec(name, help string, buckets []float64, labelNames ...string) *HistogramVec {
@@ -294,19 +284,6 @@ func (v *CounterVec) With(labelValues ...string) *Counter {
 		return nil
 	}
 	return v.f.childFor(labelValues).counter
-}
-
-// GaugeVec resolves labeled gauges.
-//
-//ones:nilsafe
-type GaugeVec struct{ f *family }
-
-// With returns the gauge for the given label values. Safe on a nil vec.
-func (v *GaugeVec) With(labelValues ...string) *Gauge {
-	if v == nil {
-		return nil
-	}
-	return v.f.childFor(labelValues).gauge
 }
 
 // HistogramVec resolves labeled histograms.

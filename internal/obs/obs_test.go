@@ -71,7 +71,6 @@ func TestNilSafety(t *testing.T) {
 	r.Gauge("b", "b").Set(1)
 	r.Histogram("c", "c", nil).Observe(1)
 	r.CounterVec("d", "d", "l").With("x").Inc()
-	r.GaugeVec("e", "e", "l").With("x").Set(2)
 	r.HistogramVec("f", "f", nil, "l").With("x").Observe(3)
 	r.GaugeFunc("g", "g", func() float64 { return 1 })
 	if err := r.WritePrometheus(&strings.Builder{}); err != nil {

@@ -58,9 +58,6 @@ func (t *Trainer) Processed() int64 { return t.processed }
 // WallEpochs returns the number of (possibly fractional) epochs trained.
 func (t *Trainer) WallEpochs() float64 { return t.wallEpochs }
 
-// EffEpochs returns the accumulated effective epochs of progress.
-func (t *Trainer) EffEpochs() float64 { return t.effEpochs }
-
 // Converged reports whether the stopping rule has fired.
 func (t *Trainer) Converged() bool { return t.converged }
 

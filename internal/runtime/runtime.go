@@ -146,13 +146,11 @@ func (w *worker) train() {
 			flag = 1
 		}
 		buf[n] = flag
-		w.comm.AllReduceSum(buf)
-		inv := 1 / float32(w.comm.Size())
+		w.comm.AllReduceMean(buf)
 		lr := w.spec.LR
 		mu := w.spec.Momentum
 		for i := range grads {
-			g := grads[i] * inv
-			w.model.momentum[i] = mu*w.model.momentum[i] + g
+			w.model.momentum[i] = mu*w.model.momentum[i] + grads[i]
 			w.model.params[i] -= lr * w.model.momentum[i]
 		}
 		w.model.step++

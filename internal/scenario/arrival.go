@@ -38,10 +38,9 @@ const (
 )
 
 // ArrivalSpec parameterizes an arrival process. The zero value means
-// "stationary Poisson at the trace's configured mean interarrival"; all
-// fields are scalars so the spec is comparable and can key trace caches
-// (two scenarios sharing an arrival spec replay the identical trace,
-// preserving paired comparisons).
+// "stationary Poisson at the trace's configured mean interarrival".
+// Two scenarios sharing an arrival spec replay the identical trace,
+// preserving paired comparisons.
 type ArrivalSpec struct {
 	Kind ArrivalKind `json:"kind,omitempty"`
 	// Mean is the base mean interarrival time in seconds (1/λ0).

@@ -39,14 +39,6 @@ type ClusterView struct {
 	LiveRacks []int
 }
 
-// Utilization returns the busy fraction of the live capacity, in [0,1].
-func (v ClusterView) Utilization() float64 {
-	if v.TotalGPUs <= 0 {
-		return 0
-	}
-	return float64(v.BusyGPUs) / float64(v.TotalGPUs)
-}
-
 // Pressure returns (busy + pending demand) / capacity: 1.0 means the
 // cluster exactly fits current demand, above 1.0 jobs are queueing, well
 // below 1.0 capacity is idle. The reactive controllers trigger on

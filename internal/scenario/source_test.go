@@ -7,14 +7,11 @@ import (
 
 func TestClusterViewSignals(t *testing.T) {
 	v := ClusterView{TotalGPUs: 64, BusyGPUs: 48, PendingGPUs: 32}
-	if got := v.Utilization(); got != 0.75 {
-		t.Errorf("Utilization = %v, want 0.75", got)
-	}
 	if got := v.Pressure(); got != 1.25 {
 		t.Errorf("Pressure = %v, want 1.25", got)
 	}
 	var empty ClusterView
-	if empty.Utilization() != 0 || empty.Pressure() != 0 {
+	if empty.Pressure() != 0 {
 		t.Error("empty view must report zero signals, not divide by zero")
 	}
 }

@@ -21,11 +21,6 @@ import (
 // dependency-free, and faithful to the baseline's structural limits
 // (single action per step, no preemption).
 type DRL struct {
-	// LearnRate is the REINFORCE step size.
-	LearnRate float64
-	// Temperature softens the softmax during action sampling.
-	Temperature float64
-
 	weights [drlFeatures]float64
 	rng     *rand.Rand
 
@@ -42,13 +37,17 @@ type DRL struct {
 	rewardScale float64
 }
 
-const drlFeatures = 6
+const (
+	drlFeatures = 6
+	// drlLearnRate is the REINFORCE step size.
+	drlLearnRate = 0.01
+	// drlTemperature softens the softmax during action sampling.
+	drlTemperature = 1
+)
 
 // NewDRL returns a DRL scheduler seeded deterministically.
 func NewDRL(seed int64) *DRL {
 	return &DRL{
-		LearnRate:   0.01,
-		Temperature: 1,
 		rng:         rand.New(rand.NewSource(seed)),
 		chosen:      make(map[cluster.JobID][drlFeatures]float64),
 		seen:        make(map[cluster.JobID]bool),
@@ -118,7 +117,7 @@ func (d *DRL) learn(view *simulator.View) {
 		d.baseline += (reward - d.baseline) / float64(d.nCompleted)
 		adv := reward - d.baseline
 		for i := range d.weights {
-			d.weights[i] += d.LearnRate * adv * f[i]
+			d.weights[i] += drlLearnRate * adv * f[i]
 		}
 		delete(d.chosen, id)
 		delete(d.lastJCT, id)
@@ -174,7 +173,7 @@ func (d *DRL) Decide(trigger simulator.Trigger, view *simulator.View) *cluster.S
 	var z float64
 	probs := make([]float64, len(actions))
 	for i, a := range actions {
-		probs[i] = math.Exp((a.score - maxS) / d.Temperature)
+		probs[i] = math.Exp((a.score - maxS) / drlTemperature)
 		z += probs[i]
 	}
 	r := d.rng.Float64() * z

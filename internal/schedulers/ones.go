@@ -23,13 +23,6 @@ type ONES struct {
 	PopulationSize int
 	// MutationRate θ for the uniform mutation operator.
 	MutationRate float64
-	// IterationsPerDecision controls how many evolution rounds run at
-	// each decision point (the real system evolves continuously in the
-	// background; more rounds per event approximate that).
-	IterationsPerDecision int
-	// WarmupEpochs holds a new job at its start limit until it has
-	// trained this many epochs ("Start" policy).
-	WarmupEpochs float64
 	// Parallelism is the number of goroutines the evolution engine uses
 	// per iteration (0 ⇒ GOMAXPROCS). Results are identical regardless:
 	// candidate randomness is pre-seeded serially.
@@ -73,6 +66,16 @@ type ONES struct {
 	Stats ONESStats
 }
 
+const (
+	// onesItersPerDecision is how many evolution rounds run at each
+	// decision point (the real system evolves continuously in the
+	// background; more rounds per event approximate that).
+	onesItersPerDecision = 2
+	// onesWarmupEpochs holds a new job at its start limit until it has
+	// trained this many epochs ("Start" policy).
+	onesWarmupEpochs = 1
+)
+
 // ONESStats summarizes a run's decision outcomes.
 type ONESStats struct {
 	Decisions     int // Decide invocations
@@ -104,15 +107,13 @@ type onesJob struct {
 // longer than the interarrival time of work per GPU.
 func NewONES(seed int64, arrivalRate float64) *ONES {
 	return &ONES{
-		MutationRate:          0.1,
-		IterationsPerDecision: 2,
-		WarmupEpochs:          1,
-		arrivalRate:           arrivalRate,
-		pred:                  predictor.New(seed, predictor.DefaultConfig()),
-		limiter:               scaling.NewLimiter(arrivalRate),
-		rng:                   rand.New(rand.NewSource(seed)),
-		jobs:                  make(map[cluster.JobID]*onesJob),
-		lastDeployEpochs:      make(map[cluster.JobID]float64),
+		MutationRate:     0.1,
+		arrivalRate:      arrivalRate,
+		pred:             predictor.New(seed, predictor.DefaultConfig()),
+		limiter:          scaling.NewLimiter(arrivalRate),
+		rng:              rand.New(rand.NewSource(seed)),
+		jobs:             make(map[cluster.JobID]*onesJob),
+		lastDeployEpochs: make(map[cluster.JobID]float64),
 	}
 }
 
@@ -132,8 +133,7 @@ func (o *ONES) CostKind() simulator.CostKind { return simulator.CostElastic }
 // convergence behaviour across rescales.
 func (o *ONES) ManagesLR() bool { return true }
 
-// Predictor exposes the online progress model (examples and the Figure 6
-// experiment read it).
+// Predictor exposes the online progress model to tests.
 func (o *ONES) Predictor() *predictor.Predictor { return o.pred }
 
 // SetCancel implements simulator.CancelAware: the evolution loop polls
@@ -177,12 +177,8 @@ func (o *ONES) Decide(trigger simulator.Trigger, view *simulator.View) *cluster.
 
 	evoSpan := o.Span.StartChild("evolution-interval")
 	ctx := o.buildContext(view)
-	iters := o.IterationsPerDecision
-	if iters < 1 {
-		iters = 1
-	}
 	var champion *cluster.Schedule
-	for i := 0; i < iters; i++ {
+	for i := 0; i < onesItersPerDecision; i++ {
 		champion = o.engine.Iterate(ctx)
 	}
 	evoSpan.End()
@@ -251,7 +247,7 @@ func (o *ONES) ingest(view *simulator.View) {
 // scale-down rule) and logs a predictor sample.
 func (o *ONES) onEpochEnd(j *simulator.JobView, st *onesJob, topo cluster.Topology) {
 	maxGlobal := topo.TotalGPUs() * j.Task.Profile.MaxPerGPU
-	if j.WallEpochs < o.WarmupEpochs {
+	if j.WallEpochs < onesWarmupEpochs {
 		// Still warming up: hold the start limit.
 		st.limit = st.startLimit
 	} else if o.DisableScaleDown {

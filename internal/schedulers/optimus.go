@@ -21,9 +21,6 @@ import (
 // accuracy trajectory — mirroring Optimus's resource-speed models — and
 // all reconfigurations go through checkpoint-based migration.
 type Optimus struct {
-	// Interval is the rescheduling period in seconds (paper: 600).
-	Interval float64
-
 	hist map[cluster.JobID][]obsPoint
 }
 
@@ -33,16 +30,19 @@ type obsPoint struct {
 	acc    float64
 }
 
+// optimusInterval is the rescheduling period in seconds (paper: 600).
+const optimusInterval = 600
+
 // NewOptimus returns an Optimus with the paper's 10-minute interval.
 func NewOptimus() *Optimus {
-	return &Optimus{Interval: 600, hist: make(map[cluster.JobID][]obsPoint)}
+	return &Optimus{hist: make(map[cluster.JobID][]obsPoint)}
 }
 
 // Name implements simulator.Scheduler.
 func (o *Optimus) Name() string { return "Optimus" }
 
 // TickInterval implements simulator.Scheduler.
-func (o *Optimus) TickInterval() float64 { return o.Interval }
+func (o *Optimus) TickInterval() float64 { return optimusInterval }
 
 // CostKind implements simulator.Scheduler.
 func (o *Optimus) CostKind() simulator.CostKind { return simulator.CostCheckpoint }
@@ -184,17 +184,4 @@ func (o *Optimus) Decide(trigger simulator.Trigger, view *simulator.View) *clust
 		return nil
 	}
 	return s
-}
-
-// Forget drops the fitting history of completed jobs (bounded memory).
-func (o *Optimus) Forget(view *simulator.View) {
-	alive := make(map[cluster.JobID]bool, len(view.Jobs))
-	for _, j := range view.Jobs {
-		alive[j.ID] = true
-	}
-	for id := range o.hist {
-		if !alive[id] {
-			delete(o.hist, id)
-		}
-	}
 }

@@ -14,18 +14,14 @@ import (
 // Service policy): jobs that have consumed little GPU time get priority,
 // which approximates shortest-remaining-first without any job-length
 // prediction. Preemption uses checkpoint-based migration.
-type Tiresias struct {
-	// QueueThresholds are the attained-service boundaries (GPU-seconds)
-	// between priority queues; a job's queue is the number of thresholds
-	// it has crossed.
-	QueueThresholds []float64
-}
+type Tiresias struct{}
 
-// NewTiresias returns a two-queue Tiresias with the default promotion
-// threshold.
-func NewTiresias() *Tiresias {
-	return &Tiresias{QueueThresholds: []float64{2000}}
-}
+// tiresiasDemoteAt is the attained service (GPU-seconds) that moves a
+// job from the high-priority queue to the low one.
+const tiresiasDemoteAt = 2000
+
+// NewTiresias returns a two-queue Tiresias.
+func NewTiresias() *Tiresias { return &Tiresias{} }
 
 // Name implements simulator.Scheduler.
 func (t *Tiresias) Name() string { return "Tiresias" }
@@ -47,13 +43,10 @@ func (t *Tiresias) queueOf(j simulator.JobView) int {
 	if !j.Running {
 		attained = j.ExecTime // frozen service while waiting
 	}
-	q := 0
-	for _, th := range t.QueueThresholds {
-		if attained >= th {
-			q++
-		}
+	if attained >= tiresiasDemoteAt {
+		return 1
 	}
-	return q
+	return 0
 }
 
 // Decide implements simulator.Scheduler: recompute the desired running set

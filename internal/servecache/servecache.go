@@ -246,13 +246,6 @@ func (c *Cache) SetLimits(l Limits) int {
 	return c.Sweep()
 }
 
-// Limits returns the currently configured bounds (zero value: unbounded).
-func (c *Cache) Limits() Limits {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.limits
-}
-
 // SetClock replaces the cache's time source — eviction tests inject a
 // manual clock so TTL expiry is deterministic. nil restores time.Now.
 func (c *Cache) SetClock(now func() time.Time) {

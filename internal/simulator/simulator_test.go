@@ -233,16 +233,6 @@ func (tc *tickCounter) Decide(tr Trigger, v *View) *cluster.Schedule {
 	return tc.fifoTest.Decide(tr, v)
 }
 
-func TestViewJobOf(t *testing.T) {
-	v := &View{Jobs: []JobView{{ID: 3}, {ID: 7}}}
-	if v.JobOf(7) == nil || v.JobOf(7).ID != 7 {
-		t.Error("JobOf(7) failed")
-	}
-	if v.JobOf(99) != nil {
-		t.Error("JobOf(absent) should be nil")
-	}
-}
-
 func TestTriggerString(t *testing.T) {
 	names := map[Trigger]string{
 		TriggerArrival:    "arrival",

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 
 	"repro/internal/perfmodel"
 	"repro/internal/scenario"
@@ -289,15 +288,4 @@ func (t *Trace) Summarize() Summary {
 		s.MeanGPUReq = float64(gpuSum) / float64(s.Jobs)
 	}
 	return s
-}
-
-// TaskNames returns the catalog names sorted, for table rendering.
-func TaskNames() []string {
-	cat := Catalog()
-	names := make([]string, len(cat))
-	for i, t := range cat {
-		names[i] = t.Name
-	}
-	sort.Strings(names)
-	return names
 }

@@ -42,9 +42,6 @@ func TestCatalogNamesUnique(t *testing.T) {
 		}
 		seen[task.Name] = true
 	}
-	if got := len(TaskNames()); got != 50 {
-		t.Errorf("TaskNames returned %d names", got)
-	}
 }
 
 func TestCIFARProfilesAreFasterPerSample(t *testing.T) {
