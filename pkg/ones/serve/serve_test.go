@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"runtime"
 	"strings"
 	"sync"
@@ -342,6 +343,20 @@ func TestDaemonRegistries(t *testing.T) {
 	}
 	if len(exps.Experiments) == 0 {
 		t.Error("no experiments listed")
+	}
+	// The four listings are pinned byte for byte: names, order, titles
+	// and field names are part of the daemon's contract.
+	var listings bytes.Buffer
+	for _, path := range []string{"/v1/schedulers", "/v1/scenarios", "/v1/autoscalers", "/v1/experiments"} {
+		fmt.Fprintf(&listings, "GET %s\n", path)
+		listings.Write(doJSON(t, "GET", ts.URL+path, nil, http.StatusOK))
+	}
+	golden, err := os.ReadFile("testdata/listings.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(listings.Bytes(), golden) {
+		t.Errorf("listings differ from testdata/listings.golden; got:\n%s", listings.Bytes())
 	}
 	var cache struct {
 		Enabled bool `json:"enabled"`
