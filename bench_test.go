@@ -11,7 +11,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/engine"
-	_ "repro/internal/experiments" // populate the experiment registry
+	"repro/internal/experiments"
 	"repro/internal/perfmodel"
 	"repro/internal/runtime"
 	"repro/internal/schedulers"
@@ -20,13 +20,12 @@ import (
 	"repro/internal/workload"
 )
 
-// runExperiment renders one registered experiment on a fresh quick
-// runner.
+// runExperiment renders one named experiment on a fresh quick runner.
 func runExperiment(b *testing.B, name string) string {
 	b.Helper()
-	e, ok := engine.LookupExperiment(name)
-	if !ok {
-		b.Fatalf("experiment %q not registered", name)
+	e, err := experiments.Get(name)
+	if err != nil {
+		b.Fatal(err)
 	}
 	out, err := e.Run(context.Background(), engine.NewRunner(engine.QuickParams()))
 	if err != nil {

@@ -15,7 +15,9 @@ package main
 import (
 	"flag"
 	"fmt"
+	"maps"
 	"os"
+	"slices"
 
 	"repro/pkg/ones"
 )
@@ -94,12 +96,12 @@ func main() {
 			}
 		}
 		fmt.Println("by class:")
-		for class, n := range s.ByClass {
-			fmt.Printf("  %-14s %d\n", class, n)
+		for _, class := range slices.Sorted(maps.Keys(s.ByClass)) {
+			fmt.Printf("  %-14s %d\n", class, s.ByClass[class])
 		}
 		fmt.Println("by model:")
-		for model, n := range s.ByModel {
-			fmt.Printf("  %-14s %d\n", model, n)
+		for _, model := range slices.Sorted(maps.Keys(s.ByModel)) {
+			fmt.Printf("  %-14s %d\n", model, s.ByModel[model])
 		}
 		return
 	}

@@ -11,8 +11,9 @@
 // baselines, a live goroutine mini-cluster with a real ring all-reduce,
 // and the statistics of the paper's evaluation. The evaluation itself
 // runs through internal/engine — a parallel experiment engine whose
-// registry names every figure/table and whose sharded runner fans
-// independent simulation cells across a cached worker pool.
+// sharded runner fans independent simulation cells across a cached
+// worker pool — and internal/experiments, which lists every figure and
+// table by name in paper order.
 //
 // Other programs embed the system through pkg/ones, the public SDK:
 // context-aware sessions built from functional options, streaming

@@ -3,21 +3,18 @@ package autoscale
 import (
 	"errors"
 	"fmt"
-	"sort"
-	"sync"
 
 	"repro/internal/obs"
 	"repro/internal/scenario"
 )
 
-// ErrUnknown is wrapped by Get for names absent from the policy
-// registry; match it with errors.Is.
+// ErrUnknown is wrapped by Get for unknown policy names; match it with
+// errors.Is.
 var ErrUnknown = errors.New("autoscale: unknown autoscaler")
 
 // Policy is a named, fully parameterized controller configuration.
 type Policy struct {
-	// Name is the flag-facing registry identifier
-	// ("reactive-conservative", …).
+	// Name is the flag-facing identifier ("reactive-conservative", …).
 	Name string
 	// Title is a one-line description for listings.
 	Title string
@@ -45,62 +42,84 @@ const (
 	ReactiveEmergency = "reactive-emergency"
 )
 
-var (
-	registryMu sync.RWMutex
-	registry   = make(map[string]Policy)
-)
-
-// Register adds a named policy. Re-registering a name panics: two
-// controllers silently shadowing each other would corrupt experiments.
-func Register(p Policy) {
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	if p.Name == "" {
-		panic("autoscale: Register with empty name")
-	}
-	if _, dup := registry[p.Name]; dup {
-		panic(fmt.Sprintf("autoscale: duplicate registration of %q — two controller tunings would silently shadow each other; pick a distinct name", p.Name))
-	}
-	registry[p.Name] = p
-}
-
-// Lookup returns the named policy.
-func Lookup(name string) (Policy, bool) {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	p, ok := registry[name]
-	return p, ok
+// builtins are the known policies, in name order. Tunings are calibrated
+// to the evaluation workload (interarrival ~12 s, pressure swinging on a
+// minutes scale under diurnal/burst arrivals): conservative reacts on
+// the order of minutes, aggressive within tens of seconds.
+var builtins = []Policy{
+	{
+		Name:     ReactiveAggressive,
+		Title:    "fast multi-server steps with an emergency bypass, 2× growth ceiling",
+		Interval: 15,
+		Analyzer: AnalyzerConfig{Window: 60, HighWater: 0.75, LowWater: 0.6},
+		Decision: DecisionConfig{
+			HighDuration:      30,
+			LowDuration:       120,
+			CooldownUp:        60,
+			CooldownDown:      180,
+			MaxScaleStep:      4,
+			TargetPressure:    0.65,
+			EmergencyPressure: 2.0,
+			MinServers:        2,
+			MaxFactor:         2,
+		},
+	},
+	{
+		Name:     ReactiveConservative,
+		Title:    "slow single-server steps, long cooldowns, no emergency path",
+		Interval: 30,
+		Analyzer: AnalyzerConfig{Window: 120, HighWater: 0.85, LowWater: 0.5},
+		Decision: DecisionConfig{
+			HighDuration:   120,
+			LowDuration:    300,
+			CooldownUp:     180,
+			CooldownDown:   600,
+			MaxScaleStep:   1,
+			TargetPressure: 0.7,
+			MinServers:     2,
+			MaxFactor:      1.5,
+		},
+	},
+	{
+		Name:     ReactiveEmergency,
+		Title:    "conservative tuning plus an emergency scale-up bypass",
+		Interval: 30,
+		Analyzer: AnalyzerConfig{Window: 120, HighWater: 0.85, LowWater: 0.5},
+		Decision: DecisionConfig{
+			HighDuration:      120,
+			LowDuration:       300,
+			CooldownUp:        180,
+			CooldownDown:      600,
+			MaxScaleStep:      2,
+			TargetPressure:    0.7,
+			EmergencyPressure: 1.2,
+			MinServers:        2,
+			MaxFactor:         1.5,
+		},
+	},
 }
 
 // Get returns the named policy or an error listing the known names.
 func Get(name string) (Policy, error) {
-	if p, ok := Lookup(name); ok {
-		return p, nil
+	for _, p := range builtins {
+		if p.Name == name {
+			return p, nil
+		}
 	}
 	return Policy{}, fmt.Errorf("%w %q (known: %v)", ErrUnknown, name, Names())
 }
 
-// Names returns the registered policy names, sorted.
+// Names returns the known policy names, sorted.
 func Names() []string {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	names := make([]string, 0, len(registry))
-	for n := range registry {
-		names = append(names, n)
+	names := make([]string, len(builtins))
+	for i, p := range builtins {
+		names[i] = p.Name
 	}
-	sort.Strings(names)
 	return names
 }
 
-// Policies returns every registered policy sorted by name.
-func Policies() []Policy {
-	out := make([]Policy, 0)
-	for _, n := range Names() {
-		p, _ := Lookup(n)
-		out = append(out, p)
-	}
-	return out
-}
+// Policies returns every known policy sorted by name.
+func Policies() []Policy { return append([]Policy(nil), builtins...) }
 
 // ctlObs bundles a controller's instrument handles. An uninstrumented
 // controller holds a nil *ctlObs and pays exactly one nil check per
@@ -202,61 +221,4 @@ func (o *ctlObs) record(act Action) {
 	if act.Emergency {
 		o.emergency.Inc()
 	}
-}
-
-// init registers the built-in policies. Tunings are calibrated to the
-// evaluation workload (interarrival ~12 s, pressure swinging on a
-// minutes scale under diurnal/burst arrivals): conservative reacts on
-// the order of minutes, aggressive within tens of seconds.
-func init() {
-	Register(Policy{
-		Name:     ReactiveConservative,
-		Title:    "slow single-server steps, long cooldowns, no emergency path",
-		Interval: 30,
-		Analyzer: AnalyzerConfig{Window: 120, HighWater: 0.85, LowWater: 0.5},
-		Decision: DecisionConfig{
-			HighDuration:   120,
-			LowDuration:    300,
-			CooldownUp:     180,
-			CooldownDown:   600,
-			MaxScaleStep:   1,
-			TargetPressure: 0.7,
-			MinServers:     2,
-			MaxFactor:      1.5,
-		},
-	})
-	Register(Policy{
-		Name:     ReactiveAggressive,
-		Title:    "fast multi-server steps with an emergency bypass, 2× growth ceiling",
-		Interval: 15,
-		Analyzer: AnalyzerConfig{Window: 60, HighWater: 0.75, LowWater: 0.6},
-		Decision: DecisionConfig{
-			HighDuration:      30,
-			LowDuration:       120,
-			CooldownUp:        60,
-			CooldownDown:      180,
-			MaxScaleStep:      4,
-			TargetPressure:    0.65,
-			EmergencyPressure: 2.0,
-			MinServers:        2,
-			MaxFactor:         2,
-		},
-	})
-	Register(Policy{
-		Name:     ReactiveEmergency,
-		Title:    "conservative tuning plus an emergency scale-up bypass",
-		Interval: 30,
-		Analyzer: AnalyzerConfig{Window: 120, HighWater: 0.85, LowWater: 0.5},
-		Decision: DecisionConfig{
-			HighDuration:      120,
-			LowDuration:       300,
-			CooldownUp:        180,
-			CooldownDown:      600,
-			MaxScaleStep:      2,
-			TargetPressure:    0.7,
-			EmergencyPressure: 1.2,
-			MinServers:        2,
-			MaxFactor:         1.5,
-		},
-	})
 }

@@ -215,6 +215,20 @@ func TestRegistryBuiltinsAndErrors(t *testing.T) {
 	}
 }
 
+// TestBuiltinNames: the table's names are the flag-facing keys, so each
+// is non-empty and the table is written in strictly increasing name
+// order, which makes them unique (Names and Policies return it as is).
+func TestBuiltinNames(t *testing.T) {
+	for i, p := range builtins {
+		if p.Name == "" {
+			t.Errorf("builtins[%d] has no name", i)
+		}
+		if i > 0 && builtins[i-1].Name >= p.Name {
+			t.Errorf("builtins[%d] %q does not sort after %q", i, p.Name, builtins[i-1].Name)
+		}
+	}
+}
+
 func TestControllerIsACapacitySource(t *testing.T) {
 	var _ scenario.CapacitySource = (*Controller)(nil)
 	reg := obs.NewRegistry()

@@ -84,13 +84,6 @@ func (c *Comm) chunkBounds(ln, i int) (lo, hi int) {
 	return lo, lo + size
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // AllReduceSum sums buf element-wise across all ranks; on return every
 // rank's buf holds the total. Single-rank groups return immediately.
 //

@@ -12,10 +12,10 @@ import (
 // scheduler replaying one trace on one cluster topology under one
 // scenario (how the world changes during the run).
 type Cell struct {
-	Scheduler string // schedulers registry name ("ones", "drl", …)
+	Scheduler string // scheduler name ("ones", "drl", …)
 	Capacity  int    // initial total GPUs (0 ⇒ the paper's 64-GPU Longhorn testbed)
 	TraceSeed int64  // workload trace seed (0 ⇒ the master seed)
-	Scenario  string // scenario registry name ("" ⇒ "steady")
+	Scenario  string // scenario name ("" ⇒ "steady")
 	// GPUsPer is the per-server GPU count shaping a homogeneous topology
 	// (0 ⇒ 4, the paper's Longhorn servers). Capacity is rounded up to
 	// whole servers. Ignored when Shape is set.
@@ -27,7 +27,7 @@ type Cell struct {
 	// and "2x4,4x8" are distinct cells — deliberately, since group order
 	// fixes the GPU axis and the rack ids and therefore the results.
 	Shape string
-	// Autoscaler, when non-empty, names an autoscale registry policy
+	// Autoscaler, when non-empty, names an autoscale policy
 	// ("reactive-conservative", …) whose controller runs against the cell
 	// as a closed loop, growing and shrinking the cluster in reaction to
 	// observed pressure. Empty ⇒ no controller (capacity follows the

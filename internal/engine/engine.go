@@ -1,7 +1,7 @@
 // Package engine is the parallel experiment engine behind cmd/experiments
-// and the benchmarks: a registry of named, self-describing experiments
-// (one per paper figure/table) executed over a sharded, cached pool of
-// simulation runs.
+// and the benchmarks: named, self-describing experiments (one per paper
+// figure/table; internal/experiments lists them) executed over a sharded,
+// cached pool of simulation runs.
 //
 // The unit of simulation work is a Cell — one (scheduler, capacity,
 // trace-seed) combination. Experiments declare the cells they consume;
@@ -85,7 +85,7 @@ func (p Params) TraceConfig(seed int64) workload.Config {
 	}
 }
 
-// PaperSchedulers are the registry names of the schedulers compared in
+// PaperSchedulers are the names of the schedulers compared in
 // Figure 15: ONES and the paper's three baselines.
 func PaperSchedulers() []string {
 	return []string{"ones", "drl", "tiresias", "optimus"}

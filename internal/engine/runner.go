@@ -245,7 +245,7 @@ func (r *Runner) Compare(ctx context.Context, capacity int, scheds []string) ([]
 
 // simulate executes one simulation: wait for a worker slot (or the
 // context), resolve the scenario, generate the trace its arrival process
-// shapes, build the scheduler from the registry with the cell-derived
+// shapes, build the named scheduler with the cell-derived
 // seed, compose the capacity sources, simulate. Out of band, it records
 // the cell lifecycle — queued → trace-gen → simulate → done — as engine
 // metrics and, when the context carries a trace (see obs.StartSpan), as

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"reflect"
 	"runtime"
@@ -162,12 +161,6 @@ func TestRunnerComposedScenarioCell(t *testing.T) {
 	}
 	if got, want := jobStream(res), jobStream(plain); !reflect.DeepEqual(got, want) {
 		t.Errorf("diurnal+spot job stream %v, want plain diurnal's %v", got, want)
-	}
-}
-
-func TestGetExperimentSentinel(t *testing.T) {
-	if _, err := GetExperiment("fig999"); !errors.Is(err, ErrUnknownExperiment) {
-		t.Errorf("GetExperiment error does not wrap sentinel: %v", err)
 	}
 }
 

@@ -1,28 +1,43 @@
 // Package experiments defines every figure and table of the paper's
-// evaluation as a named engine.Experiment. Importing the package (usually
-// for side effects) populates the engine registry; drivers then select
-// experiments by name, prewarm their declared simulation cells through a
-// parallel engine.Runner, and render them in paper order.
+// evaluation as a named engine.Experiment. Drivers select experiments
+// by name (Get) or take them all in paper order (All), prewarm their
+// declared simulation cells through a parallel engine.Runner, and
+// render them.
 package experiments
 
-import "repro/internal/engine"
+import (
+	"errors"
+	"fmt"
+	"strings"
 
-// init registers the experiments in paper order — the order `-exp all`
+	"repro/internal/engine"
+)
+
+// ErrUnknown is wrapped by Get for unknown names; match it with
+// errors.Is.
+var ErrUnknown = errors.New("experiments: unknown experiment")
+
+// all lists the experiments in paper order — the order `-exp all`
 // renders in — followed by the beyond-the-paper extensions.
-func init() {
-	engine.RegisterExperiment(fig2)
-	engine.RegisterExperiment(fig3)
-	engine.RegisterExperiment(fig6)
-	engine.RegisterExperiment(table2)
-	engine.RegisterExperiment(table3)
-	engine.RegisterExperiment(fig13)
-	engine.RegisterExperiment(fig14)
-	engine.RegisterExperiment(fig15)
-	engine.RegisterExperiment(table4)
-	engine.RegisterExperiment(fig16)
-	engine.RegisterExperiment(fig17)
-	engine.RegisterExperiment(fig18)
-	engine.RegisterExperiment(scenarioSweep)
-	engine.RegisterExperiment(hetero)
-	engine.RegisterExperiment(reactive)
+var all = []engine.Experiment{
+	fig2, fig3, fig6, table2, table3, fig13, fig14, fig15, table4,
+	fig16, fig17, fig18, scenarioSweep, hetero, reactive,
+}
+
+// All returns every experiment in paper order.
+func All() []engine.Experiment { return append([]engine.Experiment(nil), all...) }
+
+// Get returns the named experiment or an ErrUnknown error listing the
+// known names.
+func Get(name string) (engine.Experiment, error) {
+	for _, e := range all {
+		if e.Name == name {
+			return e, nil
+		}
+	}
+	names := make([]string, len(all))
+	for i, e := range all {
+		names[i] = e.Name
+	}
+	return engine.Experiment{}, fmt.Errorf("%w %q (known: %s)", ErrUnknown, name, strings.Join(names, ", "))
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"reflect"
 	"runtime"
@@ -17,9 +18,9 @@ func quickRunner() *engine.Runner { return engine.NewRunner(engine.QuickParams()
 
 func runExp(t *testing.T, r *engine.Runner, name string) string {
 	t.Helper()
-	e, ok := engine.LookupExperiment(name)
-	if !ok {
-		t.Fatalf("experiment %q not registered", name)
+	e, err := Get(name)
+	if err != nil {
+		t.Fatal(err)
 	}
 	out, err := e.Run(context.Background(), r)
 	if err != nil {
@@ -60,18 +61,31 @@ func TestByteIdenticalOutputAcrossWorkerCounts(t *testing.T) {
 func TestRegistryHasEveryPaperExperiment(t *testing.T) {
 	want := []string{"fig2", "fig3", "fig6", "table2", "table3", "fig13", "fig14",
 		"fig15", "table4", "fig16", "fig17", "fig18", "scenario", "hetero", "reactive"}
-	got := engine.ExperimentNames()
+	got := All()
 	if len(got) != len(want) {
-		t.Fatalf("registered %d experiments %v, want %d", len(got), got, len(want))
+		t.Fatalf("%d experiments %v, want %d", len(got), got, len(want))
 	}
 	for i, name := range want {
-		if got[i] != name {
-			t.Errorf("registration order[%d] = %q, want %q", i, got[i], name)
+		e := got[i]
+		if e.Name != name {
+			t.Errorf("order[%d] = %q, want %q", i, e.Name, name)
 		}
-		e, ok := engine.LookupExperiment(name)
-		if !ok || e.Title == "" {
-			t.Errorf("%s: missing or untitled", name)
+		if e.Title == "" || e.Run == nil {
+			t.Errorf("%s: untitled or without Run", name)
 		}
+		if g, err := Get(name); err != nil || g.Name != name {
+			t.Errorf("Get(%q) = %q, %v", name, g.Name, err)
+		}
+	}
+}
+
+func TestGetWrapsErrUnknown(t *testing.T) {
+	_, err := Get("fig999")
+	if !errors.Is(err, ErrUnknown) {
+		t.Fatalf("Get error does not wrap ErrUnknown: %v", err)
+	}
+	if !strings.Contains(err.Error(), "fig2, fig3") {
+		t.Errorf("Get error does not list the known names: %v", err)
 	}
 }
 
@@ -208,9 +222,9 @@ func TestFullPipelineQuick(t *testing.T) {
 	// render: every simulation below must be a cache hit.
 	var exps []engine.Experiment
 	for _, name := range []string{"fig15", "table4", "fig17", "fig18"} {
-		e, ok := engine.LookupExperiment(name)
-		if !ok {
-			t.Fatalf("missing %s", name)
+		e, err := Get(name)
+		if err != nil {
+			t.Fatal(err)
 		}
 		exps = append(exps, e)
 	}

@@ -7,9 +7,9 @@
 // Everything is deterministic: arrival draws consume a caller-provided
 // RNG in a fixed order, and capacity timelines are precomputed from a
 // seed before the simulation starts, so a scenario cell produces
-// byte-identical results at any worker count. Named Specs live in a
-// registry (see scenario.go) so experiments and tools compose scenarios
-// by name instead of hardcoding a fixed cluster.
+// byte-identical results at any worker count. Named Specs live in one
+// table (see scenario.go) so experiments and tools compose scenarios by
+// name instead of hardcoding a fixed cluster.
 package scenario
 
 import (

@@ -43,11 +43,10 @@ func capacityClaims(c CapacitySpec) map[CapacityEventKind]bool {
 	return claims
 }
 
-// Compose merges registered scenarios into one combined world model, so
-// a single cell can simulate e.g. a spot-market day: diurnal arrivals
-// AND spot preemptions at once. The composed spec is named by joining
-// the parts with "+" ("diurnal+spot"), the form the registry's Get also
-// parses directly.
+// Compose merges known scenarios into one combined world model, so a
+// single cell can simulate e.g. a spot-market day: diurnal arrivals AND
+// spot preemptions at once. The composed spec is named by joining the
+// parts with "+" ("diurnal+spot"), the form Get also parses directly.
 //
 // Each dimension of the world may be claimed by at most one part:
 //
@@ -63,12 +62,11 @@ func capacityClaims(c CapacitySpec) map[CapacityEventKind]bool {
 //     losses (one timeline shadowing the other); Compose rejects the
 //     pair with ErrIncompatible instead.
 //
-// Planned capacity events of disjoint kinds concatenate (the simulator
-// sorts them by time), MinServers takes the most conservative (largest)
-// floor, and Horizon the longest non-zero value. Composition keeps
-// determinism: the merged spec is a pure value, so trace caching (keyed
-// by ArrivalSpec) and capacity-timeline seeding behave exactly as for
-// built-in specs.
+// Planned capacity events of disjoint kinds concatenate (Timeline sorts
+// them by time), MinServers takes the most conservative (largest) floor,
+// and Horizon the longest non-zero value. Composition keeps determinism:
+// the merged spec is a pure value, so trace generation and
+// capacity-timeline seeding behave exactly as for built-in specs.
 func Compose(names ...string) (Spec, error) {
 	if len(names) == 0 {
 		return Spec{}, fmt.Errorf("%w: no scenario names given", ErrIncompatible)

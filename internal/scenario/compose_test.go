@@ -139,28 +139,3 @@ func TestGetParsesComposedNames(t *testing.T) {
 		t.Errorf("Get with incompatible parts: %v", err)
 	}
 }
-
-func TestRegisterRejectsPlusInName(t *testing.T) {
-	defer func() {
-		if r := recover(); r == nil {
-			t.Error("Register with '+' in the name did not panic")
-		} else if !strings.Contains(r.(string), "Compose") {
-			t.Errorf("panic message does not point at Compose: %v", r)
-		}
-	}()
-	Register(Spec{Name: "a+b"})
-}
-
-func TestDuplicatePanicMessageIsActionable(t *testing.T) {
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("duplicate Register did not panic")
-		}
-		msg, _ := r.(string)
-		if !strings.Contains(msg, Steady) || !strings.Contains(msg, "duplicate") {
-			t.Errorf("panic message unclear: %q", msg)
-		}
-	}()
-	Register(Spec{Name: Steady})
-}

@@ -3,13 +3,11 @@ package scenario
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
-	"sync"
 )
 
-// ErrUnknown is wrapped by Get for names absent from the registry; match
-// it with errors.Is.
+// ErrUnknown is wrapped by Get for unknown names; match it with
+// errors.Is.
 var ErrUnknown = errors.New("scenario: unknown scenario")
 
 // Spec is a named description of how the world changes during a run:
@@ -17,7 +15,7 @@ var ErrUnknown = errors.New("scenario: unknown scenario")
 // timeline the cluster follows. Experiments compose scenarios by name —
 // a simulation cell is (scheduler, capacity, trace seed, scenario).
 type Spec struct {
-	// Name is the flag-facing registry identifier ("steady", "diurnal", …).
+	// Name is the flag-facing identifier ("steady", "diurnal", …).
 	Name string
 	// Title is a one-line description for listings.
 	Title string
@@ -41,98 +39,23 @@ const (
 	MTBFDrain   = "mtbf-drain"
 )
 
-var (
-	registryMu sync.RWMutex
-	registry   = make(map[string]Spec)
-)
-
-// Register adds a named scenario. Re-registering a name panics: two
-// world models silently shadowing each other would corrupt experiments.
-func Register(s Spec) {
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	if s.Name == "" {
-		panic("scenario: Register with empty name")
-	}
-	if strings.Contains(s.Name, "+") {
-		panic(fmt.Sprintf("scenario: Register %q — %q is reserved for composition (see Compose); register the parts under plain names", s.Name, "+"))
-	}
-	if _, dup := registry[s.Name]; dup {
-		panic(fmt.Sprintf("scenario: duplicate registration of %q — two world models would silently shadow each other and corrupt experiments; pick a distinct name", s.Name))
-	}
-	registry[s.Name] = s
-}
-
-// Lookup returns the named scenario.
-func Lookup(name string) (Spec, bool) {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	s, ok := registry[name]
-	return s, ok
-}
-
-// Get returns the named scenario or an error listing the known names.
-// Names containing "+" compose on the fly: Get("diurnal+spot") merges
-// the two registered specs through Compose, so any registry consumer
-// (experiment cells, tracegen flags, the public SDK) can model combined
-// worlds without pre-registering every pairing.
-func Get(name string) (Spec, error) {
-	if strings.Contains(name, "+") {
-		return Compose(strings.Split(name, "+")...)
-	}
-	if s, ok := Lookup(name); ok {
-		return s, nil
-	}
-	return Spec{}, fmt.Errorf("%w %q (known: %v)", ErrUnknown, name, Names())
-}
-
-// Names returns the registered scenario names, sorted.
-func Names() []string {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	names := make([]string, 0, len(registry))
-	for n := range registry {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// Specs returns every registered scenario sorted by name.
-func Specs() []Spec {
-	out := make([]Spec, 0)
-	for _, n := range Names() {
-		s, _ := Lookup(n)
-		out = append(out, s)
-	}
-	return out
-}
-
-// init registers the built-in scenarios. Timescales follow the
+// builtins are the known scenarios, in name order. Timescales follow the
 // evaluation workload (interarrival ~12 s, JCTs of hundreds of seconds,
 // makespans of a few thousand): each scenario perturbs the world several
-// times within one run without making it unschedulable.
-func init() {
-	Register(Spec{
-		Name:  Steady,
-		Title: "fixed cluster, stationary Poisson arrivals (the paper's testbed)",
-	})
-	Register(Spec{
-		Name:    Diurnal,
-		Title:   "sinusoidal arrival rate — compressed day/night load",
-		Arrival: ArrivalSpec{Kind: ArrivalDiurnal, Period: 600, Amplitude: 0.8},
-	})
-	Register(Spec{
+// times within one run without making it unschedulable. Names must not
+// contain "+", which Get reserves for composition.
+var builtins = []Spec{
+	{
 		Name:    Burst,
 		Title:   "5× arrival bursts of 60 s every 400 s over a quiet baseline",
 		Arrival: ArrivalSpec{Kind: ArrivalBurst, BurstEvery: 400, BurstLen: 60, BurstFactor: 5},
-	})
-	Register(Spec{
-		Name:    HeavyTail,
-		Title:   "Pareto interarrival times — clustered submissions, long lulls",
-		Arrival: ArrivalSpec{Kind: ArrivalHeavyTail, Alpha: 1.5},
-	})
-	Register(Spec{
+	},
+	{
+		Name:    Diurnal,
+		Title:   "sinusoidal arrival rate — compressed day/night load",
+		Arrival: ArrivalSpec{Kind: ArrivalDiurnal, Period: 600, Amplitude: 0.8},
+	},
+	{
 		Name:  Elastic,
 		Title: "planned autoscaling: drain a quarter of the servers, later overshoot back",
 		Capacity: CapacitySpec{
@@ -143,26 +66,13 @@ func init() {
 			},
 			MinServers: 2,
 		},
-	})
-	Register(Spec{
-		Name:  Spot,
-		Title: "spot-instance preemptions every ~400 s, capacity restocked after 800 s",
-		Capacity: CapacitySpec{
-			PreemptMTBF:    400,
-			PreemptRestock: 800,
-			MinServers:     2,
-		},
-	})
-	Register(Spec{
-		Name:  NodeFailure,
-		Title: "node failures every ~300 s, repaired after 900 s",
-		Capacity: CapacitySpec{
-			FailMTBF:   300,
-			FailRepair: 900,
-			MinServers: 2,
-		},
-	})
-	Register(Spec{
+	},
+	{
+		Name:    HeavyTail,
+		Title:   "Pareto interarrival times — clustered submissions, long lulls",
+		Arrival: ArrivalSpec{Kind: ArrivalHeavyTail, Alpha: 1.5},
+	},
+	{
 		Name:  MTBFDrain,
 		Title: "stochastic rack failures every ~1200 s, each drained rack repaired after 900 s",
 		Capacity: CapacitySpec{
@@ -170,8 +80,17 @@ func init() {
 			DrainRestock: 900,
 			MinServers:   2,
 		},
-	})
-	Register(Spec{
+	},
+	{
+		Name:  NodeFailure,
+		Title: "node failures every ~300 s, repaired after 900 s",
+		Capacity: CapacitySpec{
+			FailMTBF:   300,
+			FailRepair: 900,
+			MinServers: 2,
+		},
+	},
+	{
 		Name:  RackDrain,
 		Title: "rack 1 drains whole at 600 s, powers back at 1800 s (no-op on single-rack clusters)",
 		Capacity: CapacitySpec{
@@ -181,5 +100,55 @@ func init() {
 			},
 			MinServers: 1,
 		},
-	})
+	},
+	{
+		Name:  Spot,
+		Title: "spot-instance preemptions every ~400 s, capacity restocked after 800 s",
+		Capacity: CapacitySpec{
+			PreemptMTBF:    400,
+			PreemptRestock: 800,
+			MinServers:     2,
+		},
+	},
+	{
+		Name:  Steady,
+		Title: "fixed cluster, stationary Poisson arrivals (the paper's testbed)",
+	},
 }
+
+// Lookup returns the named scenario.
+func Lookup(name string) (Spec, bool) {
+	for _, s := range builtins {
+		if s.Name == name {
+			return s, true
+		}
+	}
+	return Spec{}, false
+}
+
+// Get returns the named scenario or an error listing the known names.
+// Names containing "+" compose on the fly: Get("diurnal+spot") merges
+// the two known specs through Compose, so any consumer (experiment
+// cells, tracegen flags, the public SDK) can model combined worlds
+// without listing every pairing.
+func Get(name string) (Spec, error) {
+	if strings.Contains(name, "+") {
+		return Compose(strings.Split(name, "+")...)
+	}
+	if s, ok := Lookup(name); ok {
+		return s, nil
+	}
+	return Spec{}, fmt.Errorf("%w %q (known: %v)", ErrUnknown, name, Names())
+}
+
+// Names returns the known scenario names, sorted.
+func Names() []string {
+	names := make([]string, len(builtins))
+	for i, s := range builtins {
+		names[i] = s.Name
+	}
+	return names
+}
+
+// Specs returns every known scenario sorted by name.
+func Specs() []Spec { return append([]Spec(nil), builtins...) }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -187,15 +188,17 @@ func TestRegistryBuiltins(t *testing.T) {
 	}
 }
 
-func TestRegisterRejectsDuplicatesAndEmpty(t *testing.T) {
-	mustPanic := func(name string, f func()) {
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s: no panic", name)
-			}
-		}()
-		f()
+// TestBuiltinNames: the table's names are the flag-facing keys, so each
+// is non-empty, unique and free of the "+" Get reserves for composition,
+// and the table is written in strictly increasing name order (Names and
+// Specs return it as is).
+func TestBuiltinNames(t *testing.T) {
+	for i, s := range builtins {
+		if s.Name == "" || strings.Contains(s.Name, "+") {
+			t.Errorf("builtins[%d] has name %q", i, s.Name)
+		}
+		if i > 0 && builtins[i-1].Name >= s.Name {
+			t.Errorf("builtins[%d] %q does not sort after %q", i, s.Name, builtins[i-1].Name)
+		}
 	}
-	mustPanic("duplicate", func() { Register(Spec{Name: Steady}) })
-	mustPanic("empty name", func() { Register(Spec{}) })
 }

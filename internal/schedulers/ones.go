@@ -61,9 +61,6 @@ type ONES struct {
 	// running job finishes at least one more epoch.
 	lastDeployEpochs map[cluster.JobID]float64
 	deployed         bool
-
-	// Stats counts decision outcomes for reporting and debugging.
-	Stats ONESStats
 }
 
 const (
@@ -75,14 +72,6 @@ const (
 	// trained this many epochs ("Start" policy).
 	onesWarmupEpochs = 1
 )
-
-// ONESStats summarizes a run's decision outcomes.
-type ONESStats struct {
-	Decisions     int // Decide invocations
-	Deployments   int // champions actually deployed
-	GatedByEpochs int // champions held back by the one-epoch update rule
-	NoChange      int // champion identical to the live schedule
-}
 
 // onesJob is ONES's private per-job state.
 type onesJob struct {
@@ -183,7 +172,6 @@ func (o *ONES) Decide(trigger simulator.Trigger, view *simulator.View) *cluster.
 	}
 	evoSpan.End()
 
-	o.Stats.Decisions++
 	o.decisions.Inc()
 	if o.cancelled != nil && o.cancelled() {
 		// The search was cut short: the champion may be stale — it can
@@ -192,15 +180,9 @@ func (o *ONES) Decide(trigger simulator.Trigger, view *simulator.View) *cluster.
 		// deployment; the simulator is about to abort the run anyway.
 		return nil
 	}
-	if !o.shouldDeploy(trigger, view) {
-		o.Stats.GatedByEpochs++
+	if !o.shouldDeploy(trigger, view) || champion.Equal(view.Current) {
 		return nil
 	}
-	if champion.Equal(view.Current) {
-		o.Stats.NoChange++
-		return nil
-	}
-	o.Stats.Deployments++
 	o.deployments.Inc()
 	o.recordDeployment(view, champion)
 	return champion

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/obs"
 	"repro/internal/simulator"
 	"repro/internal/workload"
 )
@@ -44,6 +45,8 @@ func sampleJobView(id cluster.JobID) simulator.JobView {
 func TestONESFirstDecisionDeploysNewJob(t *testing.T) {
 	o := NewONES(1, 1.0/12)
 	o.PopulationSize = 4
+	reg := obs.NewRegistry()
+	o.Obs = reg
 	topo := cluster.Uniform(1, 4)
 	view := makeView(0, topo, []simulator.JobView{sampleJobView(0)}, nil)
 	s := o.Decide(simulator.TriggerArrival, view)
@@ -57,8 +60,9 @@ func TestONESFirstDecisionDeploysNewJob(t *testing.T) {
 	if got := s.GPUCount(0); got != 1 {
 		t.Errorf("fresh job got %d GPUs, Start policy says 1", got)
 	}
-	if o.Stats.Decisions != 1 || o.Stats.Deployments != 1 {
-		t.Errorf("stats: %+v", o.Stats)
+	decisions, deployments := reg.CounterValue("ones_decisions_total"), reg.CounterValue("ones_deployments_total")
+	if decisions != 1 || deployments != 1 {
+		t.Errorf("decisions = %d, deployments = %d, want 1 and 1", decisions, deployments)
 	}
 }
 
@@ -135,12 +139,12 @@ func TestONESEpochGateBlocksMidEpochRedeploys(t *testing.T) {
 	jv.GPUs = dep.GPUCount(0)
 	jv.Batch = dep.GlobalBatch(0)
 	jv.WallEpochs = 0.4 // mid-epoch
-	before := o.Stats.GatedByEpochs
-	if got := o.Decide(simulator.TriggerEpochEnd, makeView(5, topo, []simulator.JobView{jv}, dep)); got != nil {
-		t.Error("mid-epoch epoch-end trigger should be gated")
+	view := makeView(5, topo, []simulator.JobView{jv}, dep)
+	if o.shouldDeploy(simulator.TriggerEpochEnd, view) {
+		t.Error("mid-epoch epoch-end trigger passes the one-epoch gate")
 	}
-	if o.Stats.GatedByEpochs != before+1 {
-		t.Errorf("gating not counted: %+v", o.Stats)
+	if got := o.Decide(simulator.TriggerEpochEnd, view); got != nil {
+		t.Error("mid-epoch epoch-end trigger should be gated")
 	}
 }
 

@@ -94,19 +94,12 @@ func (o *Optimus) remainingEpochs(j simulator.JobView) float64 {
 // remainingTime estimates seconds to completion with c workers at the
 // job's fixed global batch.
 func (o *Optimus) remainingTime(view *simulator.View, j simulator.JobView, c int) float64 {
-	x := view.Throughput(j.ID, j.ReqBatch, c, serversFor(c, view.Topo))
+	x := view.Throughput(j.ID, j.ReqBatch, c, view.Topo.MinServersFor(c))
 	if x <= 0 {
 		return 1e18
 	}
 	samples := o.remainingEpochs(j) * float64(j.Task.DatasetSize)
 	return samples / x
-}
-
-// serversFor returns the packed server span of c workers: the fewest
-// servers that can hold them, largest machines first (on a homogeneous
-// cluster, ⌈c / gpusPerServer⌉).
-func serversFor(c int, topo cluster.Topology) int {
-	return topo.MinServersFor(c)
 }
 
 // Decide implements simulator.Scheduler. Optimus only acts on its periodic

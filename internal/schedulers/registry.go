@@ -4,14 +4,13 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 
 	"repro/internal/obs"
 	"repro/internal/simulator"
 )
 
-// ErrUnknown is wrapped by New for names absent from the registry; match
-// it with errors.Is.
+// ErrUnknown is wrapped by New for unknown names; match it with
+// errors.Is.
 var ErrUnknown = errors.New("schedulers: unknown scheduler")
 
 // Config carries the policy-independent knobs a scheduler factory may use.
@@ -44,59 +43,10 @@ type Config struct {
 // Factory constructs one scheduler instance from a Config.
 type Factory func(cfg Config) simulator.Scheduler
 
-var (
-	registryMu sync.RWMutex
-	registry   = make(map[string]Factory)
-)
-
-// Register adds a named scheduler factory. Names are the flag-facing
-// lowercase identifiers ("ones", "drl", …). Re-registering a name panics:
-// two policies silently shadowing each other would corrupt experiments.
-func Register(name string, f Factory) {
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	if name == "" || f == nil {
-		panic("schedulers: Register with empty name or nil factory")
-	}
-	if _, dup := registry[name]; dup {
-		panic(fmt.Sprintf("schedulers: duplicate registration of %q — two policies would silently shadow each other and corrupt experiments; pick a distinct name", name))
-	}
-	registry[name] = f
-}
-
-// New constructs the named scheduler, or errors listing the known names.
-func New(name string, cfg Config) (simulator.Scheduler, error) {
-	registryMu.RLock()
-	f, ok := registry[name]
-	registryMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("%w %q (known: %v)", ErrUnknown, name, Names())
-	}
-	return f(cfg), nil
-}
-
-// Has reports whether a scheduler is registered under the given name.
-func Has(name string) bool {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	_, ok := registry[name]
-	return ok
-}
-
-// Names returns the registered scheduler names, sorted.
-func Names() []string {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	names := make([]string, 0, len(registry))
-	for n := range registry {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-func init() {
-	Register("ones", func(cfg Config) simulator.Scheduler {
+// factories maps each flag-facing scheduler name ("ones", "drl", …) to
+// its constructor. A new policy is its file plus one entry here.
+var factories = map[string]Factory{
+	"ones": func(cfg Config) simulator.Scheduler {
 		o := NewONES(cfg.Seed, cfg.ArrivalRate)
 		if cfg.Population > 0 {
 			o.PopulationSize = cfg.Population
@@ -108,10 +58,35 @@ func init() {
 		o.Obs = cfg.Obs
 		o.Span = cfg.Span
 		return o
-	})
-	Register("drl", func(cfg Config) simulator.Scheduler { return NewDRL(cfg.Seed) })
-	Register("tiresias", func(cfg Config) simulator.Scheduler { return NewTiresias() })
-	Register("optimus", func(cfg Config) simulator.Scheduler { return NewOptimus() })
-	Register("fifo", func(cfg Config) simulator.Scheduler { return NewFIFO() })
-	Register("sjf", func(cfg Config) simulator.Scheduler { return NewSJF() })
+	},
+	"drl":      func(cfg Config) simulator.Scheduler { return NewDRL(cfg.Seed) },
+	"tiresias": func(cfg Config) simulator.Scheduler { return NewTiresias() },
+	"optimus":  func(cfg Config) simulator.Scheduler { return NewOptimus() },
+	"fifo":     func(cfg Config) simulator.Scheduler { return NewFIFO() },
+	"sjf":      func(cfg Config) simulator.Scheduler { return NewSJF() },
+}
+
+// New constructs the named scheduler, or errors listing the known names.
+func New(name string, cfg Config) (simulator.Scheduler, error) {
+	f, ok := factories[name]
+	if !ok {
+		return nil, fmt.Errorf("%w %q (known: %v)", ErrUnknown, name, Names())
+	}
+	return f(cfg), nil
+}
+
+// Has reports whether a scheduler is known under the given name.
+func Has(name string) bool {
+	_, ok := factories[name]
+	return ok
+}
+
+// Names returns the known scheduler names, sorted.
+func Names() []string {
+	names := make([]string, 0, len(factories))
+	for n := range factories {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	return names
 }

@@ -2,7 +2,7 @@ package ones
 
 import (
 	"repro/internal/autoscale"
-	"repro/internal/engine"
+	"repro/internal/experiments"
 	"repro/internal/scenario"
 	"repro/internal/schedulers"
 )
@@ -27,5 +27,5 @@ var (
 	ErrUnknownAutoscaler = autoscale.ErrUnknown
 	// ErrUnknownExperiment marks an experiment name absent from the
 	// registry (see Session.Experiments).
-	ErrUnknownExperiment = engine.ErrUnknownExperiment
+	ErrUnknownExperiment = experiments.ErrUnknown
 )

@@ -6,6 +6,8 @@ import (
 	"net/http"
 	"testing"
 	"time"
+
+	"repro/pkg/ones"
 )
 
 // reactiveSpec overloads a 2-server cluster so the controller must grow
@@ -33,7 +35,7 @@ func TestDaemonReactiveRun(t *testing.T) {
 	}()
 
 	var list struct {
-		Autoscalers []autoscalerInfo `json:"autoscalers"`
+		Autoscalers []ones.AutoscalerInfo `json:"autoscalers"`
 	}
 	if err := json.Unmarshal(doJSON(t, "GET", ts.URL+"/v1/autoscalers", nil, http.StatusOK), &list); err != nil {
 		t.Fatal(err)

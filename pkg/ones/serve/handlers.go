@@ -261,51 +261,16 @@ func (s *Server) handleSchedulers(w http.ResponseWriter, req *http.Request) {
 	})
 }
 
-// scenarioInfo is the JSON view of one registered scenario.
-type scenarioInfo struct {
-	Name            string `json:"name"`
-	Title           string `json:"title"`
-	Arrival         string `json:"arrival"`
-	ElasticCapacity bool   `json:"elastic_capacity"`
-}
-
 func (s *Server) handleScenarios(w http.ResponseWriter, req *http.Request) {
-	specs := ones.Scenarios()
-	out := make([]scenarioInfo, len(specs))
-	for i, sp := range specs {
-		out[i] = scenarioInfo{Name: sp.Name, Title: sp.Title, Arrival: sp.Arrival, ElasticCapacity: sp.ElasticCapacity}
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"scenarios": out})
-}
-
-// autoscalerInfo is the JSON view of one registered autoscaler policy.
-type autoscalerInfo struct {
-	Name  string `json:"name"`
-	Title string `json:"title"`
+	writeJSON(w, http.StatusOK, map[string]any{"scenarios": ones.Scenarios()})
 }
 
 func (s *Server) handleAutoscalers(w http.ResponseWriter, req *http.Request) {
-	policies := ones.Autoscalers()
-	out := make([]autoscalerInfo, len(policies))
-	for i, p := range policies {
-		out[i] = autoscalerInfo{Name: p.Name, Title: p.Title}
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"autoscalers": out})
-}
-
-// experimentInfo is the JSON view of one registered experiment.
-type experimentInfo struct {
-	Name  string `json:"name"`
-	Title string `json:"title"`
+	writeJSON(w, http.StatusOK, map[string]any{"autoscalers": ones.Autoscalers()})
 }
 
 func (s *Server) handleExperiments(w http.ResponseWriter, req *http.Request) {
-	exps := ones.Experiments()
-	out := make([]experimentInfo, len(exps))
-	for i, e := range exps {
-		out[i] = experimentInfo{Name: e.Name, Title: e.Title}
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"experiments": out})
+	writeJSON(w, http.StatusOK, map[string]any{"experiments": ones.Experiments()})
 }
 
 func (s *Server) handleCache(w http.ResponseWriter, req *http.Request) {

@@ -327,7 +327,7 @@ func TestDaemonRegistries(t *testing.T) {
 		t.Errorf("schedulers = %+v", scheds)
 	}
 	var scns struct {
-		Scenarios []scenarioInfo `json:"scenarios"`
+		Scenarios []ones.ScenarioInfo `json:"scenarios"`
 	}
 	if err := json.Unmarshal(doJSON(t, "GET", ts.URL+"/v1/scenarios", nil, http.StatusOK), &scns); err != nil {
 		t.Fatal(err)
@@ -336,7 +336,7 @@ func TestDaemonRegistries(t *testing.T) {
 		t.Error("no scenarios listed")
 	}
 	var exps struct {
-		Experiments []experimentInfo `json:"experiments"`
+		Experiments []ones.ExperimentInfo `json:"experiments"`
 	}
 	if err := json.Unmarshal(doJSON(t, "GET", ts.URL+"/v1/experiments", nil, http.StatusOK), &exps); err != nil {
 		t.Fatal(err)

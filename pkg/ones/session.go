@@ -9,7 +9,7 @@ import (
 
 	"repro/internal/autoscale"
 	"repro/internal/engine"
-	_ "repro/internal/experiments" // populate the experiment registry
+	"repro/internal/experiments"
 	"repro/internal/scenario"
 	"repro/internal/schedulers"
 )
@@ -266,7 +266,7 @@ func (s *Session) RunExperiment(ctx context.Context, name string) (string, error
 func (s *Session) RunExperiments(ctx context.Context, names ...string) ([]ExperimentResult, error) {
 	exps := make([]engine.Experiment, len(names))
 	for i, name := range names {
-		e, err := engine.GetExperiment(name)
+		e, err := experiments.Get(name)
 		if err != nil {
 			return nil, err
 		}
@@ -297,14 +297,14 @@ func (s *Session) RunExperiments(ctx context.Context, names ...string) ([]Experi
 
 // ExperimentInfo describes one registered experiment.
 type ExperimentInfo struct {
-	Name  string
-	Title string
+	Name  string `json:"name"`
+	Title string `json:"title"`
 }
 
 // Experiments lists the registered experiments in paper (registration)
 // order.
 func Experiments() []ExperimentInfo {
-	exps := engine.Experiments()
+	exps := experiments.All()
 	out := make([]ExperimentInfo, len(exps))
 	for i, e := range exps {
 		out[i] = ExperimentInfo{Name: e.Name, Title: e.Title}
@@ -321,12 +321,12 @@ func PaperSchedulers() []string { return engine.PaperSchedulers() }
 
 // ScenarioInfo describes one registered scenario.
 type ScenarioInfo struct {
-	Name    string
-	Title   string
-	Arrival string // human description of the arrival process
+	Name    string `json:"name"`
+	Title   string `json:"title"`
+	Arrival string `json:"arrival"` // human description of the arrival process
 	// ElasticCapacity is true when the scenario mutates cluster capacity
 	// during the run (failures, preemptions, planned scaling).
-	ElasticCapacity bool
+	ElasticCapacity bool `json:"elastic_capacity"`
 }
 
 // Scenarios lists the registered scenarios sorted by name. Any "+"
@@ -348,8 +348,8 @@ func Scenarios() []ScenarioInfo {
 
 // AutoscalerInfo describes one registered autoscaler policy.
 type AutoscalerInfo struct {
-	Name  string
-	Title string
+	Name  string `json:"name"`
+	Title string `json:"title"`
 }
 
 // Autoscalers lists the registered reactive autoscaler policies sorted
