@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"time"
 
@@ -101,12 +102,12 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
+// writeJSON writes v as one line of compact JSON: indenting a Result
+// costs more CPU than encoding it, and `jq .` pretty-prints client-side.
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	json.NewEncoder(w).Encode(v)
 }
 
 func writeError(w http.ResponseWriter, code int, err error) {
@@ -131,7 +132,15 @@ func (s *Server) handleCreate(w http.ResponseWriter, req *http.Request) {
 	var spec RunSpec
 	dec := json.NewDecoder(http.MaxBytesReader(w, req.Body, 1<<20))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
+	err := dec.Decode(&spec)
+	if err == nil {
+		// One spec per body: a second object or stray text after it is
+		// rejected like an unknown field, not silently dropped.
+		if _, tail := dec.Token(); tail != io.EOF {
+			err = errors.New("trailing data after the spec")
+		}
+	}
+	if err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("bad run spec: %w", err))
 		return
 	}

@@ -295,17 +295,81 @@ func TestDaemonErrorPaths(t *testing.T) {
 	doJSON(t, "POST", ts.URL+"/v1/runs", RunSpec{Scenario: "bogus"}, http.StatusUnprocessableEntity)
 	doJSON(t, "GET", ts.URL+"/v1/runs/run-999999", nil, http.StatusNotFound)
 	doJSON(t, "DELETE", ts.URL+"/v1/runs/run-999999", nil, http.StatusNotFound)
-	// Unknown spec fields are rejected, not silently ignored — typos in
-	// scripts must not silently run the default simulation.
-	req, err := http.Post(ts.URL+"/v1/runs", "application/json", strings.NewReader(`{"schedulr":"ones"}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Body.Close()
-	if req.StatusCode != http.StatusBadRequest {
-		t.Errorf("unknown field accepted with %d, want 400", req.StatusCode)
+	// Unknown spec fields and data after the spec are rejected, not
+	// silently ignored — typos in scripts must not silently run the
+	// default simulation.
+	for body, want := range map[string]int{
+		`{"schedulr":"ones"}`:                                             http.StatusBadRequest,
+		`{"scheduler":"fifo","jobs":5,"quick":true} garbage`:              http.StatusBadRequest,
+		`{"scheduler":"fifo","jobs":5,"quick":true}{"scheduler":"bogus"}`: http.StatusBadRequest,
+		"{\"scheduler\":\"fifo\",\"jobs\":5,\"quick\":true}\n":            http.StatusCreated,
+	} {
+		resp, err := http.Post(ts.URL+"/v1/runs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e map[string]string
+		json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Errorf("POST %q = %d, want %d", body, resp.StatusCode, want)
+		}
+		if want == http.StatusBadRequest && !strings.HasPrefix(e["error"], "bad run spec: ") {
+			t.Errorf("POST %q error %q, want a \"bad run spec: …\" message", body, e["error"])
+		}
 	}
 }
+
+// TestResponsesAreCompact: every JSON body the daemon writes is compact
+// JSON plus the encoder's one trailing newline, like the NDJSON stream's
+// lines; a client that wants it pretty pipes it through `jq .`.
+func TestResponsesAreCompact(t *testing.T) {
+	srv, ts := newTestServer(t, "")
+	defer func() {
+		srv.Shutdown(context.Background())
+		ts.Close()
+	}()
+	created := doJSON(t, "POST", ts.URL+"/v1/runs", quickSpec(), http.StatusCreated)
+	var st RunStatus
+	if err := json.Unmarshal(created, &st); err != nil {
+		t.Fatal(err)
+	}
+	waitStatus(t, ts.URL, st.ID, StatusDone, 30*time.Second)
+	type response struct {
+		name string
+		body []byte
+	}
+	bodies := []response{
+		{"POST /v1/runs", created},
+		{"GET /v1/runs/{id}", doJSON(t, "GET", ts.URL+"/v1/runs/"+st.ID, nil, http.StatusOK)},
+		{"GET /v1/runs", doJSON(t, "GET", ts.URL+"/v1/runs", nil, http.StatusOK)},
+		{"DELETE /v1/runs/{id}", doJSON(t, "DELETE", ts.URL+"/v1/runs/"+st.ID, nil, http.StatusAccepted)},
+		{"GET /v1/cache", doJSON(t, "GET", ts.URL+"/v1/cache", nil, http.StatusOK)},
+		{"GET /v1/runs/{id} 404", doJSON(t, "GET", ts.URL+"/v1/runs/run-999999", nil, http.StatusNotFound)},
+	}
+	for _, path := range listingPaths {
+		bodies = append(bodies, response{"GET " + path, doJSON(t, "GET", ts.URL+path, nil, http.StatusOK)})
+	}
+	var done RunStatus
+	if err := json.Unmarshal(bodies[1].body, &done); err != nil || done.Result == nil {
+		t.Fatalf("done run carries no result (%v): %s", err, bodies[1].body)
+	}
+	for _, b := range bodies {
+		var want bytes.Buffer
+		if err := json.Compact(&want, b.body); err != nil {
+			t.Errorf("%s: %v", b.name, err)
+			continue
+		}
+		want.WriteByte('\n')
+		if !bytes.Equal(b.body, want.Bytes()) {
+			t.Errorf("%s body is not compact JSON plus one newline:\n%s", b.name, b.body)
+		}
+	}
+}
+
+// listingPaths are the four discovery endpoints whose bodies
+// testdata/listings.golden pins.
+var listingPaths = []string{"/v1/schedulers", "/v1/scenarios", "/v1/autoscalers", "/v1/experiments"}
 
 // TestDaemonRegistries: the discovery endpoints expose the SDK
 // registries.
@@ -347,7 +411,7 @@ func TestDaemonRegistries(t *testing.T) {
 	// The four listings are pinned byte for byte: names, order, titles
 	// and field names are part of the daemon's contract.
 	var listings bytes.Buffer
-	for _, path := range []string{"/v1/schedulers", "/v1/scenarios", "/v1/autoscalers", "/v1/experiments"} {
+	for _, path := range listingPaths {
 		fmt.Fprintf(&listings, "GET %s\n", path)
 		listings.Write(doJSON(t, "GET", ts.URL+path, nil, http.StatusOK))
 	}
