@@ -319,10 +319,10 @@ func BenchmarkEngineSweepParallel(b *testing.B) { benchEngineSweep(b, 0) }
 // BenchmarkEvolution500Jobs is the headline wall-time benchmark for the
 // evolution hot path: one full ONES simulation of a 500-job trace on a
 // 32-GPU cluster. Nearly all of its time is spent inside
-// evolution.Engine.Iterate (candidate generation + SRUF scoring), so its
-// ns/op tracks the optimizations guarded by BENCH_6.json: the throughput
-// memo, one-pass genome aggregation, recycled candidate genomes and the
-// flat event queue.
+// evolution.Engine.Iterate (candidate generation + SRUF scoring) and the
+// predictor's refits, so its ns/op tracks the optimizations guarded by
+// BENCH_6.json: the per-worker throughput memo, one-pass genome
+// aggregation, recycled candidate genomes and the flat event queue.
 func BenchmarkEvolution500Jobs(b *testing.B) {
 	cfg := workload.Config{Seed: 6, NumJobs: 500, MeanInterarrival: 12, MaxReqGPUs: 8}
 	tr, err := workload.Generate(cfg)

@@ -7,15 +7,12 @@ import (
 )
 
 // BenchmarkIterate measures one full evolution round — candidate
-// generation with all four operators plus selection — on a 32-GPU
+// generation with all four operators, scoring and selection — on a 32-GPU
 // cluster with 12 alive jobs and population 16. allocs/op makes the
 // reuse of workers and candidate slots visible in the benchmark
-// trajectory.
+// trajectory; TestIterateAllocs pins it.
 func BenchmarkIterate(b *testing.B) {
-	topo := cluster.Uniform(8, 4)
-	ctx := testCtx(42, 12, topo)
-	e := NewEngine(16, 0.2)
-	e.Iterate(ctx) // warm population, workers, candidate slots and memo
+	e, ctx := iterateBench()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -23,16 +20,25 @@ func BenchmarkIterate(b *testing.B) {
 	}
 }
 
+// iterateBench returns BenchmarkIterate's engine and context, after one
+// round that warms the population, workers and candidate slots.
+func iterateBench() (*Engine, *Context) {
+	ctx := testCtx(42, 12, cluster.Uniform(8, 4))
+	e := NewEngine(16, 0.2)
+	e.Iterate(ctx)
+	return e, ctx
+}
+
 // BenchmarkScore measures the SRUF objective on one candidate via the
-// one-pass aggregate load and the memoized throughput path, on one reused
-// scratch as every Iterate worker scores.
+// one-pass aggregate load and a worker's throughput memo, on one reused
+// scratch. Iterate's workers score from reorder's aggregates instead of
+// loading; the ablation without reorder takes this path.
 func BenchmarkScore(b *testing.B) {
 	topo := cluster.Uniform(8, 4)
 	ctx := testCtx(42, 12, topo)
-	ctx.prepare()
 	s := Refresh(cluster.NewSchedule(topo), ctx)
 	rhos := SampleRhos(ctx)
-	sc := new(evalScratch)
+	sc := &newWorker().sc
 	score(s, ctx, rhos, sc) // warm the memo and the scratch
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -52,13 +52,12 @@ func (info *JobInfo) effLimit() int {
 
 // Context carries the live cluster state into one evolution iteration.
 //
-// A Context also owns two lazily built caches — the sorted job-ID order
-// and the throughput memo — that one iteration's concurrent sub-contexts
-// share. Both assume the Jobs set, the Topo and the Throughput function
-// stay fixed for the Context's lifetime; the ONES scheduler guarantees
-// this by building a fresh Context for every scheduling decision, which
-// is also what invalidates the caches on topology changes and
-// progress-distribution refreshes.
+// A Context also owns a lazily built cache, the sorted job-ID order, that
+// one iteration's concurrent sub-contexts share. It assumes the Jobs set
+// stays fixed for the Context's lifetime; the ONES scheduler guarantees
+// this by building a fresh Context for every scheduling decision. The
+// throughput memo is not the Context's: each Engine worker keeps its own
+// and clears it at the start of every round (see throughputMemo).
 type Context struct {
 	Topo cluster.Topology
 	// Jobs holds every alive (running or waiting) job. Jobs absent from
@@ -69,74 +68,58 @@ type Context struct {
 	NewJobs []cluster.JobID
 	// Throughput returns X_j for job j at global batch B over c workers
 	// spanning `servers` servers. It must be pure for the Context's
-	// lifetime: evaluations are memoized per (j, B, c, servers).
+	// lifetime: within an evolution round, evaluations are memoized per
+	// (j, B, c, servers).
 	Throughput func(j cluster.JobID, B, c, servers int) float64
 	Rng        *rand.Rand
 
-	// MemoHits / MemoMisses, when set, count throughput-memo outcomes
-	// (see internal/obs). Telemetry only: scoring is unaffected, and the
-	// nil default costs one branch per evaluation.
-	MemoHits   *obs.Counter
-	MemoMisses *obs.Counter
-
-	ids  []cluster.JobID // sorted-job-ID cache; see jobIDs
-	memo *throughputMemo // shared Throughput cache; see throughput
+	ids []cluster.JobID // sorted-job-ID cache; see jobIDs
 }
 
-// throughputMemo caches Throughput evaluations for one Context. Candidate
-// genomes overwhelmingly agree on most placements — mutation and
-// crossover touch a handful of genes — so across one iteration's ~4K
-// candidates the same (job, B, c, servers) points are evaluated over and
-// over. The memo never invalidates within a Context; it is dropped with
-// it.
+// throughputMemo is one Engine worker's cache of Context.Throughput for
+// one evolution round. Candidate genomes overwhelmingly agree on most
+// placements (mutation and crossover touch a handful of genes), so across
+// one round's candidates the same (job, B, c, servers) points are
+// evaluated over and over. Only its worker reads or writes it, so it
+// needs no lock; Iterate clears it at the start of every round, so it
+// never outlives the Context that filled it. hits and misses count its
+// outcomes until Iterate adds them to the Engine's counters.
 type throughputMemo struct {
-	mu sync.RWMutex
-	m  map[throughputKey]float64
+	m            map[uint64]float64
+	hits, misses uint64
 }
 
-// throughputKey is the full argument tuple of Context.Throughput, which
-// is pure over it for the life of a Context.
-type throughputKey struct {
-	job     cluster.JobID
-	batch   int
-	gpus    int
-	servers int
+// memoKey packs Throughput's arguments into one word: 24 bits of job ID,
+// 20 of global batch and 10 each of GPUs and servers. ok is false when a
+// value does not fit its field (sparse or large job IDs); such points are
+// evaluated directly.
+func memoKey(j cluster.JobID, B, c, servers int) (key uint64, ok bool) {
+	if uint64(j) >= 1<<24 || uint64(B) >= 1<<20 || uint64(c) >= 1<<10 || uint64(servers) >= 1<<10 {
+		return 0, false
+	}
+	return uint64(j)<<40 | uint64(B)<<20 | uint64(c)<<10 | uint64(servers), true
 }
 
-// throughput evaluates X_j through the Context memo (or directly when the
-// Context was never prepared — standalone operator calls in tests).
-// Safe for concurrent use.
-func (ctx *Context) throughput(j cluster.JobID, B, c, servers int) float64 {
-	mm := ctx.memo
-	if mm == nil {
+// throughput evaluates X_j through the scratch's memo, or directly when
+// the scratch has none (standalone operator calls).
+func (sc *evalScratch) throughput(ctx *Context, j cluster.JobID, B, c, servers int) float64 {
+	mm := &sc.memo
+	if mm.m == nil {
 		return ctx.Throughput(j, B, c, servers)
 	}
-	k := throughputKey{job: j, batch: B, gpus: c, servers: servers}
-	mm.mu.RLock()
-	x, ok := mm.m[k]
-	mm.mu.RUnlock()
+	k, ok := memoKey(j, B, c, servers)
 	if ok {
-		ctx.MemoHits.Inc()
-		return x
+		if x, hit := mm.m[k]; hit {
+			mm.hits++
+			return x
+		}
 	}
-	ctx.MemoMisses.Inc()
-	x = ctx.Throughput(j, B, c, servers)
-	mm.mu.Lock()
-	mm.m[k] = x
-	mm.mu.Unlock()
+	mm.misses++
+	x := ctx.Throughput(j, B, c, servers)
+	if ok {
+		mm.m[k] = x
+	}
 	return x
-}
-
-// prepare builds the shared caches on the master Context before a
-// fan-out. Sub-contexts are struct copies, so they inherit the filled
-// pointers and all workers share one ID slice and one memo.
-func (ctx *Context) prepare() {
-	if ctx.ids == nil {
-		ctx.ids = sortIDs(ctx.Jobs)
-	}
-	if ctx.memo == nil {
-		ctx.memo = &throughputMemo{m: make(map[throughputKey]float64, 8*len(ctx.Jobs))}
-	}
 }
 
 // jobIDs returns the alive job IDs in ascending order so that random
@@ -182,8 +165,7 @@ func remainingWork(info *JobInfo, rho float64) float64 {
 // loadMode selects how much of the genome evalScratch.load digests.
 const (
 	loadAggs = iota // per-job aggregates only (Score)
-	loadIdle        // aggregates + the idle GPU list (fill)
-	loadGPUs        // aggregates + idle + per-job GPU lists (normalize)
+	loadIdle        // aggregates + the idle GPU list (normalize, fill)
 )
 
 // jobAgg summarizes one running job's placement: the (c_j, B_j, servers)
@@ -195,23 +177,21 @@ type jobAgg struct {
 	B       int // global batch B_j
 	servers int // distinct servers spanned
 	lastSrv int // load state: last server index this job was seen on
-	gpuOff  int // offset of this job's GPU list in evalScratch.gpus
-	cur     int // load state: next write position in the GPU list
+	next    int // reorder state: this job's next write position
 }
 
 // evalScratch holds the reusable buffers for evaluating one candidate
 // schedule. The operators and Score used to interrogate genomes through
 // per-job O(cluster) scans (RunningJobs, GPUCount, GlobalBatch, ServersOf,
-// GPUsOf, IdleGPUs) that dominated the engine's profile; load digests the
-// genome once and the operators read these aggregates instead.
+// GPUsOf, IdleGPUs) that dominated the engine's profile; load and reorder
+// digest the genome once and the operators read these aggregates instead.
 type evalScratch struct {
 	aggs []jobAgg        // running jobs in first-occurrence order
-	gpus []cluster.GPUID // arena backing the per-job GPU lists
 	idle []cluster.GPUID // idle GPUs in index order
-	buf  []cluster.GPUID // fill's per-assignment GPU gather list
+	buf  []cluster.GPUID // normalize's and fill's per-job GPU gather list
+	old  []cluster.Slot  // reorder's pre-reorder copy of the genome
 
-	spans reorderSpans   // reorder's per-job slot counts, then cursors
-	old   []cluster.Slot // reorder's pre-reorder copy of the genome
+	memo throughputMemo // a worker's memo; a nil map (no memo) elsewhere
 }
 
 // find returns the index of job j in sc.aggs, or -1 when j is not
@@ -232,8 +212,7 @@ func (sc *evalScratch) find(j cluster.JobID, hint int) int {
 }
 
 // load digests schedule s: per-job aggregates in first-occurrence order,
-// plus — by mode — the idle list and per-job GPU index lists (ascending
-// within each job, exactly as GPUsOf reports them).
+// plus the idle list in mode loadIdle.
 func (sc *evalScratch) load(s *cluster.Schedule, mode int) {
 	sc.aggs = sc.aggs[:0]
 	sc.idle = sc.idle[:0]
@@ -244,7 +223,7 @@ func (sc *evalScratch) load(s *cluster.Schedule, mode int) {
 		for end := g + topo.Servers[srv].GPUs; g < end; g++ {
 			sl := slots[g]
 			if sl.Idle() {
-				if mode >= loadIdle {
+				if mode == loadIdle {
 					sc.idle = append(sc.idle, cluster.GPUID(g))
 				}
 				continue
@@ -264,57 +243,17 @@ func (sc *evalScratch) load(s *cluster.Schedule, mode int) {
 			}
 		}
 	}
-	if mode < loadGPUs {
-		return
-	}
-	total := 0
-	for i := range sc.aggs {
-		sc.aggs[i].gpuOff = total
-		sc.aggs[i].cur = total
-		total += sc.aggs[i].c
-	}
-	if cap(sc.gpus) < total {
-		sc.gpus = make([]cluster.GPUID, total)
-	}
-	sc.gpus = sc.gpus[:total]
-	i = 0
-	for g, sl := range slots {
-		if sl.Idle() {
-			continue
-		}
-		i = sc.find(sl.Job, i)
-		a := &sc.aggs[i]
-		sc.gpus[a.cur] = cluster.GPUID(g)
-		a.cur++
-	}
 }
 
-// gpusOf returns job a's GPU list from the arena (load mode loadGPUs).
-func (sc *evalScratch) gpusOf(a *jobAgg) []cluster.GPUID {
-	return sc.gpus[a.gpuOff : a.gpuOff+a.c]
-}
-
-// reorderSpan is one running job's slot count, then its write cursor.
-type reorderSpan struct {
-	id   cluster.JobID
-	next int
-}
-
-// reorderSpans lists the running jobs in first-occurrence order.
-type reorderSpans []reorderSpan
-
-// find returns the index of job j, or -1; hint is the previous slot's hit,
-// as in evalScratch.find.
-func (rs reorderSpans) find(j cluster.JobID, hint int) int {
-	if hint < len(rs) && rs[hint].id == j {
-		return hint
-	}
-	for i := range rs {
-		if rs[i].id == j {
-			return i
+// gather fills sc.buf with job j's GPUs in index order.
+func (sc *evalScratch) gather(s *cluster.Schedule, j cluster.JobID) []cluster.GPUID {
+	sc.buf = sc.buf[:0]
+	for g, sl := range s.Slots() {
+		if sl.Job == j {
+			sc.buf = append(sc.buf, cluster.GPUID(g))
 		}
 	}
-	return -1
+	return sc.buf
 }
 
 // reorder packs the workers of each job in s contiguously, in order of
@@ -322,31 +261,55 @@ func (rs reorderSpans) find(j cluster.JobID, hint int) int {
 // batch sizes (the paper's reorder operation, Figure 10). Idle slots are
 // pushed to the tail.
 //
-// reorder keeps its own count pass instead of building on load: it needs
-// only an ID and a count per job, not load's batch sums and server spans.
-// DESIGN.md ("Hash-free grouping") records the measurements behind this.
+// reorder leaves in sc.aggs exactly what load(s, loadAggs) would report
+// for the packed genome, so scoring needs no second pass: its count pass
+// also sums batches, and each job's server count is that of its packed
+// span. A genome that is already packed (every job contiguous, in
+// first-occurrence order, idle GPUs at the tail) is left as it is.
 func (sc *evalScratch) reorder(s *cluster.Schedule) {
 	slots := s.Slots()
-	spans := sc.spans[:0]
-	// Pass 1: count each job's slots in first-occurrence order.
+	sc.aggs = sc.aggs[:0]
+	// Pass 1: count each job's slots and sum its batches in
+	// first-occurrence order, noting whether the genome is already packed.
+	packed, idleSeen := true, false
 	i := 0
 	for _, sl := range slots {
 		if sl.Idle() {
+			idleSeen = true
 			continue
 		}
-		if i = spans.find(sl.Job, i); i < 0 {
-			i = len(spans)
-			spans = append(spans, reorderSpan{id: sl.Job})
+		if i = sc.find(sl.Job, i); i < 0 {
+			i = len(sc.aggs)
+			sc.aggs = append(sc.aggs, jobAgg{id: sl.Job})
 		}
-		spans[i].next++
+		// Packed: every busy slot continues the latest job or starts a new
+		// one, and none follows an idle slot.
+		packed = packed && !idleSeen && i == len(sc.aggs)-1
+		sc.aggs[i].c++
+		sc.aggs[i].B += sl.Batch
 	}
-	// Turn counts into write cursors: each job packs into one contiguous
-	// span starting where the previous job's span ends.
-	idx := 0
-	for k := range spans {
-		n := spans[k].next
-		spans[k].next = idx
-		idx += n
+	// Each job packs into one contiguous span [idx, idx+c) starting where
+	// the previous job's span ends. The spans ascend, so one walk over the
+	// (possibly ragged) servers counts the servers each span touches; end
+	// is the first GPU past the last server the walk entered.
+	servers := s.Topology().Servers
+	idx, srv, end := 0, 0, 0
+	for k := range sc.aggs {
+		a := &sc.aggs[k]
+		a.next = idx
+		a.servers = 0
+		if idx < end {
+			a.servers = 1 // the span starts inside the last server entered
+		}
+		for idx += a.c; end < idx; srv++ {
+			if n := servers[srv].GPUs; n > 0 {
+				end += n
+				a.servers++
+			}
+		}
+	}
+	if packed {
+		return
 	}
 	// Pass 2: replay the old genome, placing each slot at its job's cursor
 	// so every job keeps its batch multiset in slot order.
@@ -356,14 +319,13 @@ func (sc *evalScratch) reorder(s *cluster.Schedule) {
 		if sl.Idle() {
 			continue
 		}
-		i = spans.find(sl.Job, i)
-		slots[spans[i].next] = sl
-		spans[i].next++
+		i = sc.find(sl.Job, i)
+		slots[sc.aggs[i].next] = sl
+		sc.aggs[i].next++
 	}
 	for ; idx < len(slots); idx++ {
 		slots[idx] = cluster.Slot{Job: cluster.NoJob}
 	}
-	sc.spans = spans
 }
 
 // Score computes the SRUF objective of Equation 8 for schedule s:
@@ -385,6 +347,12 @@ func Score(s *cluster.Schedule, ctx *Context, rhos map[cluster.JobID]float64) fl
 // score is Score over the caller's scratch.
 func score(s *cluster.Schedule, ctx *Context, rhos map[cluster.JobID]float64, sc *evalScratch) float64 {
 	sc.load(s, loadAggs)
+	return sc.scoreAggs(ctx, rhos, s.NumGPUs())
+}
+
+// scoreAggs is the SRUF objective of the genome whose aggregates sc holds,
+// on a cluster of gpus GPUs.
+func (sc *evalScratch) scoreAggs(ctx *Context, rhos map[cluster.JobID]float64, gpus int) float64 {
 	var total float64
 	used := 0
 	for i := range sc.aggs {
@@ -393,7 +361,7 @@ func score(s *cluster.Schedule, ctx *Context, rhos map[cluster.JobID]float64, sc
 		if !ok {
 			continue // completed job still in genome; refresh will clean it
 		}
-		x := ctx.throughput(a.id, a.B, a.c, a.servers)
+		x := sc.throughput(ctx, a.id, a.B, a.c, a.servers)
 		if x <= 0 {
 			return math.Inf(1)
 		}
@@ -405,7 +373,7 @@ func score(s *cluster.Schedule, ctx *Context, rhos map[cluster.JobID]float64, sc
 		total += remainingWork(info, rho) * float64(a.c) / x
 	}
 	if used > 0 {
-		total *= float64(s.NumGPUs()) / float64(used)
+		total *= float64(gpus) / float64(used)
 	}
 	return total
 }
@@ -439,19 +407,23 @@ func assign(s *cluster.Schedule, info *JobInfo, gpus []cluster.GPUID, B int) int
 
 // normalize removes completed jobs from s and enforces R_j: any job with
 // B_j > R_j is scaled down by c_j − ⌊R_j·c_j/B_j⌋ GPUs (the paper's refresh
-// step 2) and its batch reassigned within the limit. The aggregates are
-// loaded once up front: each job's correction touches only its own slots,
-// so the other entries stay valid as the loop mutates s.
-func normalize(s *cluster.Schedule, ctx *Context, sc *evalScratch) {
-	sc.load(s, loadGPUs)
+// step 2) and its batch reassigned within the limit. The aggregates and
+// the idle list are loaded once up front: each job's correction touches
+// only its own slots, so the other entries stay valid as the loop mutates
+// s, and a job's GPU list is gathered only when that job is corrected.
+// normalize reports whether it changed s; when it did not, sc still holds
+// s's aggregates and idle list for fill.
+func normalize(s *cluster.Schedule, ctx *Context, sc *evalScratch) bool {
+	sc.load(s, loadIdle)
+	changed := false
 	for i := range sc.aggs {
 		a := &sc.aggs[i]
 		info, ok := ctx.Jobs[a.id]
 		if !ok {
 			s.Evict(a.id)
+			changed = true
 			continue
 		}
-		gpus := sc.gpusOf(a)
 		B := a.B
 		c := a.c
 		target := B
@@ -469,11 +441,14 @@ func normalize(s *cluster.Schedule, ctx *Context, sc *evalScratch) {
 		if keep == c && target == B {
 			continue
 		}
+		gpus := sc.gather(s, a.id)
 		for _, g := range gpus[keep:] {
 			s.Clear(g)
 		}
 		assign(s, info, gpus[:keep], target)
+		changed = true
 	}
+	return changed
 }
 
 // fillOption is one way to consume idle GPUs: starting a waiting job or
@@ -498,9 +473,13 @@ type fillOption struct {
 //
 // The idle list is computed once and consumed incrementally: assign clamps
 // B ≥ c, so every idle GPU an option consumes receives a positive batch
-// and the remaining idle set is exactly the unconsumed suffix.
-func fill(s *cluster.Schedule, ctx *Context, sc *evalScratch) {
-	sc.load(s, loadIdle)
+// and the remaining idle set is exactly the unconsumed suffix. loaded
+// says sc already holds s's aggregates and idle list (normalize left s
+// unchanged), so fill skips its own load.
+func fill(s *cluster.Schedule, ctx *Context, sc *evalScratch, loaded bool) {
+	if !loaded {
+		sc.load(s, loadIdle)
+	}
 	idle := sc.idle
 	for len(idle) > 0 {
 		opt, ok := bestFillOption(ctx, sc, len(idle))
@@ -513,11 +492,7 @@ func fill(s *cluster.Schedule, ctx *Context, sc *evalScratch) {
 		sc.buf = sc.buf[:0]
 		i := sc.find(opt.job, 0)
 		if i >= 0 && sc.aggs[i].c > 0 {
-			for g, sl := range s.Slots() {
-				if sl.Job == opt.job {
-					sc.buf = append(sc.buf, cluster.GPUID(g))
-				}
-			}
+			sc.gather(s, opt.job)
 		}
 		sc.buf = append(sc.buf, idle[:opt.gpus]...)
 		B := assign(s, info, sc.buf, opt.batch)
@@ -584,7 +559,7 @@ func expandOption(ctx *Context, sc *evalScratch, info *JobInfo, idle int) (fillO
 		if batch < 1 {
 			batch = 1
 		}
-		x := ctx.throughput(info.ID, batch, 1, 1)
+		x := sc.throughput(ctx, info.ID, batch, 1, 1)
 		if x <= 0 {
 			return fillOption{}, false
 		}
@@ -614,8 +589,8 @@ func expandOption(ctx *Context, sc *evalScratch, info *JobInfo, idle int) (fillO
 	}
 	// Growth utility: absolute throughput gained per added GPU. Growth
 	// that does not increase throughput is pointless — skip it.
-	oldX := ctx.throughput(info.ID, B, c, servers)
-	newX := ctx.throughput(info.ID, newB, newC, srv)
+	oldX := sc.throughput(ctx, info.ID, B, c, servers)
+	newX := sc.throughput(ctx, info.ID, newB, newC, srv)
 	if newX <= oldX || newX <= 0 {
 		return fillOption{}, false
 	}
@@ -643,16 +618,19 @@ func Refresh(s *cluster.Schedule, ctx *Context) *cluster.Schedule {
 // refresh is Refresh writing into dst (see copyInto).
 func refresh(dst, s *cluster.Schedule, ctx *Context, sc *evalScratch) *cluster.Schedule {
 	out := copyInto(dst, s)
-	normalize(out, ctx, sc)
-	allocateNewJobs(out, ctx)
-	fill(out, ctx, sc)
+	changed := normalize(out, ctx, sc)
+	if allocateNewJobs(out, ctx) {
+		changed = true
+	}
+	fill(out, ctx, sc, !changed)
 	return out
 }
 
 // allocateNewJobs gives each never-scheduled job one GPU (refresh step 3).
 // When too few GPUs are idle, GPUs are taken from the jobs with the
-// largest T_processed to avoid starving new arrivals.
-func allocateNewJobs(s *cluster.Schedule, ctx *Context) {
+// largest T_processed to avoid starving new arrivals. It reports whether
+// any job was pending, that is, whether s may have changed.
+func allocateNewJobs(s *cluster.Schedule, ctx *Context) bool {
 	var pending []*JobInfo
 	for _, id := range ctx.NewJobs {
 		info, ok := ctx.Jobs[id]
@@ -662,7 +640,7 @@ func allocateNewJobs(s *cluster.Schedule, ctx *Context) {
 		pending = append(pending, info)
 	}
 	if len(pending) == 0 {
-		return
+		return false
 	}
 	need := len(pending) - s.NumIdle()
 	for need > 0 {
@@ -684,6 +662,7 @@ func allocateNewJobs(s *cluster.Schedule, ctx *Context) {
 		}
 		assign(s, info, idle[i:i+1], batch)
 	}
+	return true
 }
 
 // longestRunning returns the running job with the largest processed time,
@@ -741,10 +720,10 @@ func crossover(dst1, dst2, a, b *cluster.Schedule, ctx *Context, sc *evalScratch
 		c1.SetSlot(cluster.GPUID(g), gb.Job, gb.Batch)
 		c2.SetSlot(cluster.GPUID(g), ga.Job, ga.Batch)
 	}
-	normalize(c1, ctx, sc)
-	normalize(c2, ctx, sc)
-	fill(c1, ctx, sc)
-	fill(c2, ctx, sc)
+	// normalize must draw nothing: the RNG then serves fill(c1) before
+	// fill(c2) however the four steps interleave.
+	fill(c1, ctx, sc, !normalize(c1, ctx, sc))
+	fill(c2, ctx, sc, !normalize(c2, ctx, sc))
 	return c1, c2
 }
 
@@ -764,8 +743,7 @@ func mutate(dst, s *cluster.Schedule, ctx *Context, theta float64, sc *evalScrat
 			out.Evict(sc.aggs[i].id)
 		}
 	}
-	normalize(out, ctx, sc)
-	fill(out, ctx, sc)
+	fill(out, ctx, sc, !normalize(out, ctx, sc))
 	return out
 }
 
@@ -796,11 +774,14 @@ type Engine struct {
 	Cancel func() bool
 
 	// Generations / Candidates, when set, count Iterate rounds and the
-	// candidates they generate (see internal/obs). Telemetry only — the
-	// search is unaffected — and nil-safe, so untouched engines pay one
-	// branch per round.
+	// candidates they generate; MemoHits / MemoMisses count the workers'
+	// throughput-memo outcomes, added once per round (see internal/obs).
+	// Telemetry only — the search is unaffected — and nil-safe, so
+	// untouched engines pay one branch per round.
 	Generations *obs.Counter
 	Candidates  *obs.Counter
+	MemoHits    *obs.Counter
+	MemoMisses  *obs.Counter
 
 	pop []*cluster.Schedule
 
@@ -818,13 +799,21 @@ type Engine struct {
 }
 
 // worker is the working state of one fan-out goroutine, kept across
-// rounds. Its rng is backed by a mathx.Source, whose stream is bit for bit
-// the stdlib source's but whose Seed is O(1), so re-seeding it with each
+// rounds: its task RNG and a scratch that carries its own throughput memo.
+// Its rng is backed by a mathx.Source, whose stream is bit for bit the
+// stdlib source's but whose Seed is O(1), so re-seeding it with each
 // task's seed is cheap and yields exactly the stream a freshly seeded
 // stdlib generator would.
 type worker struct {
 	rng *rand.Rand
 	sc  evalScratch
+}
+
+// newWorker returns a worker with an empty throughput memo.
+func newWorker() *worker {
+	w := &worker{rng: rand.New(mathx.NewSource(0))}
+	w.sc.memo.m = make(map[uint64]float64)
+	return w
 }
 
 // genTask describes one pre-seeded candidate generation: the parent
@@ -876,7 +865,7 @@ func (e *Engine) Iterate(ctx *Context) *cluster.Schedule {
 	if len(e.pop) == 0 || !e.pop[0].Topology().Equal(ctx.Topo) {
 		e.Init(ctx)
 	}
-	ctx.prepare()
+	ctx.jobIDs() // build the shared ID order before the fan-out copies ctx
 	// Describe every candidate generation serially (parent choices and a
 	// dedicated RNG seed come from the master RNG) so the fan-out below is
 	// free to run in any order.
@@ -901,10 +890,20 @@ func (e *Engine) Iterate(ctx *Context) *cluster.Schedule {
 		slot++
 	}
 	e.tasks = tasks
+	// Selection scores every candidate against one set of progress draws,
+	// taken from the master RNG, which the fan-out never touches.
+	rhos := e.progressDraws(ctx)
 	if cap(e.cands) < nCand {
 		e.cands = make([]*cluster.Schedule, nCand)
+		e.scores = make([]float64, nCand)
 	}
 	candidates := e.cands[:nCand]
+	scores := e.scores[:nCand]
+	// A memo serves one round, and so one Context, only.
+	for _, w := range e.workers {
+		clear(w.sc.memo.m)
+	}
+	// Each task builds its candidate(s), reorders and scores them.
 	e.forEach(len(tasks), func(w *worker, i int) {
 		t := &tasks[i]
 		w.rng.Seed(t.seed)
@@ -919,31 +918,28 @@ func (e *Engine) Iterate(ctx *Context) *cluster.Schedule {
 		default:
 			candidates[t.outA] = mutate(candidates[t.outA], t.a, &sub, e.Theta, sc)
 		}
-		if !e.DisableReorder {
-			sc.reorder(candidates[t.outA])
-			if t.kind == 1 {
-				sc.reorder(candidates[t.outB])
-			}
+		scores[t.outA] = e.scoreCandidate(candidates[t.outA], ctx, rhos, sc)
+		if t.kind == 1 {
+			scores[t.outB] = e.scoreCandidate(candidates[t.outB], ctx, rhos, sc)
 		}
 	})
+	var hits, misses uint64
+	for _, w := range e.workers {
+		hits += w.sc.memo.hits
+		misses += w.sc.memo.misses
+		w.sc.memo.hits, w.sc.memo.misses = 0, 0
+	}
+	e.MemoHits.Add(hits)
+	e.MemoMisses.Add(misses)
 	if e.cancelled() {
 		// The probe is monotonic, so firing here proves some workers may
-		// have skipped tasks: candidate slots can be stale and must not be
-		// scored. Keep the population and return the incumbent champion.
+		// have skipped tasks: candidate slots and scores can be stale and
+		// must not be selected from. Keep the population and return the
+		// incumbent champion.
 		return e.pop[0]
 	}
 
-	// Selection: score all candidates against one set of progress draws,
-	// keep the best K.
-	rhos := e.progressDraws(ctx)
-	if cap(e.scores) < nCand {
-		e.scores = make([]float64, nCand)
-	}
-	scores := e.scores[:nCand]
-	e.forEach(nCand, func(w *worker, i int) { scores[i] = score(candidates[i], ctx, rhos, &w.sc) })
-	if e.cancelled() {
-		return e.pop[0]
-	}
+	// Selection: keep the best K.
 	if cap(e.order) < nCand {
 		e.order = make([]int, nCand)
 	}
@@ -975,7 +971,7 @@ func (e *Engine) Iterate(ctx *Context) *cluster.Schedule {
 func (e *Engine) forEach(n int, fn func(w *worker, i int)) {
 	par := min(e.Parallelism, n)
 	for len(e.workers) < max(par, 1) {
-		e.workers = append(e.workers, &worker{rng: rand.New(mathx.NewSource(0))})
+		e.workers = append(e.workers, newWorker())
 	}
 	if par <= 1 {
 		w := e.workers[0]
@@ -1006,6 +1002,17 @@ func (e *Engine) forEach(n int, fn func(w *worker, i int)) {
 		}()
 	}
 	wg.Wait()
+}
+
+// scoreCandidate reorders candidate s (unless the reorder ablation is
+// on) and scores it from the aggregates reorder leaves, without a second
+// pass over the genome.
+func (e *Engine) scoreCandidate(s *cluster.Schedule, ctx *Context, rhos map[cluster.JobID]float64, sc *evalScratch) float64 {
+	if e.DisableReorder {
+		return score(s, ctx, rhos, sc)
+	}
+	sc.reorder(s)
+	return sc.scoreAggs(ctx, rhos, s.NumGPUs())
 }
 
 // progressDraws returns ρ samples (or distribution means under the

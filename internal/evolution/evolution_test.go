@@ -360,8 +360,8 @@ func TestEngineChampionInvariantsProperty(t *testing.T) {
 // candidate generation: at parallelism 1, 4 and GOMAXPROCS the champion
 // genome, the whole population and every sampled score must be
 // byte-identical — the fan-out must never change a result, only wall
-// time. Run under -race this also exercises the shared throughput memo
-// and the recycled candidate slots from concurrent workers.
+// time. Run under -race this also exercises the workers' memos, the
+// scores they write and the recycled candidate slots.
 func TestEngineParallelMatchesSerial(t *testing.T) {
 	run := func(parallelism int) string {
 		topo := cluster.Uniform(2, 4)
@@ -418,39 +418,94 @@ func TestEngineNeverOverwritesRetainedGenomes(t *testing.T) {
 	}
 }
 
-// TestScoreMemoMatchesRecompute is the memo soundness property: across
-// 1000 random mutate/crossover candidates, Score through a prepared
-// (memoized) Context must equal Score through a bare Context that
-// recomputes every throughput directly. Equality is exact — the memo
-// stores the very float64 the direct call returns.
+// TestScoreMemoMatchesRecompute is the memo soundness property for an
+// Engine worker's throughput memo.
+//
+// Across 1000 random mutate/crossover candidates built and scored on one
+// worker's scratch, whose memo fills as it goes, every candidate and its
+// score must equal what the standalone operators and Score compute on a
+// bare Context, which calls Throughput directly. Equality is exact: the
+// memo stores the very float64 the direct call returns.
+//
+// A memo must also never outlive its Context. An engine whose workers
+// served one Context then serves a second one over the same job IDs whose
+// Throughput returns twice the first's values; every score of each round
+// must be the one Score computes under that round's Context.
 func TestScoreMemoMatchesRecompute(t *testing.T) {
-	topo := cluster.Uniform(4, 4)
-	ctx := testCtx(123, 10, topo)
-	ctx.prepare()
-	if ctx.memo == nil {
-		t.Fatal("prepare did not install the throughput memo")
-	}
-	// A bare context over the same jobs and throughput function: memo
-	// nil ⇒ every Score recomputes from scratch.
+	t.Run("candidates", func(t *testing.T) {
+		topo := cluster.Uniform(4, 4)
+		ctx := testCtx(123, 10, topo)
+		plain := &Context{Topo: ctx.Topo, Jobs: ctx.Jobs, Throughput: ctx.Throughput}
+		w := newWorker()
+		pop := []*cluster.Schedule{
+			Refresh(cluster.NewSchedule(topo), ctx),
+			Refresh(cluster.NewSchedule(topo), ctx),
+		}
+		for i := 0; i < 1000; i++ {
+			seed := ctx.Rng.Int63()
+			sub := *ctx
+			sub.Rng = w.rng
+			w.rng.Seed(seed)
+			plain.Rng = rand.New(rand.NewSource(seed))
+			var cand, want *cluster.Schedule
+			if i%2 == 0 {
+				cand = mutate(nil, pop[i/2%2], &sub, 0.3, &w.sc)
+				want = Mutate(pop[i/2%2], plain, 0.3)
+			} else {
+				cand, _ = crossover(nil, nil, pop[0], pop[1], &sub, &w.sc)
+				want, _ = Crossover(pop[0], pop[1], plain)
+			}
+			if !cand.Equal(want) {
+				t.Fatalf("step %d: memoized operator built %v, direct %v", i, cand, want)
+			}
+			rhos := SampleRhos(ctx)
+			memoized := score(cand, ctx, rhos, &w.sc)
+			direct := Score(cand, plain, rhos)
+			if memoized != direct {
+				t.Fatalf("step %d: memoized score %v != recomputed %v", i, memoized, direct)
+			}
+			pop[i%2] = cand
+		}
+		if w.sc.memo.hits == 0 || w.sc.memo.misses == 0 {
+			t.Fatalf("memo saw %d hits and %d misses; the test does not exercise it", w.sc.memo.hits, w.sc.memo.misses)
+		}
+	})
+	t.Run("second-context", func(t *testing.T) {
+		for _, par := range []int{1, 2} {
+			topo := cluster.Uniform(2, 4)
+			first := testCtx(5, 8, topo)
+			second := testCtx(5, 8, topo)
+			base := second.Throughput
+			second.Throughput = func(j cluster.JobID, B, c, servers int) float64 { return 2 * base(j, B, c, servers) }
+			e := NewEngine(6, 0.3)
+			e.Parallelism = par
+			// Score against the distribution means, which the check below
+			// can reproduce without the round's draws.
+			e.DisableSampling = true
+			for round, ctx := range []*Context{first, second, second} {
+				e.Iterate(ctx)
+				checkRoundScores(t, e, ctx, fmt.Sprintf("parallelism %d, round %d", par, round))
+			}
+		}
+	})
+}
+
+// checkRoundScores checks every score of e's last round against Score
+// under a bare copy of ctx. A candidate the round kept has left its slot
+// for the population, at the rank Engine.order gives it.
+func checkRoundScores(t *testing.T, e *Engine, ctx *Context, where string) {
+	t.Helper()
 	plain := &Context{Topo: ctx.Topo, Jobs: ctx.Jobs, Throughput: ctx.Throughput}
-	pop := []*cluster.Schedule{
-		Refresh(cluster.NewSchedule(topo), ctx),
-		Refresh(cluster.NewSchedule(topo), ctx),
+	rhos := e.progressDraws(ctx)
+	n := len(e.pop) + 3*e.K
+	genome := append([]*cluster.Schedule(nil), e.cands[:n]...)
+	for rank, s := range e.pop {
+		genome[e.order[rank]] = s
 	}
-	for i := 0; i < 1000; i++ {
-		var cand *cluster.Schedule
-		if i%2 == 0 {
-			cand = Mutate(pop[i/2%2], ctx, 0.3)
-		} else {
-			cand, _ = Crossover(pop[0], pop[1], ctx)
+	for i, s := range genome {
+		if want := Score(s, plain, rhos); e.scores[i] != want {
+			t.Fatalf("%s: candidate %d scored %v, want %v under the round's Context", where, i, e.scores[i], want)
 		}
-		rhos := SampleRhos(ctx)
-		memoized := Score(cand, ctx, rhos)
-		direct := Score(cand, plain, rhos)
-		if memoized != direct {
-			t.Fatalf("step %d: memoized score %v != recomputed %v", i, memoized, direct)
-		}
-		pop[i%2] = cand
 	}
 }
 
@@ -480,13 +535,13 @@ func sparseSchedule(rng *rand.Rand) *cluster.Schedule {
 // TestLoadMatchesScheduleQueriesProperty pins the one-pass aggregates
 // against the per-job Schedule queries they replace: the running jobs in
 // first-occurrence order with their c, B and server span, each job's GPU
-// list, and the idle list. One scratch is reused throughout, so state
-// left over from a previous genome would show.
+// list as gather collects it, and the idle list. One scratch is reused
+// throughout, so state left over from a previous genome would show.
 func TestLoadMatchesScheduleQueriesProperty(t *testing.T) {
 	sc := new(evalScratch)
 	f := func(seed int64) bool {
 		s := sparseSchedule(rand.New(rand.NewSource(seed)))
-		sc.load(s, loadGPUs)
+		sc.load(s, loadIdle)
 		jobs := s.RunningJobs()
 		if len(sc.aggs) != len(jobs) {
 			t.Logf("%d aggregates for %d running jobs", len(sc.aggs), len(jobs))
@@ -499,7 +554,7 @@ func TestLoadMatchesScheduleQueriesProperty(t *testing.T) {
 					i, *a, j, s.GPUCount(j), s.GlobalBatch(j), s.ServersOf(j))
 				return false
 			}
-			if got, want := fmt.Sprint(sc.gpusOf(a)), fmt.Sprint(s.GPUsOf(j)); got != want {
+			if got, want := fmt.Sprint(sc.gather(s, j)), fmt.Sprint(s.GPUsOf(j)); got != want {
 				t.Logf("job %d GPUs = %s, want %s", j, got, want)
 				return false
 			}
@@ -612,21 +667,52 @@ func reorderReference(s *cluster.Schedule) {
 }
 
 // TestReorderMatchesMapReferenceProperty pins reorder slot for slot —
-// order, job and local batch — against the map-based reference.
+// order, job and local batch — against the map-based reference, and pins
+// the aggregates it leaves against load's on the reordered genome: the
+// same jobs in the same order with the same c, B and server span. Each
+// random genome is reordered twice, the second time already packed, which
+// reorder must leave unchanged. One scratch is reused throughout.
 func TestReorderMatchesMapReferenceProperty(t *testing.T) {
-	sc := new(evalScratch)
+	sc, ref := new(evalScratch), new(evalScratch)
 	f := func(seed int64) bool {
 		s := sparseSchedule(rand.New(rand.NewSource(seed)))
 		want := s.Clone()
 		reorderReference(want)
-		sc.reorder(s)
-		if !s.Equal(want) {
-			t.Logf("reorder = %v\nreference = %v", s, want)
-			return false
+		for pass := 0; pass < 2; pass++ {
+			sc.reorder(s)
+			if !s.Equal(want) {
+				t.Logf("pass %d: reorder = %v\nreference = %v", pass, s, want)
+				return false
+			}
+			ref.load(s, loadAggs)
+			if len(sc.aggs) != len(ref.aggs) {
+				t.Logf("pass %d: reorder left %d aggregates, load finds %d", pass, len(sc.aggs), len(ref.aggs))
+				return false
+			}
+			for i, a := range sc.aggs {
+				r := ref.aggs[i]
+				if a.id != r.id || a.c != r.c || a.B != r.B || a.servers != r.servers {
+					t.Logf("pass %d: aggregate %d = %+v, load has %+v", pass, i, a, r)
+					return false
+				}
+			}
 		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestIterateAllocs pins the allocations of one evolution round on
+// BenchmarkIterate's context at Parallelism 1. Allocation counts do not
+// depend on the machine, so the bound is exact: a change that allocates
+// more per round must raise it on purpose.
+func TestIterateAllocs(t *testing.T) {
+	const maxAllocs = 40
+	e, ctx := iterateBench()
+	e.Parallelism = 1
+	if got := testing.AllocsPerRun(20, func() { e.Iterate(ctx) }); got > maxAllocs {
+		t.Errorf("one Iterate round allocates %v times, want at most %d", got, maxAllocs)
 	}
 }

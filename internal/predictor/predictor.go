@@ -97,8 +97,9 @@ type Predictor struct {
 	mean, std [NumFeatures]float64
 
 	reservoir []Sample
-	seen      int // total samples offered (for reservoir sampling)
-	fits      int // number of refits performed
+	seen      int  // total samples offered (for reservoir sampling)
+	fits      int  // number of refits performed
+	stale     bool // the last AddCompletedJob's refit has not run yet
 
 	fitScratch []fitSample // reused per-fit cache of weight-independent terms
 }
@@ -145,6 +146,7 @@ func (p *Predictor) TrainingSize() int {
 func (p *Predictor) Fits() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	p.refitLocked()
 	return p.fits
 }
 
@@ -152,6 +154,11 @@ func (p *Predictor) Fits() int {
 // time when a job is completed, we train the model") and refits. Samples
 // are reservoir-sampled so the training set stays bounded and approximately
 // uniform over history.
+//
+// The refit is deferred until the model is next read (Predict,
+// LogLikelihood, Fits) or the next job is added, whichever comes first,
+// so every refit still sees exactly the reservoir this call leaves, and a
+// refit nothing reads never runs.
 func (p *Predictor) AddCompletedJob(logs []Sample) error {
 	for _, s := range logs {
 		if s.Progress <= 0 || s.Progress >= 1 {
@@ -160,6 +167,7 @@ func (p *Predictor) AddCompletedJob(logs []Sample) error {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	p.refitLocked()
 	for _, s := range logs {
 		p.seen++
 		if len(p.reservoir) < p.cfg.ReservoirCap {
@@ -168,8 +176,16 @@ func (p *Predictor) AddCompletedJob(logs []Sample) error {
 			p.reservoir[k] = s
 		}
 	}
-	p.fitLocked()
+	p.stale = true
 	return nil
+}
+
+// refitLocked runs the refit the last AddCompletedJob deferred, if any.
+func (p *Predictor) refitLocked() {
+	if p.stale {
+		p.stale = false
+		p.fitLocked()
+	}
 }
 
 // fitLocked runs gradient ascent on the Beta log marginal likelihood.
@@ -279,6 +295,7 @@ func alphaOf(x Features) float64 {
 func (p *Predictor) Predict(x Features) Dist {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	p.refitLocked()
 	lin := p.bias
 	z := p.normalizeLocked(x.vector())
 	for i, zi := range z {
@@ -296,6 +313,7 @@ func (p *Predictor) Predict(x Features) Dist {
 func (p *Predictor) LogLikelihood() float64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	p.refitLocked()
 	if len(p.reservoir) == 0 {
 		return 0
 	}

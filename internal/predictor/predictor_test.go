@@ -210,3 +210,56 @@ func TestConfigDefaultsApplied(t *testing.T) {
 		t.Errorf("PriorEpochs default not applied: %v", p.bias)
 	}
 }
+
+// TestLazyRefitMatchesEagerOrder pins the deferred refit against the
+// eager order it replaces. Two predictors ingest the same random
+// completed-job logs. The eager one reads Fits after every
+// AddCompletedJob, which runs each refit at once; the lazy one reads at
+// random points only, with runs of adds and no read between. At every
+// lazy read both must agree bit for bit on Predict over fixed features,
+// on LogLikelihood and on Fits. A deferred refit that ran over a later
+// reservoir, or one refit standing in for several, would show.
+func TestLazyRefitMatchesEagerOrder(t *testing.T) {
+	probes := []Features{
+		{DatasetSize: 12000, InitLoss: 2.3, Processed: 36000, LossRatio: 0.4, Accuracy: 0.5},
+		{DatasetSize: 50000, InitLoss: 1.1, Processed: 900000, LossRatio: 0.8, Accuracy: 0.9},
+	}
+	cfg := Config{ReservoirCap: 40, FitIters: 25}
+	unreadRuns := 0
+	for seed := int64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		eager, lazy := New(seed, cfg), New(seed, cfg)
+		unread := 0
+		for i := 0; i < 30; i++ {
+			logs := syntheticJob(float64(2000+rng.Intn(40000)), 3+rng.Intn(20))
+			if err := eager.AddCompletedJob(logs); err != nil {
+				t.Fatal(err)
+			}
+			eager.Fits()
+			if err := lazy.AddCompletedJob(logs); err != nil {
+				t.Fatal(err)
+			}
+			if unread++; rng.Intn(3) != 0 && i < 29 {
+				continue
+			}
+			if unread > 1 {
+				unreadRuns++
+			}
+			unread = 0
+			for _, x := range probes {
+				if got, want := lazy.Predict(x), eager.Predict(x); got != want {
+					t.Fatalf("seed %d, job %d: lazy Predict %+v, eager %+v", seed, i, got, want)
+				}
+			}
+			if got, want := lazy.LogLikelihood(), eager.LogLikelihood(); got != want {
+				t.Fatalf("seed %d, job %d: lazy LogLikelihood %v, eager %v", seed, i, got, want)
+			}
+			if got, want := lazy.Fits(), eager.Fits(); got != want {
+				t.Fatalf("seed %d, job %d: lazy Fits %d, eager %d", seed, i, got, want)
+			}
+		}
+	}
+	if unreadRuns == 0 {
+		t.Fatal("no two adds went unread in a row; the test does not exercise the deferral")
+	}
+}

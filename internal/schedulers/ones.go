@@ -43,8 +43,6 @@ type ONES struct {
 	// trace's span cap). Out of band only, like Obs.
 	Span *obs.Span
 
-	memoHits    *obs.Counter
-	memoMisses  *obs.Counter
 	decisions   *obs.Counter
 	deployments *obs.Counter
 
@@ -157,8 +155,8 @@ func (o *ONES) Decide(trigger simulator.Trigger, view *simulator.View) *cluster.
 		// nil-safe, so an unset Obs just leaves them nil).
 		o.engine.Generations = o.Obs.Counter("evolution_generations_total", "Evolution rounds executed (Engine.Iterate calls).")
 		o.engine.Candidates = o.Obs.Counter("evolution_candidates_total", "Candidate schedules generated across all evolution rounds.")
-		o.memoHits = o.Obs.Counter("evolution_memo_hits_total", "Throughput evaluations answered by the per-decision memo.")
-		o.memoMisses = o.Obs.Counter("evolution_memo_misses_total", "Throughput evaluations computed fresh (memo misses).")
+		o.engine.MemoHits = o.Obs.Counter("evolution_memo_hits_total", "Throughput evaluations answered by an evolution worker's per-round memo.")
+		o.engine.MemoMisses = o.Obs.Counter("evolution_memo_misses_total", "Throughput evaluations computed fresh (memo misses).")
 		o.decisions = o.Obs.Counter("ones_decisions_total", "ONES scheduling decisions taken.")
 		o.deployments = o.Obs.Counter("ones_deployments_total", "Champion schedules actually deployed (improvements over the live schedule).")
 	}
@@ -319,8 +317,6 @@ func (o *ONES) buildContext(view *simulator.View) *evolution.Context {
 		NewJobs:    newJobs,
 		Throughput: view.Throughput,
 		Rng:        o.rng,
-		MemoHits:   o.memoHits,
-		MemoMisses: o.memoMisses,
 	}
 }
 
