@@ -24,8 +24,6 @@ type Policy struct {
 	// Analyzer and Decision parameterize the pipeline stages.
 	Analyzer AnalyzerConfig
 	Decision DecisionConfig
-	// DrainWholeRacks lets scale-downs retire whole racks (see Scaler).
-	DrainWholeRacks bool
 }
 
 // Built-in policy names.
@@ -160,7 +158,7 @@ func NewController(p Policy, seed int64, reg *obs.Registry) *Controller {
 		policy:   p,
 		analyzer: newAnalyzer(p.Analyzer),
 		decider:  newDecider(p.Decision),
-		scaler:   newScaler(seed, p.DrainWholeRacks),
+		scaler:   newScaler(seed),
 		nextEval: p.Interval,
 	}
 	if reg != nil {

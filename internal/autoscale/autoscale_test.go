@@ -20,7 +20,6 @@ func viewAt(now, pressure float64) scenario.ClusterView {
 	return scenario.ClusterView{
 		Now: now, Servers: 4, TotalGPUs: 16,
 		BusyGPUs: busy, PendingGPUs: pending,
-		LiveRacks: []int{0, 1},
 	}
 }
 
@@ -153,7 +152,7 @@ func TestDeciderEmergencyBypass(t *testing.T) {
 }
 
 func TestScalerShapesEvents(t *testing.T) {
-	s := newScaler(1, false)
+	s := newScaler(1)
 	up := s.Shape(Action{Delta: 3}, viewAt(0, 1))
 	if len(up) != 1 || up[0].Kind != scenario.CapacityJoin || up[0].Servers != 3 || up[0].Origin != scenario.OriginAutoscaler {
 		t.Fatalf("scale-up shaped as %+v", up)
@@ -169,27 +168,11 @@ func TestScalerShapesEvents(t *testing.T) {
 		t.Errorf("hold shaped events: %+v", hold)
 	}
 	// Identical seeds draw identical picks.
-	a, b := newScaler(7, false), newScaler(7, false)
+	a, b := newScaler(7), newScaler(7)
 	pa := a.Shape(Action{Delta: -1}, viewAt(0, 0))[0].Pick
 	pb := b.Shape(Action{Delta: -1}, viewAt(0, 0))[0].Pick
 	if pa != pb {
 		t.Errorf("same-seed picks differ: %v vs %v", pa, pb)
-	}
-}
-
-func TestScalerWholeRackDrain(t *testing.T) {
-	s := newScaler(1, true)
-	// 4 servers over 2 racks → 2 per rack; a -2 step covers a rack.
-	evs := s.Shape(Action{Delta: -2}, viewAt(0, 0))
-	if len(evs) != 1 || evs[0].Kind != scenario.CapacityRackDrain {
-		t.Fatalf("rack-capable scale-down shaped as %+v", evs)
-	}
-	if evs[0].Rack != 0 && evs[0].Rack != 1 {
-		t.Errorf("drained rack %d not in the live set", evs[0].Rack)
-	}
-	// A -1 step does not cover a rack and falls back to a server leave.
-	if evs := s.Shape(Action{Delta: -1}, viewAt(0, 0)); evs[0].Kind != scenario.CapacityLeave {
-		t.Errorf("sub-rack scale-down shaped as %+v", evs)
 	}
 }
 

@@ -7,20 +7,14 @@ import (
 )
 
 // Scaler shapes a decision into concrete capacity events. It owns the
-// controller's only randomness — which server (or rack) a scale-down
-// hits — drawn from a seeded generator, so the whole pipeline stays
-// deterministic.
+// controller's only randomness — which server a scale-down hits — drawn
+// from a seeded generator, so the whole pipeline stays deterministic.
 type Scaler struct {
 	rng *rand.Rand
-	// drainWholeRacks lets a scale-down large enough to cover a full
-	// rack drain one rack (scenario.CapacityRackDrain) instead of
-	// removing scattered servers — the shape a maintenance-oriented
-	// operator would choose. Off in the built-in policies.
-	drainWholeRacks bool
 }
 
-func newScaler(seed int64, drainWholeRacks bool) *Scaler {
-	return &Scaler{rng: rand.New(rand.NewSource(seed)), drainWholeRacks: drainWholeRacks}
+func newScaler(seed int64) *Scaler {
+	return &Scaler{rng: rand.New(rand.NewSource(seed))}
 }
 
 // Shape renders the action as capacity events, all stamped with
@@ -37,27 +31,10 @@ func (s *Scaler) Shape(a Action, view scenario.ClusterView) []scenario.CapacityE
 			Origin:  scenario.OriginAutoscaler,
 		}}
 	case a.Delta < 0:
-		n := -a.Delta
-		if s.drainWholeRacks && len(view.LiveRacks) > 1 && view.Servers > 0 {
-			// Whole-rack shaping: if the step covers at least an average
-			// rack's worth of servers, retire one random live rack.
-			if perRack := view.Servers / len(view.LiveRacks); perRack > 0 && n >= perRack {
-				i := int(s.rng.Float64() * float64(len(view.LiveRacks)))
-				if i >= len(view.LiveRacks) {
-					i = len(view.LiveRacks) - 1
-				}
-				return []scenario.CapacityEvent{{
-					Time:   view.Now,
-					Kind:   scenario.CapacityRackDrain,
-					Rack:   view.LiveRacks[i],
-					Origin: scenario.OriginAutoscaler,
-				}}
-			}
-		}
 		return []scenario.CapacityEvent{{
 			Time:    view.Now,
 			Kind:    scenario.CapacityLeave,
-			Servers: n,
+			Servers: -a.Delta,
 			Pick:    s.rng.Float64(),
 			Origin:  scenario.OriginAutoscaler,
 		}}

@@ -27,10 +27,6 @@ type ClusterView struct {
 	TotalGPUs int
 	// BusyGPUs is how many GPUs currently hold a job.
 	BusyGPUs int
-	// RunningJobs is the number of alive jobs holding at least one GPU.
-	RunningJobs int
-	// QueuedJobs is the number of alive jobs waiting without GPUs.
-	QueuedJobs int
 	// PendingGPUs sums the user-requested GPU counts of the queued jobs —
 	// the demand the cluster is not currently serving.
 	PendingGPUs int

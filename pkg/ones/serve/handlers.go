@@ -191,74 +191,48 @@ func (s *Server) handleCancel(w http.ResponseWriter, req *http.Request) {
 	writeJSON(w, http.StatusAccepted, r.statusView())
 }
 
-// handleStream replays the run's progress history and follows it live as
-// NDJSON (one JSON object per line, flushed per event), ending with a
-// terminal {"kind":"end",...} line once the run finishes. All clients
-// following one run share its broadcast hub — each event is recorded
-// once and fanned out through bounded per-client buffers, so a slow
-// client is disconnected (its buffer overflows) instead of wedging the
-// hub, and a client that disconnects itself just stops receiving; the
-// run is unaffected either way.
+// handleStream replays the run's progress log and follows it live as
+// NDJSON (one JSON object per line, flushed after each batch), ending
+// with a terminal {"kind":"end",...} line once the run finishes. Every
+// client reads the run's one log through its own cursor: the run never
+// waits on a client, a client that stalls still receives every event
+// and the end line, and a client that disconnects just stops reading.
 func (s *Server) handleStream(w http.ResponseWriter, req *http.Request) {
 	r, ok := s.get(req.PathValue("id"))
 	if !ok {
 		writeError(w, http.StatusNotFound, fmt.Errorf("unknown run %q", req.PathValue("id")))
 		return
 	}
+	s.streamClients.Inc()
+	defer s.streamClients.Dec()
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("Cache-Control", "no-store")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
 
-	// Atomic against the broadcast: the snapshot holds every event so
-	// far, the subscription every later one — no gap, no duplicate.
-	history, sub := r.hub.subscribe()
-	if sub != nil {
-		defer r.hub.unsubscribe(sub)
-	}
-	for _, p := range history {
-		if err := enc.Encode(toStreamEvent(p)); err != nil {
-			return
-		}
-	}
-	if len(history) > 0 && flusher != nil {
-		flusher.Flush()
-	}
-	writeEnd := func() {
-		status, _, errMsg, done, total := r.snapshot()
-		enc.Encode(streamEvent{Kind: "end", Status: status, Error: errMsg, Done: done, Total: total})
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-	if sub == nil {
-		// The run had already finished: the snapshot was the whole story.
-		writeEnd()
-		return
-	}
-	clientGone := req.Context().Done()
-	for {
-		select {
-		case <-clientGone:
-			return
-		case p, ok := <-sub.ch:
-			if !ok {
-				if r.hub.wasDropped(sub) {
-					// Too slow: the hub already disconnected us. Cut the
-					// response without a terminal line — the client sees
-					// a truncated stream, the run sees nothing at all.
-					return
-				}
-				writeEnd()
-				return
-			}
+	for next := 0; ; {
+		events, grew, finished := r.since(next)
+		for _, p := range events {
 			if err := enc.Encode(toStreamEvent(p)); err != nil {
 				return
 			}
-			if flusher != nil {
-				flusher.Flush()
-			}
+		}
+		next += len(events)
+		if finished {
+			status, _, errMsg, done, total := r.snapshot()
+			enc.Encode(streamEvent{Kind: "end", Status: status, Error: errMsg, Done: done, Total: total})
+		}
+		if flusher != nil {
+			flusher.Flush()
+		}
+		if finished {
+			return
+		}
+		select {
+		case <-req.Context().Done():
+			return
+		case <-grew:
 		}
 	}
 }

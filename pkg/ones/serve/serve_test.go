@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -102,7 +103,13 @@ func streamRun(t *testing.T, base, id string) (kinds []string, final streamEvent
 	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
 		t.Errorf("stream Content-Type = %q", ct)
 	}
-	sc := bufio.NewScanner(resp.Body)
+	return readStream(t, resp.Body)
+}
+
+// readStream reads an NDJSON stream body to its terminal line.
+func readStream(t *testing.T, body io.Reader) (kinds []string, final streamEvent) {
+	t.Helper()
+	sc := bufio.NewScanner(body)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
 		var ev streamEvent

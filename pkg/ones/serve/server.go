@@ -53,10 +53,6 @@ type Config struct {
 	// RunTTL evicts finished runs this long after they finish. 0 ⇒
 	// finished runs are kept until MaxRuns pressure (or forever).
 	RunTTL time.Duration
-	// StreamBuffer is the per-stream-client event buffer; a client whose
-	// buffer overflows is disconnected rather than wedging the broadcast
-	// hub. 0 ⇒ a 256-event default.
-	StreamBuffer int
 	// AuthToken, when set, requires "Authorization: Bearer <AuthToken>"
 	// on every /v1 endpoint (401 otherwise). /healthz, /readyz and
 	// /metrics stay open for probes and scrapers.
@@ -174,53 +170,70 @@ const (
 )
 
 // run is one client-submitted simulation: a session executing on its own
-// goroutine, with its progress events fanned out to stream clients by a
-// per-run broadcast hub (see hub.go). All clients following the run
-// share the hub's single observer subscription — each event is appended
-// to the shared history once, and the engine never blocks on (or even
-// sees) a slow client.
+// goroutine, with its progress events kept in one append-only log. Every
+// stream client reads that log through its own cursor (see since), so
+// the run never waits on a client and a slow client holds nothing but
+// its index. An onesd run logs at most four events (run-start,
+// cell-start, cell-done, run-done).
 //
-// Lock discipline (the order is Server.mu → run.mu, and hub.mu is a
-// leaf): run.mu guards only the terminal-status fields; event history
-// and subscriptions live behind hub.mu. Nothing acquires Server.mu
-// while holding run.mu, and finish sets the terminal status before
-// closing the hub so a subscriber waking on the closed channel always
-// observes finished == true.
+// Lock discipline: run.mu guards the log, its wake channel and the
+// terminal-status fields. The lock order is Server.mu → run.mu; nothing
+// acquires Server.mu while holding run.mu, and nothing blocks under it.
 type run struct {
 	ID      string
 	Spec    RunSpec
 	Created time.Time
 	cancel  context.CancelFunc
-	hub     *hub
+	events  *obs.Counter // onesd_hub_events_total (nil-safe)
 
-	mu         sync.Mutex
+	mu sync.Mutex
+	// log holds every event so far; grew is closed, and replaced, each
+	// time log grows or the run finishes.
+	log        []ones.Progress
+	grew       chan struct{}
 	status     string
 	result     *ones.Result
 	errMsg     string
-	finished   bool
 	finishedAt time.Time // run-table TTL eviction anchor
 }
 
-func newRun(id string, spec RunSpec, cancel context.CancelFunc, created time.Time, h *hub) *run {
+func newRun(id string, spec RunSpec, cancel context.CancelFunc, created time.Time, events *obs.Counter) *run {
 	return &run{
 		ID:      id,
 		Spec:    spec,
 		Created: created,
 		cancel:  cancel,
-		hub:     h,
+		events:  events,
+		grew:    make(chan struct{}),
 		status:  StatusRunning,
 	}
 }
 
-// Observe implements ones.Observer: one append to the shared history,
-// one non-blocking send per subscriber.
-func (r *run) Observe(p ones.Progress) { r.hub.broadcast(p) }
+// Observe implements ones.Observer: it appends the event to the log and
+// wakes the run's stream clients. An event after finish is ignored.
+func (r *run) Observe(p ones.Progress) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.status != StatusRunning {
+		return
+	}
+	r.log = append(r.log, p)
+	r.events.Inc()
+	r.wakeLocked()
+}
 
-// finish records the terminal state, then closes the hub so every
-// stream client drains its buffer and sees the terminal status.
+// wakeLocked wakes every stream client waiting on the run and arms a
+// fresh channel for the next change.
+func (r *run) wakeLocked() {
+	close(r.grew)
+	r.grew = make(chan struct{})
+}
+
+// finish records the terminal state and wakes the run's stream clients.
 // wasCancelled separates a client cancellation from a genuine failure.
 func (r *run) finish(res *ones.Result, err error, wasCancelled bool, at time.Time) {
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	switch {
 	case err == nil:
 		r.status = StatusDone
@@ -232,19 +245,31 @@ func (r *run) finish(res *ones.Result, err error, wasCancelled bool, at time.Tim
 		r.status = StatusFailed
 		r.errMsg = err.Error()
 	}
-	r.finished = true
 	r.finishedAt = at
-	r.mu.Unlock()
-	r.hub.close()
+	r.wakeLocked()
 }
 
-// snapshot returns the run's status fields under one lock acquisition.
+// since returns the events logged from index i on, the channel the run
+// closes at its next change, and whether the run has finished (a
+// finished run's log is complete). The events' capacity is capped at
+// their length, so a later append never writes into what the reader
+// holds.
+func (r *run) since(i int) (events []ones.Progress, grew <-chan struct{}, finished bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	n := len(r.log)
+	return r.log[i:n:n], r.grew, r.status != StatusRunning
+}
+
+// snapshot returns the run's status fields under one lock acquisition;
+// done and total come from the last logged event (0/0 before the first).
 func (r *run) snapshot() (status string, res *ones.Result, errMsg string, done, total int) {
 	r.mu.Lock()
-	status, res, errMsg = r.status, r.result, r.errMsg
-	r.mu.Unlock()
-	done, total = r.hub.latest()
-	return status, res, errMsg, done, total
+	defer r.mu.Unlock()
+	if n := len(r.log); n > 0 {
+		done, total = r.log[n-1].Done, r.log[n-1].Total
+	}
+	return r.status, r.result, r.errMsg, done, total
 }
 
 // expired reports whether the run is finished and its TTL has lapsed.
@@ -256,22 +281,23 @@ func (r *run) expired(ttl time.Duration, now time.Time) bool {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.finished && now.Sub(r.finishedAt) >= ttl
+	return r.status != StatusRunning && now.Sub(r.finishedAt) >= ttl
 }
 
 // isFinished reports whether the run has reached a terminal state.
 func (r *run) isFinished() bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.finished
+	return r.status != StatusRunning
 }
 
 // Server owns the run table, the shared cache and the lifecycle context
 // every run inherits. Shutdown cancels that context (aborting every
 // in-flight simulation mid-cell) and drains the run goroutines.
 //
-// Lock order: Server.mu → run.mu (hub.mu and breaker.mu are leaves,
-// never held together with either). Helpers suffixed *Locked run under
+// Lock order: Server.mu → run.mu. The breaker holds breaker.mu while it
+// counts running runs, so breaker.mu comes before both; a rate-limit
+// bucket's mu is a leaf. Server helpers suffixed *Locked run under
 // Server.mu; oneslint's lockedconv analyzer pins their callers.
 type Server struct {
 	cache   *ones.Cache
@@ -281,15 +307,14 @@ type Server struct {
 	now     func() time.Time // injectable for TTL/rate/breaker tests
 
 	// HTTP middleware handles (nil without WithMetrics; all nil-safe).
-	httpReqs     *obs.CounterVec
-	httpLat      *obs.HistogramVec
-	httpInFlight *obs.Gauge
-	evictions    *obs.CounterVec // cache_evictions_total{store,reason}
-	hubEvents    *obs.Counter
-	hubSlowDrops *obs.Counter
-	hubClients   *obs.Gauge
-	authFails    *obs.Counter
-	rateLimited  *obs.CounterVec
+	httpReqs      *obs.CounterVec
+	httpLat       *obs.HistogramVec
+	httpInFlight  *obs.Gauge
+	evictions     *obs.CounterVec // cache_evictions_total{store,reason}
+	runEvents     *obs.Counter
+	streamClients *obs.Gauge
+	authFails     *obs.Counter
+	rateLimited   *obs.CounterVec
 
 	breaker *breaker // nil unless Config.BreakerBacklog > 0
 
@@ -334,9 +359,8 @@ func New(cache *ones.Cache, logger *log.Logger, opts ...Option) *Server {
 		s.httpLat = reg.HistogramVec("http_request_seconds", "HTTP request latency, by route pattern.", nil, "endpoint")
 		s.httpInFlight = reg.Gauge("http_in_flight", "HTTP requests currently being served.")
 		s.evictions = reg.CounterVec("cache_evictions_total", "Entries evicted from the daemon's bounded stores, by store and reason.", "store", "reason")
-		s.hubEvents = reg.Counter("onesd_hub_events_total", "Progress events broadcast by per-run hubs (one per event, however many clients follow).")
-		s.hubSlowDrops = reg.Counter("onesd_stream_slow_disconnects_total", "Stream clients disconnected because their send buffer overflowed.")
-		s.hubClients = reg.Gauge("onesd_stream_clients", "Stream clients currently subscribed across all runs.")
+		s.runEvents = reg.Counter("onesd_hub_events_total", "Progress events logged by runs (once each, however many clients follow).")
+		s.streamClients = reg.Gauge("onesd_stream_clients", "Stream handlers currently connected across all runs.")
 		s.authFails = reg.Counter("onesd_auth_failures_total", "Requests rejected 401 for a missing or invalid bearer token.")
 		s.rateLimited = reg.CounterVec("onesd_rate_limited_total", "Requests rejected 429 by the per-endpoint token buckets.", "endpoint")
 		reg.GaugeFunc("onesd_run_table_size", "Runs currently held in the run table (all states).",
@@ -407,8 +431,7 @@ func (s *Server) start(spec RunSpec) (*run, error) {
 	s.seq++
 	id := fmt.Sprintf("run-%06d", s.seq)
 	runCtx, cancel := context.WithCancel(s.base)
-	h := newHub(s.cfg.StreamBuffer, s.hubEvents, s.hubSlowDrops, s.hubClients)
-	r := newRun(id, spec, cancel, s.now(), h)
+	r := newRun(id, spec, cancel, s.now(), s.runEvents)
 	sessOpts := spec.options(r, s.cache)
 	if s.metrics != nil {
 		sessOpts = append(sessOpts, ones.WithMetrics(s.metrics))

@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/obs"
 	"repro/pkg/ones"
 )
 
@@ -86,10 +85,9 @@ func streamRunTolerant(t *testing.T, base, id string) (found bool, final streamE
 	return false, streamEvent{}
 }
 
-// TestHubSharedFanout is the tentpole's fan-out acceptance check: 50
-// clients streaming ONE run cost exactly one simulation and one history
-// append per event — onesd_hub_events_total counts events, not
-// events × clients.
+// TestHubSharedFanout is the fan-out acceptance check: 50 clients
+// streaming ONE run cost exactly one simulation and one log append per
+// event — onesd_hub_events_total counts events, not events × clients.
 func TestHubSharedFanout(t *testing.T) {
 	srv, m, ts := newHardenedServer(t, "", Config{}, nil)
 	defer func() {
@@ -123,11 +121,14 @@ func TestHubSharedFanout(t *testing.T) {
 		t.Errorf("50 clients of one run cost %d computes, want 1", cs.Computes)
 	}
 	// kinds includes the synthetic "end" line; everything before it was a
-	// broadcast event, recorded exactly once however many clients follow.
+	// logged event, recorded exactly once however many clients follow.
 	events := uint64(len(kinds[0]) - 1)
 	if got := m.Registry().CounterValue("onesd_hub_events_total"); got != events {
 		t.Errorf("onesd_hub_events_total = %d, want %d (one per event, not per client)", got, events)
 	}
+	// A handler leaves the gauge when it returns, just after its client
+	// has read the end line; Close waits for every handler to return.
+	ts.Close()
 	if got := m.Registry().GaugeValue("onesd_stream_clients"); got != 0 {
 		t.Errorf("onesd_stream_clients = %v after all streams closed, want 0", got)
 	}
@@ -351,72 +352,99 @@ func TestCancelFinishedRunKeepsResult(t *testing.T) {
 	}
 }
 
-// TestHubDropsSlowSubscriber unit-tests the bounded fan-out: a
-// subscriber that stops draining is disconnected the moment its buffer
-// overflows — counted, channel closed, flagged as dropped — while
-// keeping-up subscribers and the broadcast itself are untouched.
-func TestHubDropsSlowSubscriber(t *testing.T) {
-	reg := obs.NewRegistry()
-	events := reg.Counter("ev", "test")
-	drops := reg.Counter("drops", "test")
-	clients := reg.Gauge("clients", "test")
-	h := newHub(2, events, drops, clients)
+// TestStreamClientNeverCut: a stream client that reads the first event
+// live and then nothing while its run logs 999 more is never cut. The
+// run never waits on it; when the client reads again it gets every event
+// in order, and the end line once the run finishes. The test plays the
+// engine, on a run with no session behind it.
+func TestStreamClientNeverCut(t *testing.T) {
+	srv, m, ts := newHardenedServer(t, "", Config{}, nil)
+	defer func() {
+		srv.Shutdown(context.Background())
+		ts.Close()
+	}()
+	r := newRun("run-stalled", RunSpec{}, func() {}, time.Now(), srv.runEvents)
+	srv.mu.Lock()
+	srv.runs[r.ID] = r
+	srv.order = append(srv.order, r.ID)
+	srv.mu.Unlock()
 
-	_, fast := h.subscribe()
-	_, slow := h.subscribe()
-	if clients.Value() != 2 {
-		t.Fatalf("clients gauge = %v, want 2", clients.Value())
+	// The headers arrive with the handler's first flush, after it has
+	// read the still-empty log: from here on it follows the run live.
+	resp, err := http.Get(ts.URL + "/v1/runs/" + r.ID + "/stream")
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := 0; i < 5; i++ {
-		h.broadcast(ones.Progress{Done: i + 1, Total: 5})
-		<-fast.ch // fast keeps up; slow never reads
+	defer resp.Body.Close()
+
+	const n = 1000
+	var lines []streamEvent
+	sc := bufio.NewScanner(resp.Body)
+	read := func() bool {
+		if !sc.Scan() {
+			return false
+		}
+		var ev streamEvent
+		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
+			t.Fatalf("bad NDJSON line %q: %v", sc.Text(), err)
+		}
+		lines = append(lines, ev)
+		return true
 	}
-	if got := events.Value(); got != 5 {
-		t.Errorf("event counter = %d, want 5", got)
+	r.Observe(ones.Progress{Kind: ones.KindCellDone, Done: 1, Total: n})
+	if !read() {
+		t.Fatalf("the live run's first event never reached the client: %v", sc.Err())
 	}
-	if got := drops.Value(); got != 1 {
-		t.Errorf("slow-drop counter = %d, want 1", got)
+	for i := 2; i <= n; i++ {
+		r.Observe(ones.Progress{Kind: ones.KindCellDone, Done: i, Total: n})
 	}
-	if !h.wasDropped(slow) {
-		t.Error("slow subscriber not flagged as dropped")
+	for len(lines) < n && read() {
 	}
-	if h.wasDropped(fast) {
-		t.Error("fast subscriber flagged as dropped")
+	if len(lines) != n {
+		t.Fatalf("stalled client read %d events, want %d: %v", len(lines), n, sc.Err())
 	}
-	if clients.Value() != 1 {
-		t.Errorf("clients gauge = %v after drop, want 1", clients.Value())
-	}
-	// The slow channel holds its buffered prefix, then closes.
-	for i := 0; i < 2; i++ {
-		if _, ok := <-slow.ch; !ok {
-			t.Fatalf("slow channel closed after %d buffered events, want 2", i)
+	for i, ev := range lines {
+		if ev.Kind != string(ones.KindCellDone) || ev.Done != i+1 {
+			t.Fatalf("line %d = %+v, want cell-done %d", i, ev, i+1)
 		}
 	}
-	if _, ok := <-slow.ch; ok {
-		t.Error("slow channel still open past its buffer")
+	// The client has caught up, so only finish can wake it for the end line.
+	r.finish(&ones.Result{}, nil, false, time.Now())
+	r.Observe(ones.Progress{Kind: ones.KindCellDone, Done: n + 1, Total: n})
+	if !read() {
+		t.Fatalf("no end line: %v", sc.Err())
+	}
+	if end := lines[n]; end.Kind != "end" || end.Status != StatusDone || end.Done != n || end.Total != n {
+		t.Errorf("end line = %+v, want end/done %d/%d", end, n, n)
+	}
+	if read() {
+		t.Errorf("line after the end line: %+v", lines[n+1])
 	}
 
-	h.close()
-	if _, ok := <-fast.ch; ok {
-		t.Error("fast channel open after hub close")
+	events, _, finished := r.since(0)
+	if !finished || len(events) != n {
+		t.Fatalf("since(0) = %d events, finished %v; want %d, true", len(events), finished, n)
 	}
-	if clients.Value() != 0 {
-		t.Errorf("clients gauge = %v after close, want 0", clients.Value())
+	for i, p := range events {
+		if p.Done != i+1 {
+			t.Fatalf("event %d has Done %d, want %d", i, p.Done, i+1)
+		}
 	}
-	if hist, sub := h.subscribe(); sub != nil || len(hist) != 5 {
-		t.Errorf("subscribe after close = (%d events, sub %v), want full history and nil sub", len(hist), sub)
+	if got := m.Registry().CounterValue("onesd_hub_events_total"); got != n {
+		t.Errorf("onesd_hub_events_total = %d, want %d", got, n)
 	}
-	if done, total := h.latest(); done != 5 || total != 5 {
-		t.Errorf("latest = %d/%d, want 5/5", done, total)
+	if _, _, _, done, total := r.snapshot(); done != n || total != n {
+		t.Errorf("snapshot progress = %d/%d, want %d/%d", done, total, n, n)
 	}
 }
 
 // TestNeverReadingClientDoesNotWedgeRun attaches a stream client that
-// never reads its response and checks the run (and the rest of the
-// daemon) completes regardless — the hub's bounded buffer plus the
-// kernel's socket buffer absorb or drop it, never block it.
+// reads nothing until the run is done and checks the run (and the rest
+// of the daemon) completes regardless: the run appends to its log
+// without waiting on any client. The client then still gets every event
+// and the end line.
 func TestNeverReadingClientDoesNotWedgeRun(t *testing.T) {
-	srv, _, ts := newHardenedServer(t, "", Config{StreamBuffer: 1}, nil)
+	srv, _, ts := newHardenedServer(t, "", Config{}, nil)
 	defer func() {
 		srv.Shutdown(context.Background())
 		ts.Close()
@@ -426,8 +454,13 @@ func TestNeverReadingClientDoesNotWedgeRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close() // deliberately never read
+	defer resp.Body.Close() // deliberately not read until the run is done
 	if got := waitStatus(t, ts.URL, st.ID, StatusDone, 30*time.Second); got.Result == nil {
 		t.Error("run wedged by a non-reading stream client")
+	}
+	kinds, final := readStream(t, resp.Body)
+	want := []string{string(ones.KindRunStart), string(ones.KindCellStart), string(ones.KindCellDone), string(ones.KindRunDone), "end"}
+	if fmt.Sprint(kinds) != fmt.Sprint(want) || final.Status != StatusDone {
+		t.Errorf("stalled stream = %v ending %q, want %v ending done", kinds, final.Status, want)
 	}
 }
