@@ -38,15 +38,14 @@ func runExperiment(b *testing.B, name string) string {
 
 func BenchmarkFig02ThroughputCurves(b *testing.B) {
 	p := perfmodel.CIFARResNet50()
-	net := perfmodel.DefaultNetwork()
 	var elastic8, fixedPeak float64
 	for i := 0; i < b.N; i++ {
 		fixedPeak = 0
 		for c := 1; c <= 8; c++ {
-			if x := perfmodel.PackedThroughput(p, net, 256, c, 4); x > fixedPeak {
+			if x := perfmodel.PackedThroughput(p, 256, c, 4); x > fixedPeak {
 				fixedPeak = x
 			}
-			elastic8 = perfmodel.PackedThroughput(p, net, 256*c, c, 4)
+			elastic8 = perfmodel.PackedThroughput(p, 256*c, c, 4)
 		}
 	}
 	b.ReportMetric(elastic8, "elastic-c8-img/s")

@@ -43,7 +43,6 @@ func (d Diagnostic) String() string {
 // pins govern shipped code, and tests are a blanket-exempt domain.
 type Package struct {
 	ImportPath string
-	Dir        string
 	Fset       *token.FileSet
 	Files      []*ast.File
 	Types      *types.Package

@@ -195,7 +195,6 @@ func (l *Loader) LoadDir(dir, importPath string) (*Package, error) {
 	}
 	p := &Package{
 		ImportPath: importPath,
-		Dir:        dir,
 		Fset:       l.fset,
 		Files:      files,
 		Types:      tpkg,

@@ -49,8 +49,6 @@ type Signals struct {
 	Pressure float64
 	// Smoothed is the windowed pressure the thresholds compare against.
 	Smoothed float64
-	// QueuedGPUs is the pending GPU demand of jobs waiting in the queue.
-	QueuedGPUs int
 	// HighFor is how long, in seconds, the smoothed pressure has been
 	// continuously at or above HighWater (0 when below).
 	HighFor float64
@@ -105,11 +103,7 @@ func (a *Analyzer) Observe(now float64, view scenario.ClusterView) Signals {
 	} else {
 		a.lowSince = -1
 	}
-	sig := Signals{
-		Pressure:   p,
-		Smoothed:   a.smoothed,
-		QueuedGPUs: view.PendingGPUs,
-	}
+	sig := Signals{Pressure: p, Smoothed: a.smoothed}
 	if a.highSince >= 0 {
 		sig.HighFor = now - a.highSince
 	}

@@ -38,13 +38,6 @@ type DecisionConfig struct {
 	MaxFactor  float64
 }
 
-// Reasons a decision fires or is held back, for observability.
-const (
-	ReasonSustainedHigh = "sustained-high"
-	ReasonSustainedLow  = "sustained-low"
-	ReasonEmergency     = "emergency"
-)
-
 // Action is the decision stage's output for one evaluation.
 type Action struct {
 	// Delta is the server-count change to apply: positive adds servers,
@@ -53,9 +46,6 @@ type Action struct {
 	// Emergency marks a scale-up that bypassed the sustained and
 	// cooldown gates.
 	Emergency bool
-	// Reason names the rule that produced a nonzero Delta (or the one a
-	// suppressed action would have fired under).
-	Reason string
 	// Clamped reports that MaxScaleStep or the size bounds cut the step
 	// short of the computed target.
 	Clamped bool
@@ -140,12 +130,12 @@ func (d *Decider) Decide(now float64, view scenario.ClusterView, sig Signals) Ac
 		delta, clamped := d.clampDelta(delta, view)
 		if delta > 0 {
 			d.lastUp = now
-			return Action{Delta: delta, Emergency: true, Reason: ReasonEmergency, Clamped: clamped}
+			return Action{Delta: delta, Emergency: true, Clamped: clamped}
 		}
 	}
 	if d.cfg.HighDuration > 0 && sig.HighFor >= d.cfg.HighDuration {
 		if now-d.lastUp < d.cfg.CooldownUp {
-			return Action{Reason: ReasonSustainedHigh, Suppressed: true}
+			return Action{Suppressed: true}
 		}
 		delta := d.desired(view) - view.Servers
 		if delta < 1 {
@@ -156,14 +146,14 @@ func (d *Decider) Decide(now float64, view scenario.ClusterView, sig Signals) Ac
 		delta, clamped := d.clampDelta(delta, view)
 		if delta > 0 {
 			d.lastUp = now
-			return Action{Delta: delta, Reason: ReasonSustainedHigh, Clamped: clamped}
+			return Action{Delta: delta, Clamped: clamped}
 		}
-		return Action{Reason: ReasonSustainedHigh, Clamped: clamped}
+		return Action{Clamped: clamped}
 	}
 	if d.cfg.LowDuration > 0 && sig.LowFor >= d.cfg.LowDuration {
 		since := math.Max(d.lastUp, d.lastDown)
 		if now-since < d.cfg.CooldownDown {
-			return Action{Reason: ReasonSustainedLow, Suppressed: true}
+			return Action{Suppressed: true}
 		}
 		delta := d.desired(view) - view.Servers
 		if delta > -1 {
@@ -172,9 +162,9 @@ func (d *Decider) Decide(now float64, view scenario.ClusterView, sig Signals) Ac
 		delta, clamped := d.clampDelta(delta, view)
 		if delta < 0 {
 			d.lastDown = now
-			return Action{Delta: delta, Reason: ReasonSustainedLow, Clamped: clamped}
+			return Action{Delta: delta, Clamped: clamped}
 		}
-		return Action{Reason: ReasonSustainedLow, Clamped: clamped}
+		return Action{Clamped: clamped}
 	}
 	return Action{}
 }

@@ -15,7 +15,6 @@ import (
 
 // State is the serializable training state of one job.
 type State struct {
-	Name     string
 	Step     int64
 	Batch    int
 	Params   []float32

@@ -8,7 +8,6 @@ import (
 
 func sample() *State {
 	return &State{
-		Name:     "resnet50",
 		Step:     1234,
 		Batch:    512,
 		Params:   []float32{1, 2, 3, 4},
@@ -26,7 +25,7 @@ func TestRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Name != s.Name || back.Step != s.Step || back.Batch != s.Batch {
+	if back.Step != s.Step || back.Batch != s.Batch {
 		t.Errorf("metadata changed: %+v", back)
 	}
 	for i := range s.Params {
@@ -48,10 +47,10 @@ func TestWriteReadStream(t *testing.T) {
 
 func TestValidateRejectsBadStates(t *testing.T) {
 	cases := []*State{
-		{Name: "x", Params: nil},
-		{Name: "x", Params: []float32{1}, Momentum: []float32{1, 2}},
-		{Name: "x", Params: []float32{1}, Step: -1},
-		{Name: "x", Params: []float32{1}, Batch: -2},
+		{Params: nil},
+		{Params: []float32{1}, Momentum: []float32{1, 2}},
+		{Params: []float32{1}, Step: -1},
+		{Params: []float32{1}, Batch: -2},
 	}
 	for i, s := range cases {
 		if err := s.Validate(); err == nil {
@@ -80,7 +79,7 @@ func TestRoundTripProperty(t *testing.T) {
 		if step < 0 {
 			step = -step
 		}
-		s := &State{Name: "p", Step: step, Batch: int(batch), Params: params}
+		s := &State{Step: step, Batch: int(batch), Params: params}
 		blob, err := Encode(s)
 		if err != nil {
 			return false

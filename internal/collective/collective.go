@@ -39,9 +39,6 @@ func NewGroup(n int) (*Group, error) {
 	return g, nil
 }
 
-// Size returns the number of ranks.
-func (g *Group) Size() int { return g.size }
-
 // Comm binds a rank to the group; each worker goroutine holds its own.
 func (g *Group) Comm(rank int) (*Comm, error) {
 	if rank < 0 || rank >= g.size {

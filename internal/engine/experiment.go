@@ -14,7 +14,8 @@ type Experiment struct {
 	// rendering anything. Nil when the experiment needs no simulation.
 	Cells func(p Params) []Cell
 	// Run renders the experiment (reading simulations through r's cache).
-	// The context cancels pending simulation work at cell boundaries.
+	// Cancelling the context aborts its cells, running ones included;
+	// Run then returns ctx.Err() and nothing of them is cached.
 	Run func(ctx context.Context, r *Runner) (string, error)
 }
 

@@ -203,8 +203,9 @@ func (r *Runner) Result(ctx context.Context, cell Cell) (*simulator.Result, erro
 // in input order. Cells already cached return instantly; the rest run at
 // most Workers at a time. The batch drains before returning — on
 // cancellation, cells not yet started are skipped, cells mid-simulation
-// finish, and only then does the call return (with ctx.Err unless a
-// simulation failed first) — so no worker goroutine outlives the call.
+// abort uncached, and only once every worker is back does the call
+// return (with ctx.Err unless a simulation failed first) — so no worker
+// goroutine outlives the call.
 func (r *Runner) Results(ctx context.Context, cells []Cell) ([]*simulator.Result, error) {
 	out := make([]*simulator.Result, len(cells))
 	errs := make([]error, len(cells))
@@ -345,11 +346,11 @@ func (r *Runner) simulate(ctx context.Context, c Cell) (res *simulator.Result, e
 	// The capacity timeline is seeded from the cell key minus the
 	// scheduler, so paired comparisons face the identical world.
 	var srcs []scenario.CapacitySource
-	if timeline := scn.Capacity.Timeline(c.scenarioSeed(r.params.Seed), simulator.MaxTime); len(timeline) > 0 {
+	if timeline := scn.Capacity.Timeline(c.scenarioSeed(r.params.Seed)); len(timeline) > 0 {
 		srcs = append(srcs, scenario.NewTimelineSource(timeline))
 	}
 	if scn.Capacity.DrainMTBF > 0 {
-		srcs = append(srcs, scenario.NewDrainMTBFSource(scn.Capacity, c.drainSeed(r.params.Seed), simulator.MaxTime))
+		srcs = append(srcs, scenario.NewDrainMTBFSource(scn.Capacity, c.drainSeed(r.params.Seed)))
 	}
 	if c.Autoscaler != "" {
 		policy, perr := autoscale.Get(c.Autoscaler)

@@ -17,7 +17,6 @@ import (
 // Jobs get staggered limits, processed history and progress distributions.
 func testCtx(seed int64, n int, topo cluster.Topology) *Context {
 	prof := perfmodel.CIFARResNet50()
-	net := perfmodel.DefaultNetwork()
 	jobs := make(map[cluster.JobID]*JobInfo, n)
 	for i := 0; i < n; i++ {
 		id := cluster.JobID(i)
@@ -35,7 +34,7 @@ func testCtx(seed int64, n int, topo cluster.Topology) *Context {
 		Topo: topo,
 		Jobs: jobs,
 		Throughput: func(j cluster.JobID, B, c, servers int) float64 {
-			return perfmodel.Throughput(prof, net, B, c, servers)
+			return perfmodel.Throughput(prof, B, c, servers)
 		},
 		Rng: rand.New(rand.NewSource(seed)),
 	}

@@ -59,7 +59,6 @@ func paramScale(p engine.Params) int {
 // checkpoint-based, on the live goroutine runtime.
 func Fig16Rows(p engine.Params) ([]Fig16Row, error) {
 	models := []string{"alexnet", "resnet18", "resnet50", "vgg16", "googlenet", "inceptionv3", "lstm"}
-	cm := scaling.DefaultCostModel()
 	scale := paramScale(p)
 	rows := make([]Fig16Row, 0, len(models))
 	for _, name := range models {
@@ -91,8 +90,8 @@ func Fig16Rows(p engine.Params) ([]Fig16Row, error) {
 			Model:              name,
 			ElasticMeasured:    elastic,
 			CheckpointMeasured: checkpoint,
-			ElasticPaper:       cm.Elastic(prof, 2, 4),
-			CheckpointPaper:    cm.Checkpoint(prof),
+			ElasticPaper:       scaling.ElasticCost(prof, 2, 4),
+			CheckpointPaper:    scaling.CheckpointCost(prof),
 		})
 	}
 	return rows, nil

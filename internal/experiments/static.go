@@ -17,14 +17,13 @@ var fig2 = engine.Experiment{
 	Title: "training speed of ResNet50 on CIFAR10, elastic vs fixed batch",
 	Run: func(ctx context.Context, r *engine.Runner) (string, error) {
 		p := perfmodel.CIFARResNet50()
-		net := perfmodel.DefaultNetwork()
 		var b strings.Builder
 		b.WriteString("Figure 2 — training speed of ResNet50 on CIFAR10 (images/s)\n")
 		fmt.Fprintf(&b, "%8s %16s %16s\n", "workers", "elastic batch", "fixed batch=256")
 		for c := 1; c <= 8; c++ {
 			fmt.Fprintf(&b, "%8d %16.0f %16.0f\n", c,
-				perfmodel.PackedThroughput(p, net, 256*c, c, 4),
-				perfmodel.PackedThroughput(p, net, 256, c, 4))
+				perfmodel.PackedThroughput(p, 256*c, c, 4),
+				perfmodel.PackedThroughput(p, 256, c, 4))
 		}
 		return b.String(), nil
 	},

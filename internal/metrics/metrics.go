@@ -17,38 +17,20 @@ import (
 // Summary condenses one scheduler's run.
 type Summary struct {
 	Scheduler string
-	Jobs      int
 	MeanJCT   float64
 	MeanExec  float64
 	MeanQueue float64
-	JCTBox    stats.BoxStats
-	ExecBox   stats.BoxStats
-	QueueBox  stats.BoxStats
 	Reconfigs int
-	Makespan  float64
 }
 
 // Summarize builds a Summary from a simulation result.
 func Summarize(res *simulator.Result) Summary {
-	jcts := make([]float64, len(res.Jobs))
-	execs := make([]float64, len(res.Jobs))
-	queues := make([]float64, len(res.Jobs))
-	for i, j := range res.Jobs {
-		jcts[i] = j.JCT
-		execs[i] = j.Exec
-		queues[i] = j.Queue
-	}
 	return Summary{
 		Scheduler: res.Scheduler,
-		Jobs:      len(res.Jobs),
 		MeanJCT:   res.MeanJCT(),
 		MeanExec:  res.MeanExec(),
 		MeanQueue: res.MeanQueue(),
-		JCTBox:    stats.Box(jcts),
-		ExecBox:   stats.Box(execs),
-		QueueBox:  stats.Box(queues),
 		Reconfigs: res.Reconfigs,
-		Makespan:  res.Makespan,
 	}
 }
 

@@ -51,7 +51,7 @@ func (t *Tracer) Start(ctx context.Context, id, name string) (context.Context, *
 	if t == nil {
 		return ctx, nil
 	}
-	tr := &Trace{id: id, start: time.Now(), maxSpans: t.maxSpans}
+	tr := &Trace{start: time.Now(), maxSpans: t.maxSpans}
 	root := tr.newSpan(nil, name)
 	t.mu.Lock()
 	if _, exists := t.traces[id]; !exists {
@@ -87,7 +87,6 @@ func (t *Tracer) Tree(id string) (*SpanNode, bool) {
 // instead of stored, so a trace's memory is bounded however long the
 // run.
 type Trace struct {
-	id       string
 	start    time.Time
 	maxSpans int
 

@@ -30,21 +30,15 @@ import (
 	"math"
 )
 
-// Network holds the communication-substrate parameters used by the
-// throughput model. Values are calibrated so the shapes of the paper's
-// Figure 2 reproduce on the CIFAR10/ResNet50 profile; they stand in for
-// NVLink / InfiniBand EDR plus the per-step framework overheads of
-// PyTorch DDP.
-type Network struct {
-	IntraBW      float64 // bytes/s effective all-reduce bandwidth within a server
-	CrossBW      float64 // bytes/s effective bandwidth when spanning servers
-	LatPerWorker float64 // seconds of per-step synchronization cost per worker
-}
-
-// DefaultNetwork returns the calibrated network parameters.
-func DefaultNetwork() Network {
-	return Network{IntraBW: 25e9, CrossBW: 3e9, LatPerWorker: 0.015}
-}
+// The communication substrate of the throughput model. Values are
+// calibrated so the shapes of the paper's Figure 2 reproduce on the
+// CIFAR10/ResNet50 profile; they stand in for NVLink / InfiniBand EDR
+// plus the per-step framework overheads of PyTorch DDP.
+const (
+	intraBW      = 25e9  // bytes/s effective all-reduce bandwidth within a server
+	crossBW      = 3e9   // bytes/s effective bandwidth when spanning servers
+	latPerWorker = 0.015 // seconds of per-step synchronization cost per worker
+)
 
 // Profile describes one trainable task: a model architecture bound to a
 // dataset. Profiles drive both the throughput and the convergence models.
@@ -92,7 +86,7 @@ func (p Profile) Validate() error {
 
 // StepTime returns the seconds per training step for global batch B spread
 // over c workers on `servers` distinct servers.
-func StepTime(p Profile, net Network, B, c, servers int) float64 {
+func StepTime(p Profile, B, c, servers int) float64 {
 	if B <= 0 || c <= 0 {
 		return math.Inf(1)
 	}
@@ -101,18 +95,18 @@ func StepTime(p Profile, net Network, B, c, servers int) float64 {
 	if c == 1 {
 		return compute
 	}
-	bw := net.IntraBW
+	bw := intraBW
 	if servers > 1 {
-		bw = net.CrossBW
+		bw = crossBW
 	}
 	ring := 2 * float64(c-1) / float64(c) * p.GradBytes / bw
-	return compute + ring + net.LatPerWorker*float64(c)
+	return compute + ring + latPerWorker*float64(c)
 }
 
 // Throughput returns samples/second for global batch B over c workers on
 // `servers` servers (Figure 2's y-axis).
-func Throughput(p Profile, net Network, B, c, servers int) float64 {
-	st := StepTime(p, net, B, c, servers)
+func Throughput(p Profile, B, c, servers int) float64 {
+	st := StepTime(p, B, c, servers)
 	if math.IsInf(st, 1) {
 		return 0
 	}
@@ -131,8 +125,8 @@ func serversNeeded(c, gpusPerServer int) int {
 
 // PackedThroughput is Throughput with packed placement on servers of the
 // given width.
-func PackedThroughput(p Profile, net Network, B, c, gpusPerServer int) float64 {
-	return Throughput(p, net, B, c, serversNeeded(c, gpusPerServer))
+func PackedThroughput(p Profile, B, c, gpusPerServer int) float64 {
+	return Throughput(p, B, c, serversNeeded(c, gpusPerServer))
 }
 
 // EpochPenalty returns the multiplicative factor on epochs-to-target for

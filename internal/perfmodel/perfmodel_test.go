@@ -33,8 +33,7 @@ func TestByName(t *testing.T) {
 
 func TestStepTimeSingleGPUHasNoComm(t *testing.T) {
 	p := CIFARResNet50()
-	net := DefaultNetwork()
-	got := StepTime(p, net, 256, 1, 1)
+	got := StepTime(p, 256, 1, 1)
 	want := p.KernelOverhead + 256*p.SampleTime
 	if math.Abs(got-want) > 1e-12 {
 		t.Errorf("StepTime single GPU = %v, want %v", got, want)
@@ -43,10 +42,9 @@ func TestStepTimeSingleGPUHasNoComm(t *testing.T) {
 
 func TestStepTimeGrowsWithWorkersAtFixedLocalBatch(t *testing.T) {
 	p := CIFARResNet50()
-	net := DefaultNetwork()
-	prev := StepTime(p, net, 256, 1, 1)
+	prev := StepTime(p, 256, 1, 1)
 	for c := 2; c <= 8; c *= 2 {
-		st := StepTime(p, net, 256*c, c, (c+3)/4)
+		st := StepTime(p, 256*c, c, (c+3)/4)
 		if st <= prev {
 			t.Errorf("StepTime c=%d (%v) should exceed c=%d (%v)", c, st, c/2, prev)
 		}
@@ -56,9 +54,8 @@ func TestStepTimeGrowsWithWorkersAtFixedLocalBatch(t *testing.T) {
 
 func TestStepTimeCrossServerSlower(t *testing.T) {
 	p := CIFARResNet50()
-	net := DefaultNetwork()
-	same := StepTime(p, net, 1024, 4, 1)
-	cross := StepTime(p, net, 1024, 4, 2)
+	same := StepTime(p, 1024, 4, 1)
+	cross := StepTime(p, 1024, 4, 2)
 	if cross <= same {
 		t.Errorf("cross-server step %v should exceed same-server %v", cross, same)
 	}
@@ -66,11 +63,10 @@ func TestStepTimeCrossServerSlower(t *testing.T) {
 
 func TestStepTimeDegenerate(t *testing.T) {
 	p := CIFARResNet50()
-	net := DefaultNetwork()
-	if !math.IsInf(StepTime(p, net, 0, 1, 1), 1) {
+	if !math.IsInf(StepTime(p, 0, 1, 1), 1) {
 		t.Error("zero batch should give +Inf step time")
 	}
-	if Throughput(p, net, 0, 1, 1) != 0 {
+	if Throughput(p, 0, 1, 1) != 0 {
 		t.Error("zero batch should give zero throughput")
 	}
 }
@@ -81,12 +77,11 @@ func TestStepTimeDegenerate(t *testing.T) {
 // exceeds the fixed-batch peak substantially at 8 workers.
 func TestFigure2Shape(t *testing.T) {
 	p := CIFARResNet50()
-	net := DefaultNetwork()
 	fixed := make([]float64, 9)
 	elastic := make([]float64, 9)
 	for c := 1; c <= 8; c++ {
-		fixed[c] = PackedThroughput(p, net, 256, c, 4)
-		elastic[c] = PackedThroughput(p, net, 256*c, c, 4)
+		fixed[c] = PackedThroughput(p, 256, c, 4)
+		elastic[c] = PackedThroughput(p, 256*c, c, 4)
 	}
 	if !(fixed[2] > fixed[1]) {
 		t.Errorf("fixed batch should improve 1→2 workers: %v vs %v", fixed[1], fixed[2])

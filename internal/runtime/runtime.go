@@ -73,7 +73,6 @@ func target(i int) float32 { return float32(i%17)/17 - 0.5 }
 
 // worker is one rank: a worker manager plus its scaling agent.
 type worker struct {
-	rank  int
 	spec  Spec
 	model *model
 	comm  *collective.Comm
@@ -180,7 +179,7 @@ func Start(spec Spec, n int) (*Job, error) {
 		return nil, fmt.Errorf("runtime: worker count %d", n)
 	}
 	j := &Job{spec: spec}
-	j.workers = spawnWorkers(spec, 0, n)
+	j.workers = spawnWorkers(spec, n)
 	rng := rand.New(rand.NewSource(42))
 	for i := range j.workers[0].model.params {
 		j.workers[0].model.params[i] = float32(rng.NormFloat64())
@@ -191,15 +190,14 @@ func Start(spec Spec, n int) (*Job, error) {
 	return j, nil
 }
 
-// spawnWorkers creates and starts worker goroutines with ranks
-// [firstRank, firstRank+count). They initialize their model buffers (the
-// Figure 12 "overlap initialization with previous training") and then
-// block waiting for a resume.
-func spawnWorkers(spec Spec, firstRank, count int) []*worker {
+// spawnWorkers creates and starts count worker goroutines. They
+// initialize their model buffers (the Figure 12 "overlap initialization
+// with previous training") and then block waiting for a resume, which
+// hands each its communicator and so its rank.
+func spawnWorkers(spec Spec, count int) []*worker {
 	ws := make([]*worker, count)
 	for i := range ws {
 		ws[i] = &worker{
-			rank:   firstRank + i,
 			spec:   spec,
 			model:  newModel(spec.ParamCount),
 			ctrl:   make(chan ctrlMsg),
@@ -258,7 +256,6 @@ func (j *Job) resumeAll(bcast bool) error {
 		if err != nil {
 			return err
 		}
-		w.rank = i
 		acks[i] = make(chan struct{})
 		w.ctrl <- ctrlMsg{kind: ctrlResume, comm: comm, local: local, bcast: bcast, root: 0, ack: acks[i]}
 	}
@@ -377,7 +374,7 @@ func (j *Job) RescaleElastic(newWorkers, newGlobalBatch int) (time.Duration, err
 	// the previous topology keeps training.
 	var joiners []*worker
 	if newWorkers > old {
-		joiners = spawnWorkers(j.spec, old, newWorkers-old)
+		joiners = spawnWorkers(j.spec, newWorkers-old)
 	}
 	start := time.Now()
 	// Step 2: pause at a step boundary.
@@ -413,7 +410,6 @@ func (j *Job) RescaleCheckpoint(newWorkers, newGlobalBatch int) (time.Duration, 
 	j.pauseAllLocked()
 	// Save.
 	state := &ckpt.State{
-		Name:     j.spec.Name,
 		Step:     j.workers[0].model.step,
 		Batch:    newGlobalBatch,
 		Params:   j.workers[0].model.params,
@@ -439,7 +435,7 @@ func (j *Job) RescaleCheckpoint(newWorkers, newGlobalBatch int) (time.Duration, 
 		return 0, err
 	}
 	j.spec.GlobalBatch = newGlobalBatch
-	j.workers = spawnWorkers(j.spec, 0, newWorkers)
+	j.workers = spawnWorkers(j.spec, newWorkers)
 	copy(j.workers[0].model.params, restored.Params)
 	copy(j.workers[0].model.momentum, restored.Momentum)
 	for _, w := range j.workers {

@@ -106,45 +106,31 @@ func (l *Limiter) ScaleDown(r int, processedSeconds float64) int {
 	return nr
 }
 
-// CostModel prices a reconfiguration. Calibrated against Figure 16:
-// elastic scaling costs a fixed coordination overhead plus a parameter
-// broadcast, totalling ~0.3–1.2 s; checkpoint-based migration pays process
-// restart + data preparation + serialized model I/O, totalling ~10–22 s.
-type CostModel struct {
-	ElasticBase float64 // pause + topology reconnection (s)
-	BroadcastBW float64 // parameter broadcast bandwidth (bytes/s)
+// The reconfiguration cost model, calibrated against Figure 16: elastic
+// scaling costs a fixed coordination overhead plus a parameter
+// broadcast, totalling ~0.3–1.2 s; checkpoint-based migration pays
+// process restart + data preparation + serialized model I/O, totalling
+// ~10–22 s.
+const (
+	elasticBase    = 0.2 // pause + topology reconnection (s)
+	broadcastBW    = 5e8 // parameter broadcast bandwidth (bytes/s)
+	checkpointBase = 9.0 // stop, restart process, CUDA init, data prep (s)
+	serializeBW    = 5e7 // checkpoint write+read bandwidth (bytes/s)
+)
 
-	CheckpointBase float64 // stop, restart process, CUDA init, data prep (s)
-	SerializeBW    float64 // checkpoint write+read bandwidth (bytes/s)
-}
-
-// DefaultCostModel returns the Figure 16 calibration.
-func DefaultCostModel() CostModel {
-	return CostModel{
-		ElasticBase:    0.2,
-		BroadcastBW:    5e8,
-		CheckpointBase: 9.0,
-		SerializeBW:    5e7,
-	}
-}
-
-// Elastic returns the seconds to execute an elastic batch-size rescale of
-// a job with the given profile. Shrinking (no new workers) skips the
-// parameter broadcast.
-func (c CostModel) Elastic(p perfmodel.Profile, oldWorkers, newWorkers int) float64 {
-	cost := c.ElasticBase
-	if newWorkers > oldWorkers && c.BroadcastBW > 0 {
-		cost += p.GradBytes / c.BroadcastBW
+// ElasticCost returns the seconds to execute an elastic batch-size
+// rescale of a job with the given profile. Shrinking (no new workers)
+// skips the parameter broadcast.
+func ElasticCost(p perfmodel.Profile, oldWorkers, newWorkers int) float64 {
+	cost := elasticBase
+	if newWorkers > oldWorkers {
+		cost += p.GradBytes / broadcastBW
 	}
 	return cost
 }
 
-// Checkpoint returns the seconds for checkpoint-based migration of a job
-// with the given profile (save, stop, restart, reload).
-func (c CostModel) Checkpoint(p perfmodel.Profile) float64 {
-	cost := c.CheckpointBase
-	if c.SerializeBW > 0 {
-		cost += p.GradBytes / c.SerializeBW
-	}
-	return cost
+// CheckpointCost returns the seconds for checkpoint-based migration of a
+// job with the given profile (save, stop, restart, reload).
+func CheckpointCost(p perfmodel.Profile) float64 {
+	return checkpointBase + p.GradBytes/serializeBW
 }

@@ -115,15 +115,14 @@ func TestNewLimiterNegativeRateClamped(t *testing.T) {
 }
 
 func TestCostModelFigure16Shape(t *testing.T) {
-	cm := DefaultCostModel()
 	models := []string{"alexnet", "resnet18", "resnet50", "vgg16", "googlenet", "inceptionv3", "lstm"}
 	for _, name := range models {
 		p, err := perfmodel.ByName(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		el := cm.Elastic(p, 2, 4)
-		ck := cm.Checkpoint(p)
+		el := ElasticCost(p, 2, 4)
+		ck := CheckpointCost(p)
 		if el <= 0 || ck <= 0 {
 			t.Fatalf("%s: nonpositive costs %v %v", name, el, ck)
 		}
@@ -141,23 +140,21 @@ func TestCostModelFigure16Shape(t *testing.T) {
 }
 
 func TestElasticShrinkSkipsBroadcast(t *testing.T) {
-	cm := DefaultCostModel()
 	p, _ := perfmodel.ByName("vgg16")
-	grow := cm.Elastic(p, 2, 4)
-	shrink := cm.Elastic(p, 4, 2)
+	grow := ElasticCost(p, 2, 4)
+	shrink := ElasticCost(p, 4, 2)
 	if shrink >= grow {
 		t.Errorf("shrink (%v) should be cheaper than grow (%v): no parameter broadcast", shrink, grow)
 	}
-	if shrink != cm.ElasticBase {
-		t.Errorf("shrink cost = %v, want base %v", shrink, cm.ElasticBase)
+	if shrink != elasticBase {
+		t.Errorf("shrink cost = %v, want base %v", shrink, elasticBase)
 	}
 }
 
 func TestCheckpointScalesWithModelSize(t *testing.T) {
-	cm := DefaultCostModel()
 	vgg, _ := perfmodel.ByName("vgg16")      // 138M params
 	gnet, _ := perfmodel.ByName("googlenet") // 6.8M params
-	if cm.Checkpoint(vgg) <= cm.Checkpoint(gnet) {
+	if CheckpointCost(vgg) <= CheckpointCost(gnet) {
 		t.Error("bigger model should checkpoint slower")
 	}
 }

@@ -102,9 +102,6 @@ type CapacitySpec struct {
 	// MinServers floors the cluster: removals that would shrink it below
 	// are skipped by the simulator (0 ⇒ 1).
 	MinServers int `json:"min_servers,omitempty"`
-
-	// Horizon stops stochastic event generation (0 ⇒ DefaultHorizon).
-	Horizon float64 `json:"horizon,omitempty"`
 }
 
 // IsStatic reports whether the capacity never changes.
@@ -116,19 +113,12 @@ func (c CapacitySpec) IsStatic() bool {
 // stochastic draws depend only on (spec, seed), never on simulation
 // state, so every scheduler facing the same scenario cell sees the
 // identical sequence of cluster changes — the pairing that keeps
-// cross-scheduler comparisons meaningful. maxHorizon (typically the
-// simulator's MaxTime) additionally caps generation.
-func (c CapacitySpec) Timeline(seed int64, maxHorizon float64) []CapacityEvent {
-	horizon := c.Horizon
-	if horizon <= 0 {
-		horizon = DefaultHorizon
-	}
-	if maxHorizon > 0 && maxHorizon < horizon {
-		horizon = maxHorizon
-	}
+// cross-scheduler comparisons meaningful. Generation stops at
+// DefaultHorizon.
+func (c CapacitySpec) Timeline(seed int64) []CapacityEvent {
 	var events []CapacityEvent
 	for _, ev := range c.Planned {
-		if ev.Time <= horizon {
+		if ev.Time <= DefaultHorizon {
 			events = append(events, ev)
 		}
 	}
@@ -137,7 +127,7 @@ func (c CapacitySpec) Timeline(seed int64, maxHorizon float64) []CapacityEvent {
 		if mtbf <= 0 {
 			return
 		}
-		for t := rng.ExpFloat64() * mtbf; t <= horizon; t += rng.ExpFloat64() * mtbf {
+		for t := rng.ExpFloat64() * mtbf; t <= DefaultHorizon; t += rng.ExpFloat64() * mtbf {
 			events = append(events, CapacityEvent{Time: t, Kind: kind, Servers: 1, Pick: rng.Float64()})
 			if restock > 0 {
 				events = append(events, CapacityEvent{Time: t + restock, Kind: CapacityJoin, Servers: 1, Restocks: kind})

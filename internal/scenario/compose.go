@@ -63,10 +63,10 @@ func capacityClaims(c CapacitySpec) map[CapacityEventKind]bool {
 //     pair with ErrIncompatible instead.
 //
 // Planned capacity events of disjoint kinds concatenate (Timeline sorts
-// them by time), MinServers takes the most conservative (largest) floor,
-// and Horizon the longest non-zero value. Composition keeps determinism:
-// the merged spec is a pure value, so trace generation and
-// capacity-timeline seeding behave exactly as for built-in specs.
+// them by time), and MinServers takes the most conservative (largest)
+// floor. Composition keeps determinism: the merged spec is a pure value,
+// so trace generation and capacity-timeline seeding behave exactly as
+// for built-in specs.
 func Compose(names ...string) (Spec, error) {
 	if len(names) == 0 {
 		return Spec{}, fmt.Errorf("%w: no scenario names given", ErrIncompatible)
@@ -126,9 +126,6 @@ func Compose(names ...string) (Spec, error) {
 		out.Capacity.Planned = append(out.Capacity.Planned, c.Planned...)
 		if c.MinServers > out.Capacity.MinServers {
 			out.Capacity.MinServers = c.MinServers
-		}
-		if c.Horizon > out.Capacity.Horizon {
-			out.Capacity.Horizon = c.Horizon
 		}
 	}
 	out.Name = strings.Join(parts, "+")

@@ -182,22 +182,15 @@ type DrainMTBFSource struct {
 }
 
 // NewDrainMTBFSource expands the spec's DrainMTBF/DrainRestock process
-// into a source. maxHorizon (typically the simulator's MaxTime)
-// additionally caps generation, like CapacitySpec.Timeline.
-func NewDrainMTBFSource(spec CapacitySpec, seed int64, maxHorizon float64) *DrainMTBFSource {
+// into a source. Generation stops at DefaultHorizon, like
+// CapacitySpec.Timeline.
+func NewDrainMTBFSource(spec CapacitySpec, seed int64) *DrainMTBFSource {
 	src := &DrainMTBFSource{}
 	if spec.DrainMTBF <= 0 {
 		return src
 	}
-	horizon := spec.Horizon
-	if horizon <= 0 {
-		horizon = DefaultHorizon
-	}
-	if maxHorizon > 0 && maxHorizon < horizon {
-		horizon = maxHorizon
-	}
 	rng := rand.New(rand.NewSource(seed))
-	for t := rng.ExpFloat64() * spec.DrainMTBF; t <= horizon; t += rng.ExpFloat64() * spec.DrainMTBF {
+	for t := rng.ExpFloat64() * spec.DrainMTBF; t <= DefaultHorizon; t += rng.ExpFloat64() * spec.DrainMTBF {
 		src.pending = append(src.pending, CapacityEvent{Time: t, Kind: CapacityRackDrain, Pick: rng.Float64()})
 		if spec.DrainRestock > 0 {
 			// Servers 0 on a restock join means "everything still out":

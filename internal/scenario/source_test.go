@@ -81,7 +81,7 @@ func TestSourcesComposition(t *testing.T) {
 func TestDrainMTBFSourceDeterministicAndStateDependent(t *testing.T) {
 	spec := CapacitySpec{DrainMTBF: 500, DrainRestock: 300}
 	expand := func() []CapacityEvent {
-		src := NewDrainMTBFSource(spec, 7, 4000)
+		src := NewDrainMTBFSource(spec, 7)
 		view := ClusterView{LiveRacks: []int{0, 1, 2, 3}}
 		var all []CapacityEvent
 		for {
@@ -95,7 +95,7 @@ func TestDrainMTBFSourceDeterministicAndStateDependent(t *testing.T) {
 	}
 	first := expand()
 	if len(first) == 0 {
-		t.Fatal("no drain events drawn over an 8×MTBF horizon")
+		t.Fatal("no drain events drawn over a horizon of 14 MTBFs")
 	}
 	var drains, restocks int
 	last := -1.0
@@ -129,7 +129,7 @@ func TestDrainMTBFSourceDeterministicAndStateDependent(t *testing.T) {
 	// The pick resolves against racks alive *at apply time*: shrinking the
 	// live set changes which rack a late drain hits — exactly what a
 	// precomputed timeline cannot express.
-	src := NewDrainMTBFSource(spec, 7, 4000)
+	src := NewDrainMTBFSource(spec, 7)
 	wake := src.NextWake(-1)
 	ev := src.Next(wake, ClusterView{LiveRacks: []int{9}})
 	if len(ev) == 0 || ev[0].Rack != 9 {
@@ -141,7 +141,7 @@ func TestDrainMTBFSourceDeterministicAndStateDependent(t *testing.T) {
 }
 
 func TestDrainMTBFSourceZeroSpec(t *testing.T) {
-	src := NewDrainMTBFSource(CapacitySpec{}, 1, 0)
+	src := NewDrainMTBFSource(CapacitySpec{}, 1)
 	if src.NextWake(-1) >= 0 {
 		t.Error("zero DrainMTBF must yield an exhausted source")
 	}
@@ -160,7 +160,7 @@ func TestMTBFDrainScenarioRegistered(t *testing.T) {
 	}
 	// The drain process is state-dependent and must NOT leak into the
 	// precomputed timeline (it runs as a DrainMTBFSource instead).
-	if tl := s.Capacity.Timeline(1, 0); len(tl) != 0 {
+	if tl := s.Capacity.Timeline(1); len(tl) != 0 {
 		t.Errorf("Timeline expanded drain events: %+v", tl)
 	}
 }

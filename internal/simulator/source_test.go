@@ -55,7 +55,7 @@ func TestDrainMTBFSourceEndToEnd(t *testing.T) {
 	run := func() *Result {
 		cfg := mixedConfig(t, 10)
 		cfg.MinServers = spec.MinServers
-		cfg.Source = scenario.NewDrainMTBFSource(spec, 11, MaxTime)
+		cfg.Source = scenario.NewDrainMTBFSource(spec, 11)
 		res, err := Run(cfg, &fifoTest{})
 		if err != nil {
 			t.Fatal(err)

@@ -82,20 +82,32 @@ func TestWilcoxonErrors(t *testing.T) {
 }
 
 func TestWilcoxonDropsZeroDifferences(t *testing.T) {
-	x := []float64{1, 2, 3, 4, 5, 6, 7, 10, 10, 10}
-	y := []float64{2, 3, 4, 5, 6, 7, 8, 10, 10, 10}
+	// x − y = +1, −2, +3, −4, +5, +6, +7 and three zeros. The zeros drop,
+	// the seven magnitudes rank 1..7 untied, and the positive ranks sum
+	// to W = 1+3+5+6+7 = 22 against a null mean of n(n+1)/4 = 14 and a
+	// variance of n(n+1)(2n+1)/24 = 35, so the continuity-corrected
+	// score is Z = (22 − 14 − 0.5)/√35.
+	x := []float64{2, 1, 4, 1, 6, 7, 8, 10, 10, 10}
+	y := []float64{1, 3, 1, 5, 1, 1, 1, 10, 10, 10}
 	res, err := Wilcoxon(x, y, TwoSided)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.N != 7 {
-		t.Errorf("effective n = %d, want 7 (zeros dropped)", res.N)
+	if res.N != 7 || res.TieCount != 0 {
+		t.Errorf("effective n = %d, ties = %d, want 7 (zeros dropped) and 0", res.N, res.TieCount)
+	}
+	if res.W != 22 {
+		t.Errorf("W = %v, want 22", res.W)
+	}
+	if want := 7.5 / math.Sqrt(35); math.Abs(res.Z-want) > 1e-12 {
+		t.Errorf("Z = %v, want %v", res.Z, want)
 	}
 }
 
 func TestWilcoxonHandlesTies(t *testing.T) {
 	// All absolute differences equal: heavily tied but not degenerate in
-	// sign.
+	// sign. The eight tied ranks average 4.5, and the four positive ones
+	// sum to W = 18, exactly the null mean 8·9/4, so Z = 0.
 	x := []float64{1, 1, 1, 1, 1, 1, 1, 1}
 	y := []float64{2, 0, 2, 0, 2, 0, 2, 0}
 	res, err := Wilcoxon(x, y, TwoSided)
@@ -104,6 +116,9 @@ func TestWilcoxonHandlesTies(t *testing.T) {
 	}
 	if res.TieCount != 8 {
 		t.Errorf("tie count = %d, want 8", res.TieCount)
+	}
+	if res.W != 18 || res.Z != 0 {
+		t.Errorf("W = %v, Z = %v, want 18 and 0", res.W, res.Z)
 	}
 	if res.P < 0.9 {
 		t.Errorf("balanced signs should be insignificant, p = %v", res.P)

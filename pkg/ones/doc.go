@@ -24,15 +24,17 @@
 // Example functions (run by go test) are the maintained walkthroughs of
 // these paths.
 //
-// Every run takes a context.Context. Cancellation is observed at cell
-// boundaries: queued simulations never start, in-flight ones finish, and
-// the call returns only once its workers have drained — no goroutine
-// outlives a cancelled call, and rerunning with a live context yields
-// exactly the results the uncancelled run would have (results are
+// Every run takes a context.Context. Cancellation reaches inside cells:
+// queued simulations never start, and running ones abort mid-run (the
+// simulator polls the context every 1024 events, ONES's search between
+// candidate tasks) and return ctx.Err(). Nothing of an aborted cell is
+// cached, and the call returns only once its workers have drained — no
+// goroutine outlives a cancelled call, and rerunning with a live context
+// yields exactly the results the uncancelled run would have (results are
 // byte-identical for a given seed at any worker count).
 //
 // Progress and live metrics stream through the Observer interface (see
-// WithObserver); NewStream adapts an Observer to a channel. Lookup
+// WithObserver). Lookup
 // failures wrap the typed sentinel errors ErrUnknownScheduler,
 // ErrUnknownScenario and ErrUnknownExperiment, so callers can
 // errors.Is-match them without parsing messages.

@@ -177,12 +177,3 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 func WithMetrics(m *Metrics) Option {
 	return func(s *settings) { s.metrics = m }
 }
-
-// Metrics returns the sink configured with WithMetrics (nil without
-// one).
-func (s *Session) Metrics() *Metrics { return s.metrics }
-
-// Snapshot reads the current values of the session's headline telemetry
-// series (all zeros without WithMetrics). Sessions sharing one Metrics
-// share series, so the snapshot spans all of them.
-func (s *Session) Snapshot() MetricsSnapshot { return s.metrics.Snapshot() }

@@ -77,7 +77,7 @@ func TestMetricsRecordRunTelemetry(t *testing.T) {
 	}
 	end()
 
-	snap := s.Snapshot()
+	snap := m.Snapshot()
 	if snap.CellsStarted != 1 || snap.CellsCompleted != 1 {
 		t.Errorf("cells started/completed = %d/%d, want 1/1", snap.CellsStarted, snap.CellsCompleted)
 	}
@@ -143,7 +143,7 @@ func TestMetricsRecordRunTelemetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	end2()
-	if snap2 := s.Snapshot(); snap2.CellsStarted != 1 {
+	if snap2 := m.Snapshot(); snap2.CellsStarted != 1 {
 		t.Errorf("second run started %d cells, want 1 (memoized)", snap2.CellsStarted)
 	}
 }
@@ -165,9 +165,5 @@ func TestNilMetricsSafe(t *testing.T) {
 	}
 	if snap := m.Snapshot(); snap != (MetricsSnapshot{}) {
 		t.Errorf("nil snapshot = %+v, want zero", snap)
-	}
-	s := newMetricsTestSession(t, WithMetrics(nil))
-	if got := s.Snapshot(); got != (MetricsSnapshot{}) {
-		t.Errorf("session without metrics: snapshot = %+v, want zero", got)
 	}
 }

@@ -1,9 +1,6 @@
 package ones
 
-import (
-	"sync"
-	"time"
-)
+import "time"
 
 // ProgressKind classifies a progress event.
 type ProgressKind string
@@ -72,102 +69,3 @@ type ObserverFunc func(p Progress)
 
 // Observe calls f.
 func (f ObserverFunc) Observe(p Progress) { f(p) }
-
-// multiObserver fans events to several observers in order.
-type multiObserver []Observer
-
-func (m multiObserver) Observe(p Progress) {
-	for _, o := range m {
-		o.Observe(p)
-	}
-}
-
-// MultiObserver combines observers; each event is delivered to every
-// observer in argument order. Nil observers are skipped.
-func MultiObserver(obs ...Observer) Observer {
-	var out multiObserver
-	for _, o := range obs {
-		if o != nil {
-			out = append(out, o)
-		}
-	}
-	return out
-}
-
-// Stream adapts the Observer interface to a channel, for consumers that
-// prefer ranging over events to registering callbacks:
-//
-//	stream := ones.NewStream(16)
-//	s, _ := ones.New(ones.WithObserver(stream))
-//	go func() { defer stream.Close(); s.Run(ctx) }()
-//	for p := range stream.Events() { ... }
-//
-// Sends block when the buffer is full, throttling the engine to the
-// consumer rather than dropping events. Close ends the Events range
-// (after buffered events drain) and is safe at any time, even while the
-// run is still emitting: senders blocked on a full buffer unblock and
-// discard their event, so an early-exiting consumer can Close without
-// deadlocking the engine. Close is idempotent.
-type Stream struct {
-	mu       sync.Mutex
-	ch       chan Progress
-	done     chan struct{}
-	sending  int
-	closed   bool
-	chClosed bool
-}
-
-// NewStream returns a Stream whose channel buffers up to buffer events
-// (minimum 1).
-func NewStream(buffer int) *Stream {
-	if buffer < 1 {
-		buffer = 1
-	}
-	return &Stream{ch: make(chan Progress, buffer), done: make(chan struct{})}
-}
-
-// Observe forwards the event into the channel, blocking while the
-// buffer is full (or until the stream closes).
-func (s *Stream) Observe(p Progress) {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
-	s.sending++
-	s.mu.Unlock()
-	select {
-	case s.ch <- p:
-	case <-s.done: // closed mid-send: drop the event
-	}
-	s.mu.Lock()
-	s.sending--
-	s.closeChLocked()
-	s.mu.Unlock()
-}
-
-// Events returns the receive side of the stream.
-func (s *Stream) Events() <-chan Progress { return s.ch }
-
-// Close ends the stream: blocked senders unblock, later Observe calls
-// are discarded, and the Events channel closes once buffered events are
-// consumed and in-flight sends retire.
-func (s *Stream) Close() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return
-	}
-	s.closed = true
-	close(s.done)
-	s.closeChLocked()
-}
-
-// closeChLocked closes the event channel once the stream is closed and
-// the last in-flight send has retired. Callers hold s.mu.
-func (s *Stream) closeChLocked() {
-	if s.closed && s.sending == 0 && !s.chClosed {
-		s.chClosed = true
-		close(s.ch)
-	}
-}

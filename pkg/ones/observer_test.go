@@ -4,7 +4,6 @@ import (
 	"context"
 	"sync"
 	"testing"
-	"time"
 )
 
 // recorder collects progress events thread-safely.
@@ -104,33 +103,6 @@ func TestExperimentProgressCountsEachCellOnce(t *testing.T) {
 	}
 }
 
-// TestStreamCloseWhileBlocked: a consumer that stops reading and closes
-// the stream must unblock a sender stuck on the full buffer — the
-// engine can never deadlock on an abandoned stream.
-func TestStreamCloseWhileBlocked(t *testing.T) {
-	stream := NewStream(1)
-	stream.Observe(Progress{Kind: KindRunStart}) // fills the buffer
-	sent := make(chan struct{})
-	go func() {
-		stream.Observe(Progress{Kind: KindCellDone}) // blocks: buffer full
-		close(sent)
-	}()
-	stream.Close()
-	select {
-	case <-sent:
-	case <-time.After(2 * time.Second):
-		t.Fatal("Observe still blocked after Close: engine would deadlock")
-	}
-	// The channel still drains the buffered event, then ends the range.
-	n := 0
-	for range stream.Events() {
-		n++
-	}
-	if n != 1 {
-		t.Errorf("drained %d buffered events, want 1", n)
-	}
-}
-
 func TestObserverExperimentEvents(t *testing.T) {
 	rec := &recorder{}
 	s, err := New(WithQuickScale(), WithObserver(rec))
@@ -147,48 +119,5 @@ func TestObserverExperimentEvents(t *testing.T) {
 	}
 	if got[KindExperimentDone][0].Experiment != "fig2" {
 		t.Errorf("experiment-done names %q", got[KindExperimentDone][0].Experiment)
-	}
-}
-
-func TestStreamDeliversAndCloses(t *testing.T) {
-	stream := NewStream(4)
-	s := quickSession(t, WithObserver(stream))
-
-	var (
-		wg     sync.WaitGroup
-		events []Progress
-	)
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for p := range stream.Events() {
-			events = append(events, p)
-		}
-	}()
-	if _, err := s.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	stream.Close()
-	wg.Wait()
-
-	if len(events) < 3 { // run-start, cell-start, cell-done, run-done
-		t.Fatalf("stream delivered %d events, want ≥ 3: %+v", len(events), events)
-	}
-	if events[0].Kind != KindRunStart || events[len(events)-1].Kind != KindRunDone {
-		t.Errorf("stream order wrong: first %s, last %s", events[0].Kind, events[len(events)-1].Kind)
-	}
-	// Close is idempotent and post-Close observes are discarded.
-	stream.Close()
-	stream.Observe(Progress{Kind: KindRunStart})
-}
-
-func TestMultiObserverFansOut(t *testing.T) {
-	a, b := &recorder{}, &recorder{}
-	s := quickSession(t, WithObserver(MultiObserver(a, nil, b)))
-	if _, err := s.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if len(a.events) == 0 || len(a.events) != len(b.events) {
-		t.Errorf("fan-out uneven: %d vs %d events", len(a.events), len(b.events))
 	}
 }

@@ -189,7 +189,7 @@ func TestDaemonConcurrentClients(t *testing.T) {
 	wg.Wait()
 
 	// Identical requests deduplicated: one simulation, shared by all.
-	if st := srv.Cache().Stats(); st.Computes != 1 {
+	if st := srv.cache.Stats(); st.Computes != 1 {
 		t.Errorf("cache stats = %+v, want exactly 1 compute for %d identical runs", st, clients)
 	}
 	for i, r := range results {
@@ -251,7 +251,7 @@ func TestDaemonWarmRestart(t *testing.T) {
 	srv1, ts1 := newTestServer(t, dir)
 	cold := runToDone(t, ts1.URL)
 	runToDone(t, ts1.URL)
-	if cs := srv1.Cache().Stats(); cs.Computes != 1 || cs.MemoryHits != 1 {
+	if cs := srv1.cache.Stats(); cs.Computes != 1 || cs.MemoryHits != 1 {
 		t.Errorf("live daemon stats = %+v, want 1 compute and 1 memory hit", cs)
 	}
 	if err := srv1.Shutdown(context.Background()); err != nil {
@@ -265,7 +265,7 @@ func TestDaemonWarmRestart(t *testing.T) {
 		ts2.Close()
 	}()
 	warm := runToDone(t, ts2.URL)
-	cs := srv2.Cache().Stats()
+	cs := srv2.cache.Stats()
 	if cs.Computes != 0 || cs.DiskHits != 1 {
 		t.Errorf("restarted daemon stats = %+v, want a pure disk hit", cs)
 	}

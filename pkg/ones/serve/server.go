@@ -416,9 +416,6 @@ func (s *Server) draining() bool {
 	return s.closed
 }
 
-// Cache returns the shared cache (may be nil).
-func (s *Server) Cache() *ones.Cache { return s.cache }
-
 // start validates the spec, registers a run and launches its goroutine.
 // Registering also sweeps the bounded run table, so a capped daemon
 // evicts old finished runs exactly when new work arrives.

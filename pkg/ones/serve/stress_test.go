@@ -117,7 +117,7 @@ func TestHubSharedFanout(t *testing.T) {
 			t.Errorf("client %d saw %v, client 0 saw %v", i, kinds[i], kinds[0])
 		}
 	}
-	if cs := srv.Cache().Stats(); cs.Computes != 1 {
+	if cs := srv.cache.Stats(); cs.Computes != 1 {
 		t.Errorf("50 clients of one run cost %d computes, want 1", cs.Computes)
 	}
 	// kinds includes the synthetic "end" line; everything before it was a
@@ -200,7 +200,7 @@ func TestDaemonStressHardened(t *testing.T) {
 		t.Error("no runtable cap evictions counted after 50 runs against MaxRuns=10")
 	}
 	// All 45 identical quick runs shared one simulation.
-	if cs := srv.Cache().Stats(); cs.Computes < 1 || cs.Computes > 1+clients/10 {
+	if cs := srv.cache.Stats(); cs.Computes < 1 || cs.Computes > 1+clients/10 {
 		t.Errorf("cache computes = %d, want 1 shared quick compute (+ at most %d cancelled slow stragglers)", cs.Computes, clients/10)
 	}
 	// Every endpoint 404s an evicted run.

@@ -30,7 +30,6 @@ type Session struct {
 	shape      string
 	traceSeed  int64
 	obs        Observer
-	metrics    *Metrics
 	runner     *engine.Runner
 
 	progress struct {
@@ -83,7 +82,6 @@ func New(opts ...Option) (*Session, error) {
 		shape:      st.shape,
 		traceSeed:  st.trace.Seed,
 		obs:        st.observer,
-		metrics:    st.metrics,
 		runner:     engine.NewRunner(p),
 	}
 	if st.cache != nil {
@@ -111,9 +109,6 @@ func New(opts ...Option) (*Session, error) {
 
 // Workers returns the effective worker-pool size.
 func (s *Session) Workers() int { return s.runner.Workers() }
-
-// Seed returns the session's master RNG seed.
-func (s *Session) Seed() int64 { return s.params.Seed }
 
 // SimulatedCells reports how many simulation cells the session's cache
 // holds in memory: with WithCache, every cell any session sharing the
@@ -194,8 +189,9 @@ func (s *Session) cell(scheduler string) engine.Cell {
 }
 
 // Run simulates the session's configured trace under its configured
-// scheduler, scenario and topology. The context cancels pending work at
-// cell boundaries; the session's workers drain before Run returns.
+// scheduler, scenario and topology. Cancelling the context aborts the
+// cell even mid-simulation: Run returns ctx.Err(), caches nothing of it,
+// and returns only once the session's workers have drained.
 // Results are memoized: a second identical Run returns instantly.
 func (s *Session) Run(ctx context.Context) (*Result, error) {
 	start := time.Now()
