@@ -21,13 +21,13 @@
 // additionally mounts the Go profiler under /debug/pprof/.
 //
 // Production hardening (all opt-in, see DESIGN.md "Admission & bounded
-// state"): -max-runs/-run-ttl bound the run table, -cache-max-entries/
-// -cache-ttl/-cache-max-bytes bound the result cache (swept every
-// -sweep-interval even when idle), -auth-token requires a bearer token
-// on /v1 (probes and /metrics stay open), -rate-limit/-rate-burst add
-// per-endpoint token buckets (429 + Retry-After), and -breaker-backlog/
-// -breaker-cooldown shed run creation with 503s while compute is backed
-// up.
+// state") keeps one cap per store and one setting per protection:
+// -max-runs caps the run table, -cache-max-entries the in-memory result
+// memo and -cache-max-bytes the -cache-dir files; -auth-token requires a
+// bearer token on /v1 (probes and /metrics stay open), -rate-limit adds
+// per-endpoint token buckets holding one second's worth of requests
+// (429 + Retry-After), and -breaker-backlog sheds run creation with 503s
+// while compute is backed up.
 //
 // See cmd/onesd/README.md for the full endpoint reference and
 // DESIGN.md ("Network service") for cache layout and cancellation
@@ -60,17 +60,12 @@ func main() {
 		withPprof = flag.Bool("pprof", false, "serve Go profiling endpoints under /debug/pprof/")
 
 		maxRuns    = flag.Int("max-runs", 0, "cap the run table; oldest finished runs are evicted beyond it (0: unbounded)")
-		runTTL     = flag.Duration("run-ttl", 0, "evict finished runs this long after completion (0: keep forever)")
 		cacheMax   = flag.Int("cache-max-entries", 0, "cap the in-memory result memo, LRU-evicting completed entries (0: unbounded)")
-		cacheTTL   = flag.Duration("cache-ttl", 0, "evict completed memo entries idle this long (0: never)")
 		cacheBytes = flag.Int64("cache-max-bytes", 0, "cap the -cache-dir size in bytes, removing oldest files (0: unbounded)")
-		sweepEvery = flag.Duration("sweep-interval", time.Minute, "how often to sweep cache limits when idle")
 
-		authToken   = flag.String("auth-token", "", "require this bearer token on /v1 endpoints (empty: no auth)")
-		rateLimit   = flag.Float64("rate-limit", 0, "per-endpoint requests per second; excess answered 429 (0: unlimited)")
-		rateBurst   = flag.Int("rate-burst", 0, "token-bucket burst per endpoint (0: one second's worth)")
-		brkBacklog  = flag.Int("breaker-backlog", 0, "shed run creation with 503s once this many runs execute concurrently (0: disabled)")
-		brkCooldown = flag.Duration("breaker-cooldown", 5*time.Second, "how long the breaker stays open before probing again")
+		authToken  = flag.String("auth-token", "", "require this bearer token on /v1 endpoints (empty: no auth)")
+		rateLimit  = flag.Float64("rate-limit", 0, "per-endpoint requests per second, with one second's worth of burst; excess answered 429 (0: unlimited)")
+		brkBacklog = flag.Int("breaker-backlog", 0, "shed run creation with 503s for 5s once this many runs execute concurrently (0: disabled)")
 	)
 	flag.Parse()
 	logger := log.New(os.Stderr, "onesd: ", log.LstdFlags)
@@ -82,21 +77,14 @@ func main() {
 	if *cacheDir != "" {
 		logger.Printf("persisting cells to %s", *cacheDir)
 	}
-	cache.SetLimits(ones.CacheLimits{
-		MaxEntries:   *cacheMax,
-		TTL:          *cacheTTL,
-		MaxDiskBytes: *cacheBytes,
-	})
+	cache.SetLimits(ones.CacheLimits{MaxEntries: *cacheMax, MaxDiskBytes: *cacheBytes})
 
 	metrics := ones.NewMetrics()
 	srv := serve.New(cache, logger, serve.WithMetrics(metrics), serve.WithConfig(serve.Config{
-		MaxRuns:         *maxRuns,
-		RunTTL:          *runTTL,
-		AuthToken:       *authToken,
-		RatePerSec:      *rateLimit,
-		RateBurst:       *rateBurst,
-		BreakerBacklog:  *brkBacklog,
-		BreakerCooldown: *brkCooldown,
+		MaxRuns:        *maxRuns,
+		AuthToken:      *authToken,
+		RatePerSec:     *rateLimit,
+		BreakerBacklog: *brkBacklog,
 	}))
 	handler := srv.Handler()
 	if *withPprof {
@@ -116,24 +104,6 @@ func main() {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-
-	// Sweep the cache limits periodically so TTL'd entries expire and the
-	// disk directory shrinks even while the daemon is idle (inserts sweep
-	// inline; this ticker covers the no-traffic case). Stops on shutdown.
-	if *sweepEvery > 0 {
-		go func() {
-			tick := time.NewTicker(*sweepEvery)
-			defer tick.Stop()
-			for {
-				select {
-				case <-ctx.Done():
-					return
-				case <-tick.C:
-					cache.Sweep()
-				}
-			}
-		}()
-	}
 
 	errc := make(chan error, 1)
 	go func() {

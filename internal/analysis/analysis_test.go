@@ -1,23 +1,51 @@
 package analysis
 
 import (
+	"go/importer"
+	"go/token"
+	"go/types"
 	"os"
 	"path/filepath"
 	"regexp"
 	"strings"
+	"sync"
 	"testing"
 )
+
+// The file set and stdlib source importer every test loader shares, so
+// the package's tests type-check the standard library once, not once per
+// test. The source importer's package map is not locked: tests that load
+// packages must not run in parallel.
+var (
+	sharedStdOnce sync.Once
+	sharedFset    *token.FileSet
+	sharedStd     types.Importer
+)
+
+// testLoader returns a loader rooted at root that resolves the standard
+// library through the shared importer. Each test still gets its own
+// Loader: fixtures load under real import paths (the detrand fixture as
+// repro/internal/simulator), which would collide in one package map.
+func testLoader(t *testing.T, root string) *Loader {
+	t.Helper()
+	l, err := NewLoader(root)
+	if err != nil {
+		t.Fatalf("NewLoader: %v", err)
+	}
+	sharedStdOnce.Do(func() {
+		sharedFset = token.NewFileSet()
+		sharedStd = importer.ForCompiler(sharedFset, "source", nil)
+	})
+	l.fset, l.std = sharedFset, sharedStd
+	return l
+}
 
 // loadFixture type-checks one fixture directory under the given import
 // path. Criticality (detrand) is derived from the import path, so each
 // test picks the path matching the scenario it exercises.
 func loadFixture(t *testing.T, dir, importPath string) *Package {
 	t.Helper()
-	l, err := NewLoader(filepath.Join("..", ".."))
-	if err != nil {
-		t.Fatalf("NewLoader: %v", err)
-	}
-	pkg, err := l.LoadDir(dir, importPath)
+	pkg, err := testLoader(t, filepath.Join("..", "..")).LoadDir(dir, importPath)
 	if err != nil {
 		t.Fatalf("LoadDir(%s): %v", dir, err)
 	}

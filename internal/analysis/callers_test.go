@@ -53,9 +53,6 @@ var keptForTests = map[string]string{
 	// Error contract: sentinels callers match with errors.Is.
 	"ones.ErrIncompatibleScenarios": "error contract: TestNewRejectsIncompatibleComposition matches it with errors.Is",
 	"ones.ErrUnknownExperiment":     "error contract: TestRunExperimentUnknownName matches it with errors.Is",
-
-	// Test clock.
-	"servecache.Cache.SetClock": "test clock: TTL tests step time without sleeping",
 }
 
 // TestEveryDeclarationHasACaller fails on any package-level func, type,
@@ -139,10 +136,7 @@ type declaration struct {
 // "package.Name" (methods and fields "package.Type.Name").
 func declarations(t *testing.T, root string) map[string]declaration {
 	t.Helper()
-	l, err := NewLoader(root)
-	if err != nil {
-		t.Fatalf("NewLoader: %v", err)
-	}
+	l := testLoader(t, root)
 	pkgs, err := l.Load("...")
 	if err != nil {
 		t.Fatalf("Load: %v", err)

@@ -48,6 +48,12 @@ type Topology struct {
 	Servers []ServerSpec
 }
 
+// MaxGPUs bounds the size of a cluster built from outside input (a shape
+// string, a servers × GPUs pair): 1024× the paper's 64-GPU testbed. The
+// bound is checked before anything is allocated, so no request can make
+// a process build billions of servers.
+const MaxGPUs = 1 << 16
+
 // Uniform returns the homogeneous topology of the paper's model —
 // servers identical multi-GPU machines of gpusPerServer GPUs, all in
 // rack 0 (one failure domain, as on a single-rack testbed).
@@ -67,9 +73,10 @@ func Longhorn() Topology { return Uniform(16, 4) }
 // single group ("16x4") therefore describes a homogeneous single-rack
 // cluster identical to Uniform(16, 4). Group order is significant — it
 // fixes the GPU axis and the rack ids — so "4x8,2x4" and "2x4,4x8" are
-// distinct topologies.
+// distinct topologies. A shape of more than MaxGPUs GPUs is an error.
 func ParseShape(shape string) (Topology, error) {
 	var specs []ServerSpec
+	total := 0
 	for rack, group := range strings.Split(shape, ",") {
 		var count, gpus int
 		g := strings.TrimSpace(group)
@@ -80,6 +87,10 @@ func ParseShape(shape string) (Topology, error) {
 		if count <= 0 || gpus <= 0 {
 			return Topology{}, fmt.Errorf("cluster: bad shape group %q in %q: counts must be positive", group, shape)
 		}
+		if count > (MaxGPUs-total)/gpus { // by division: count*gpus can overflow int
+			return Topology{}, fmt.Errorf("cluster: shape %q has more than %d GPUs", shape, MaxGPUs)
+		}
+		total += count * gpus
 		for i := 0; i < count; i++ {
 			specs = append(specs, ServerSpec{GPUs: gpus, Rack: rack})
 		}

@@ -46,12 +46,42 @@ func TestParseShapeHomogeneousMatchesUniform(t *testing.T) {
 	}
 }
 
+// badShapes are shapes ParseShape must reject: malformed, non-positive,
+// or over MaxGPUs (the last four; the final one overflows count × GPUs).
+var badShapes = []string{"", "x", "4x", "x8", "0x4", "4x0", "-1x4", "4x8,", "4x8,,2x4", "axb", "4x8junk", "4x8x2",
+	"2000000000x8", "1x65537", "65536x1,1x1", "9223372036854775807x2"}
+
 func TestParseShapeErrors(t *testing.T) {
-	for _, bad := range []string{"", "x", "4x", "x8", "0x4", "4x0", "-1x4", "4x8,", "4x8,,2x4", "axb", "4x8junk", "4x8x2"} {
+	for _, bad := range badShapes {
 		if _, err := ParseShape(bad); err == nil {
 			t.Errorf("ParseShape(%q) succeeded, want error", bad)
 		}
 	}
+}
+
+// FuzzParseShape checks ParseShape on arbitrary input: it never panics,
+// an accepted shape holds between 1 and MaxGPUs GPUs, and its Shape
+// rendering parses back to an Equal topology.
+func FuzzParseShape(f *testing.F) {
+	for _, shape := range append([]string{"4x8,2x4", "16x4", "4x8, 2x4", "65536x1"}, badShapes...) {
+		f.Add(shape)
+	}
+	f.Fuzz(func(t *testing.T, shape string) {
+		topo, err := ParseShape(shape)
+		if err != nil {
+			return
+		}
+		if n := topo.TotalGPUs(); n < 1 || n > MaxGPUs {
+			t.Fatalf("ParseShape(%q) accepted %d GPUs, want 1 to %d", shape, n, MaxGPUs)
+		}
+		back, err := ParseShape(topo.Shape())
+		if err != nil {
+			t.Fatalf("ParseShape(%q).Shape() = %q does not parse: %v", shape, topo.Shape(), err)
+		}
+		if !back.Equal(topo) {
+			t.Fatalf("ParseShape(%q) round trip through %q changed the topology", shape, topo.Shape())
+		}
+	})
 }
 
 func TestShapeOrderIsSignificant(t *testing.T) {

@@ -58,8 +58,8 @@ type Stats struct {
 	// Discards counts corrupt, unreadable or version-mismatched files
 	// thrown away (each triggered a warning and a recompute).
 	Discards int `json:"discards"`
-	// MemoEvictions counts completed memo entries dropped by the bounded-
-	// state sweeps (TTL expiry or LRU cap pressure — see Limits).
+	// MemoEvictions counts completed memo entries dropped to keep the memo
+	// under its entry cap (least recently used first — see Limits).
 	MemoEvictions int `json:"memo_evictions"`
 	// DiskEvictions counts persisted files removed to keep the cache
 	// directory under its byte cap (oldest files first).
@@ -69,8 +69,10 @@ type Stats struct {
 }
 
 // Limits bounds the cache's state so a long-lived daemon cannot grow
-// without bound. Every field is optional; the zero value disables all
-// eviction (the pre-hardening behavior). Eviction follows the Reset
+// without bound: one cap on the memo, one on the disk directory. Each
+// field is optional; the zero value disables all eviction. Every result
+// is a pure function of its key, so an entry never goes stale and only
+// the caps evict. Eviction follows the Reset
 // contract exactly: only completed entries are dropped — an in-flight
 // singleflight computation and its waiters are never touched — and a
 // dropped entry that was persisted reloads from disk on next use, so
@@ -81,13 +83,10 @@ type Limits struct {
 	// (in-flight entries don't count as evictable and can push the memo
 	// transiently over the cap). 0 ⇒ unbounded.
 	MaxEntries int
-	// TTL evicts completed memo entries idle (neither stored nor hit)
-	// for at least this long. 0 ⇒ entries never expire.
-	TTL time.Duration
 	// MaxDiskBytes caps the persistence directory: after each write-
 	// through the oldest files are removed until the total fits. 0 ⇒
 	// unbounded. The in-memory memo still holds evicted cells until its
-	// own limits drop them.
+	// own cap drops them.
 	MaxDiskBytes int64
 }
 
@@ -101,9 +100,9 @@ type Cache struct {
 
 	mu      sync.Mutex
 	entries map[string]*entry
+	uses    uint64 // inserts + memory hits so far: the memo's LRU clock
 	stats   Stats
 	limits  Limits
-	now     func() time.Time // injectable for the eviction soak tests
 
 	obsP atomic.Pointer[cacheObs]
 }
@@ -119,7 +118,6 @@ type cacheObs struct {
 	diskWrites *obs.Counter
 	discards   *obs.Counter
 	// Bounded-state sweep outcomes (cache_evictions_total{store,reason}).
-	memoTTLEvicts *obs.Counter
 	memoCapEvicts *obs.Counter
 	diskCapEvicts *obs.Counter
 }
@@ -154,7 +152,6 @@ func (c *Cache) Instrument(reg *obs.Registry) {
 		dedupWaits:    reg.Counter("servecache_dedup_waits_total", "Calls that piggybacked on another caller's in-flight computation."),
 		diskWrites:    reg.Counter("servecache_disk_writes_total", "Results written through to the persistence directory."),
 		discards:      reg.Counter("servecache_discards_total", "Corrupt, unreadable or version-mismatched cache files discarded."),
-		memoTTLEvicts: evictions.With("memo", "ttl"),
 		memoCapEvicts: evictions.With("memo", "cap"),
 		diskCapEvicts: evictions.With("disk", "cap"),
 	})
@@ -200,9 +197,9 @@ type entry struct {
 	res  *simulator.Result
 	err  error
 
-	// lastUse orders the memo for LRU eviction and TTL expiry; written
-	// at insertion and on every memory hit, under Cache.mu.
-	lastUse time.Time
+	// lastUse orders the memo for LRU eviction: Cache.uses at insertion
+	// and at every memory hit, written under Cache.mu.
+	lastUse uint64
 }
 
 // completed reports whether the entry's computation has finished — only
@@ -230,94 +227,53 @@ func New(dir string, warn func(format string, args ...any)) (*Cache, error) {
 			return nil, fmt.Errorf("servecache: create %s: %w", dir, err)
 		}
 	}
-	return &Cache{dir: dir, warn: warn, entries: make(map[string]*entry), now: time.Now}, nil
+	return &Cache{dir: dir, warn: warn, entries: make(map[string]*entry)}, nil
 }
 
 // Dir returns the persistence directory ("" when memory-only).
 func (c *Cache) Dir() string { return c.dir }
 
-// SetLimits installs (or replaces) the cache's state bounds and sweeps
-// immediately, returning how many entries/files the sweep evicted. Safe
-// to call concurrently with Do at any point in the cache's life.
+// SetLimits installs (or replaces) the cache's state bounds and applies
+// them at once, returning how many entries/files that evicted. Safe to
+// call concurrently with Do at any point in the cache's life.
 func (c *Cache) SetLimits(l Limits) int {
 	c.mu.Lock()
 	c.limits = l
-	c.mu.Unlock()
-	return c.Sweep()
-}
-
-// SetClock replaces the cache's time source — eviction tests inject a
-// manual clock so TTL expiry is deterministic. nil restores time.Now.
-func (c *Cache) SetClock(now func() time.Time) {
-	if now == nil {
-		now = time.Now
-	}
-	c.mu.Lock()
-	c.now = now
-	c.mu.Unlock()
-}
-
-// Sweep applies the configured Limits now — TTL expiry and LRU cap on
-// the memo, byte cap on the disk directory — and returns how many
-// entries/files were evicted. Do and store sweep automatically after
-// inserting; call Sweep directly (onesd does, on a timer) so idle
-// entries still expire with no traffic to trigger it.
-func (c *Cache) Sweep() int {
-	c.mu.Lock()
 	evicted := c.sweepMemoLocked()
 	c.mu.Unlock()
 	return evicted + c.sweepDisk()
 }
 
-// sweepMemoLocked drops completed memo entries past their TTL, then —
-// when the memo exceeds MaxEntries — the least-recently-used completed
-// entries until it fits. In-flight entries are never touched (Reset
+// sweepMemoLocked evicts the least-recently-used completed entries while
+// the memo exceeds MaxEntries. In-flight entries are never touched (Reset
 // semantics), so the memo can transiently exceed the cap while every
 // excess entry is still computing.
 func (c *Cache) sweepMemoLocked() int {
-	l := c.limits
-	if l.TTL <= 0 && l.MaxEntries <= 0 {
+	limit := c.limits.MaxEntries
+	if limit <= 0 || len(c.entries) <= limit {
 		return 0
 	}
-	oh := c.oh()
-	now := c.now()
-	evicted := 0
-	if l.TTL > 0 {
-		for key, e := range c.entries {
-			if e.completed() && now.Sub(e.lastUse) >= l.TTL {
-				delete(c.entries, key)
-				c.stats.MemoEvictions++
-				oh.memoTTLEvicts.Inc()
-				evicted++
-			}
+	type victim struct {
+		key     string
+		lastUse uint64
+	}
+	var victims []victim
+	for key, e := range c.entries {
+		if e.completed() {
+			victims = append(victims, victim{key, e.lastUse})
 		}
 	}
-	if l.MaxEntries > 0 && len(c.entries) > l.MaxEntries {
-		type victim struct {
-			key     string
-			lastUse time.Time
+	sort.Slice(victims, func(i, j int) bool { return victims[i].lastUse < victims[j].lastUse })
+	oh := c.oh()
+	evicted := 0
+	for _, v := range victims {
+		if len(c.entries) <= limit {
+			break
 		}
-		var victims []victim
-		for key, e := range c.entries {
-			if e.completed() {
-				victims = append(victims, victim{key, e.lastUse})
-			}
-		}
-		sort.Slice(victims, func(i, j int) bool {
-			if !victims[i].lastUse.Equal(victims[j].lastUse) {
-				return victims[i].lastUse.Before(victims[j].lastUse)
-			}
-			return victims[i].key < victims[j].key // tie-break: deterministic sweeps
-		})
-		for _, v := range victims {
-			if len(c.entries) <= l.MaxEntries {
-				break
-			}
-			delete(c.entries, v.key)
-			c.stats.MemoEvictions++
-			oh.memoCapEvicts.Inc()
-			evicted++
-		}
+		delete(c.entries, v.key)
+		c.stats.MemoEvictions++
+		oh.memoCapEvicts.Inc()
+		evicted++
 	}
 	return evicted
 }
@@ -434,7 +390,8 @@ func (c *Cache) Do(ctx context.Context, key string, compute func() (*simulator.R
 		c.mu.Lock()
 		e, ok := c.entries[key]
 		if !ok {
-			e = &entry{done: make(chan struct{}), lastUse: c.now()}
+			c.uses++
+			e = &entry{done: make(chan struct{}), lastUse: c.uses}
 			c.entries[key] = e
 			c.mu.Unlock()
 			c.resolve(e, key, compute)
@@ -444,9 +401,9 @@ func (c *Cache) Do(ctx context.Context, key string, compute func() (*simulator.R
 				c.mu.Unlock()
 			}
 			close(e.done)
-			// The memo and the disk dir only grow on inserts, so this is
-			// the spot that keeps them bounded (plus periodic Sweeps for
-			// TTL expiry under no traffic).
+			// Only an insert grows the memo or the disk dir, and only a
+			// completed entry is evictable, so sweeping here, once the new
+			// entry has completed, keeps both within their caps.
 			c.mu.Lock()
 			c.sweepMemoLocked()
 			c.mu.Unlock()
@@ -457,7 +414,8 @@ func (c *Cache) Do(ctx context.Context, key string, compute func() (*simulator.R
 			case <-e.done:
 				c.stats.MemoryHits++
 				oh.memoryHits.Inc()
-				e.lastUse = c.now()
+				c.uses++
+				e.lastUse = c.uses
 			default:
 				c.stats.DedupWaits++
 				oh.dedupWaits.Inc()
@@ -555,17 +513,9 @@ func (c *Cache) load(key string) (*simulator.Result, bool) {
 	// Touch the file so the disk byte-cap sweep (oldest mtime first)
 	// approximates LRU instead of FIFO. Best effort: a failed touch only
 	// degrades eviction order.
-	t := c.clock()()
-	_ = os.Chtimes(path, t, t)
+	now := time.Now()
+	_ = os.Chtimes(path, now, now)
 	return env.Result, true
-}
-
-// clock snapshots the cache's time source under the lock (SetClock may
-// replace it concurrently).
-func (c *Cache) clock() func() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.now
 }
 
 // discard warns about and removes a bad cache file; the caller recomputes.

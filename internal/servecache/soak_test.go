@@ -7,31 +7,10 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/simulator"
 )
-
-// soakClock is a manually advanced time source injected via SetClock so
-// TTL expiry and mtime-ordered disk eviction are deterministic.
-type soakClock struct {
-	mu sync.Mutex
-	t  time.Time
-}
-
-func (c *soakClock) now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.t
-}
-
-func (c *soakClock) advance(d time.Duration) {
-	c.mu.Lock()
-	c.t = c.t.Add(d)
-	c.mu.Unlock()
-}
 
 // dirBytes sums the persisted .json files under dir.
 func dirBytes(t *testing.T, dir string) int64 {
@@ -55,23 +34,21 @@ func dirBytes(t *testing.T, dir string) int64 {
 }
 
 // TestEvictionSoak drives a bounded cache through a seeded-random
-// interleaving of inserts, hits, idle periods (clock jumps) and explicit
-// sweeps, holding two invariants after every operation:
+// sequence of inserts and hits, holding two invariants after every
+// operation:
 //
 //   - the in-memory memo never exceeds MaxEntries (every entry here is
 //     completed, so the cap is exact);
 //   - the disk directory never exceeds MaxDiskBytes (Do sweeps after
-//     each insert, Sweep covers the idle jumps).
+//     each insert).
 //
 // Afterwards it pins the determinism contract across the churn: a key
 // that survived on disk reloads byte-identical in a fresh cache with the
-// compute forbidden, and an in-flight entry is never evicted no matter
-// how far the clock jumps.
+// compute forbidden, and an in-flight entry is never evicted however many
+// inserts press on the cap.
 func TestEvictionSoak(t *testing.T) {
 	dir := t.TempDir()
 	c := mustCache(t, dir)
-	clk := &soakClock{t: time.Unix(1_700_000_000, 0)}
-	c.SetClock(clk.now)
 
 	res := simulate(t, "fifo", false)
 	// Size one envelope so the byte cap is a meaningful ~5 files.
@@ -83,7 +60,6 @@ func TestEvictionSoak(t *testing.T) {
 
 	limits := Limits{
 		MaxEntries:   8,
-		TTL:          10 * time.Minute,
 		MaxDiskBytes: 5*fileSize + fileSize/2,
 	}
 	c.SetLimits(limits)
@@ -91,17 +67,11 @@ func TestEvictionSoak(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	ctx := context.Background()
 	keys := func(i int) string { return fmt.Sprintf("soak-key-%03d", i) }
+	compute := func() (*simulator.Result, error) { return res, nil }
 	for step := 0; step < 400; step++ {
-		switch rng.Intn(4) {
-		case 0, 1: // insert or hit a key from a rotating working set
-			key := keys(rng.Intn(40))
-			if _, err := c.Do(ctx, key, func() (*simulator.Result, error) { return res, nil }); err != nil {
-				t.Fatalf("step %d: Do(%s): %v", step, key, err)
-			}
-		case 2: // idle period: up to 15 minutes pass, maybe past the TTL
-			clk.advance(time.Duration(rng.Intn(15)+1) * time.Minute)
-		case 3: // the daemon's periodic sweep
-			c.Sweep()
+		key := keys(rng.Intn(40)) // insert or hit a key from the working set
+		if _, err := c.Do(ctx, key, compute); err != nil {
+			t.Fatalf("step %d: Do(%s): %v", step, key, err)
 		}
 		if n := c.Stats().Entries; n > limits.MaxEntries {
 			t.Fatalf("step %d: memo holds %d entries, cap %d", step, n, limits.MaxEntries)
@@ -148,8 +118,9 @@ func TestEvictionSoak(t *testing.T) {
 	}
 
 	// In-flight entries are never evicted: park a compute mid-flight,
-	// blow every TTL, sweep hard, and the waiter must still resolve from
-	// THAT computation (a second caller dedups onto it, not a recompute).
+	// press the cap with 2 × MaxEntries inserts of other keys, and the
+	// waiter must still resolve from THAT computation (a second caller
+	// dedups onto it, not a recompute).
 	started := make(chan struct{})
 	release := make(chan struct{})
 	first := make(chan error, 1)
@@ -162,9 +133,10 @@ func TestEvictionSoak(t *testing.T) {
 		first <- err
 	}()
 	<-started
-	clk.advance(24 * time.Hour)
-	for i := 0; i < 3; i++ {
-		c.Sweep()
+	for i := 0; i < 2*limits.MaxEntries; i++ {
+		if _, err := c.Do(ctx, fmt.Sprintf("press-%02d", i), compute); err != nil {
+			t.Fatal(err)
+		}
 	}
 	second := make(chan error, 1)
 	go func() {

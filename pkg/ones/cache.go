@@ -1,10 +1,6 @@
 package ones
 
-import (
-	"time"
-
-	"repro/internal/servecache"
-)
+import "repro/internal/servecache"
 
 // Cache is a shared simulation-result cache: plug one Cache into any
 // number of Sessions (ones.WithCache) and every distinct simulation cell
@@ -34,8 +30,8 @@ type CacheStats struct {
 	DedupWaits int `json:"dedup_waits"`
 	// Discards counts bad cache files thrown away (warned, recomputed).
 	Discards int `json:"discards"`
-	// MemoEvictions counts completed memo entries dropped by the bounded-
-	// state sweeps (see CacheLimits); DiskEvictions counts persisted
+	// MemoEvictions counts completed memo entries dropped to keep the memo
+	// under its entry cap (see CacheLimits); DiskEvictions counts persisted
 	// files removed to keep the cache directory under its byte cap.
 	MemoEvictions int `json:"memo_evictions"`
 	DiskEvictions int `json:"disk_evictions"`
@@ -44,40 +40,28 @@ type CacheStats struct {
 }
 
 // CacheLimits bounds a shared cache's state so a long-lived process
-// cannot grow without bound. The zero value disables all eviction.
-// Eviction only ever touches completed entries — in-flight computations
-// and their waiters are untouched — and an evicted entry that was
-// persisted reloads from disk on next use, so limits change
-// performance, never results.
+// cannot grow without bound: one cap on the in-memory memo, one on the
+// disk directory. The zero value disables all eviction. A cached result
+// is a pure function of its cell, so entries never expire by age; only
+// the caps evict. Eviction only ever touches completed entries —
+// in-flight computations and their waiters are untouched — and an
+// evicted entry that was persisted reloads from disk on next use, so
+// limits change performance, never results.
 type CacheLimits struct {
 	// MaxEntries caps the in-memory memo; beyond it the least-recently-
 	// used completed entries are evicted. 0 ⇒ unbounded.
 	MaxEntries int
-	// TTL evicts completed memo entries idle for at least this long.
-	// 0 ⇒ entries never expire.
-	TTL time.Duration
 	// MaxDiskBytes caps the persistence directory; beyond it the oldest
 	// files are removed. 0 ⇒ unbounded.
 	MaxDiskBytes int64
 }
 
-// SetLimits installs (or replaces) the cache's state bounds and sweeps
-// immediately, returning how many entries/files were evicted. Safe to
-// call at any point in the cache's life, concurrently with use.
-func (c *Cache) SetLimits(l CacheLimits) int {
-	return c.impl.SetLimits(servecache.Limits{
-		MaxEntries:   l.MaxEntries,
-		TTL:          l.TTL,
-		MaxDiskBytes: l.MaxDiskBytes,
-	})
-}
-
-// Sweep applies the configured CacheLimits now — TTL expiry and LRU cap
-// on the memo, byte cap on the disk directory — and returns how many
-// entries/files were evicted. The cache also sweeps itself after every
-// insert; call Sweep periodically (onesd does) so idle entries expire
-// even with no traffic to trigger it.
-func (c *Cache) Sweep() int { return c.impl.Sweep() }
+// SetLimits installs (or replaces) the cache's state bounds and applies
+// them at once, returning how many entries/files were evicted. After
+// that the cache keeps itself within them, evicting as each new entry
+// completes. Safe to call at any point in the cache's life, concurrently
+// with use.
+func (c *Cache) SetLimits(l CacheLimits) int { return c.impl.SetLimits(servecache.Limits(l)) }
 
 // NewCache returns a shared result cache. dir == "" keeps it memory-only
 // (cross-session sharing and deduplication without persistence);

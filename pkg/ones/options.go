@@ -58,14 +58,18 @@ func WithAutoscaler(name string) Option {
 }
 
 // WithTopology shapes the cluster: servers homogeneous servers of
-// gpusPerServer GPUs each. The default is the paper's Longhorn testbed,
-// 16 servers × 4 GPUs. For mixed fleets — different GPU counts per
-// server, rack-level failure domains — use WithShape instead; the later
-// of the two options wins.
+// gpusPerServer GPUs each, at most 65536 GPUs in all. The default is the
+// paper's Longhorn testbed, 16 servers × 4 GPUs. For mixed fleets —
+// different GPU counts per server, rack-level failure domains — use
+// WithShape instead; the later of the two options wins.
 func WithTopology(servers, gpusPerServer int) Option {
 	return func(s *settings) {
 		if servers <= 0 || gpusPerServer <= 0 {
 			s.fail(fmt.Errorf("ones: WithTopology(%d, %d): both dimensions must be positive", servers, gpusPerServer))
+			return
+		}
+		if servers > cluster.MaxGPUs/gpusPerServer {
+			s.fail(fmt.Errorf("ones: WithTopology(%d, %d): more than %d GPUs", servers, gpusPerServer, cluster.MaxGPUs))
 			return
 		}
 		s.servers = servers
@@ -80,8 +84,9 @@ func WithTopology(servers, gpusPerServer int) Option {
 // significant — it fixes the GPU axis and the rack ids, so "4x8,2x4"
 // and "2x4,4x8" are distinct clusters with distinct results. Rack-aware
 // scenarios (e.g. "rack-drain") can take a whole group down at once;
-// Result.Racks reports the per-rack capacity. WithShape overrides an
-// earlier WithTopology (and vice versa — the later option wins).
+// Result.Racks reports the per-rack capacity. A shape of more than 65536
+// GPUs is rejected. WithShape overrides an earlier WithTopology (and
+// vice versa — the later option wins).
 func WithShape(shape string) Option {
 	return func(s *settings) {
 		topo, err := cluster.ParseShape(shape)

@@ -84,21 +84,16 @@ func (b *bucket) take(now time.Time) (ok bool, retryAfter time.Duration) {
 // rateLimitMiddleware applies a per-endpoint token bucket when
 // Config.RatePerSec is positive. Each route owns an independent bucket
 // (created here, at registration), so a burst against one endpoint
-// never starves another. Refusals are 429 with an integer Retry-After
-// (seconds, rounded up, at least 1) and counted per endpoint in
+// never starves another; a bucket holds one second's worth of tokens,
+// at least one. Refusals are 429 with an integer Retry-After (seconds,
+// rounded up, at least 1) and counted per endpoint in
 // onesd_rate_limited_total. Nil (identity) when rate limiting is
 // disabled.
 func (s *Server) rateLimitMiddleware(pattern string) middleware {
 	if s.cfg.RatePerSec <= 0 {
 		return nil
 	}
-	burst := float64(s.cfg.RateBurst)
-	if burst < 1 {
-		burst = s.cfg.RatePerSec // default burst: one second's worth, min 1
-		if burst < 1 {
-			burst = 1
-		}
-	}
+	burst := max(s.cfg.RatePerSec, 1)
 	b := &bucket{rate: s.cfg.RatePerSec, burst: burst, tokens: burst}
 	limited := s.rateLimited.With(pattern)
 	return func(next http.Handler) http.Handler {
@@ -127,66 +122,29 @@ func retryAfterSeconds(d time.Duration) int {
 	return secs
 }
 
-// Breaker states. Closed admits; open sheds; half-open admits a single
-// probe after the cooldown to test whether compute has drained.
-const (
-	breakerClosed = iota
-	breakerOpen
-	breakerHalfOpen
-)
+// breakerCooldown is how long the breaker sheds, once open, before it
+// looks at the backlog again.
+const breakerCooldown = 5 * time.Second
 
 // breaker is the run-creation circuit breaker: it watches the compute
 // backlog (runs currently executing) and sheds new-run load with 503s
 // once the backlog reaches maxBacklog, instead of letting every burst
-// stack goroutines behind a saturated worker pool. After cooldown the
-// breaker goes half-open and the next request probes: if the backlog
-// has drained it closes and admits, otherwise it re-opens and the
-// cooldown restarts.
+// stack goroutines behind a saturated worker pool. Open, it sheds for
+// breakerCooldown without looking at the backlog; the first request
+// after that re-opens it if the backlog is still full, and closes it
+// and is admitted if the backlog has drained.
 type breaker struct {
 	maxBacklog int
-	cooldown   time.Duration
 	now        func() time.Time
 	backlog    func() int
 
-	mu       sync.Mutex
-	state    int
-	openedAt time.Time
+	mu        sync.Mutex
+	openUntil time.Time // zero while closed
 
 	// Nil-safe obs handles.
 	rejected    *obs.Counter
 	transitions *obs.CounterVec
-	stateGauge  *obs.Gauge
-}
-
-// breakerStateName renders a breaker state for the transition counter's
-// label.
-func breakerStateName(state int) string {
-	switch state {
-	case breakerOpen:
-		return "open"
-	case breakerHalfOpen:
-		return "half-open"
-	default:
-		return "closed"
-	}
-}
-
-// setStateLocked records a state change and its telemetry (gauge value:
-// 0 closed, 1 half-open, 2 open). Caller holds b.mu.
-func (b *breaker) setStateLocked(state int) {
-	if b.state == state {
-		return
-	}
-	b.state = state
-	b.transitions.With(breakerStateName(state)).Inc()
-	switch state {
-	case breakerOpen:
-		b.stateGauge.Set(2)
-	case breakerHalfOpen:
-		b.stateGauge.Set(1)
-	default:
-		b.stateGauge.Set(0)
-	}
+	stateGauge  *obs.Gauge // 0 closed, 2 open
 }
 
 // allow decides one admission: true admits the request; false sheds it
@@ -195,22 +153,21 @@ func (b *breaker) allow() (ok bool, retryAfter time.Duration) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	now := b.now()
-	if b.state == breakerOpen {
-		if waited := now.Sub(b.openedAt); waited < b.cooldown {
-			b.rejected.Inc()
-			return false, b.cooldown - waited
-		}
-		b.setStateLocked(breakerHalfOpen)
-	}
-	// Closed or half-open: probe the live backlog.
-	if b.backlog() >= b.maxBacklog {
-		b.setStateLocked(breakerOpen)
-		b.openedAt = now
+	if now.Before(b.openUntil) {
 		b.rejected.Inc()
-		return false, b.cooldown
+		return false, b.openUntil.Sub(now)
 	}
-	if b.state == breakerHalfOpen {
-		b.setStateLocked(breakerClosed) // probe succeeded: compute drained
+	if b.backlog() >= b.maxBacklog {
+		b.openUntil = now.Add(breakerCooldown)
+		b.transitions.With("open").Inc()
+		b.stateGauge.Set(2)
+		b.rejected.Inc()
+		return false, breakerCooldown
+	}
+	if !b.openUntil.IsZero() {
+		b.openUntil = time.Time{}
+		b.transitions.With("closed").Inc()
+		b.stateGauge.Set(0)
 	}
 	return true, 0
 }

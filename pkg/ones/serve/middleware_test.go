@@ -74,12 +74,13 @@ func TestAuthMiddleware(t *testing.T) {
 }
 
 // TestRateLimitMiddleware tables the per-endpoint token bucket: the
-// burst admits, the next request 429s with a sane Retry-After and a
-// counted rejection, other endpoints keep their own untouched bucket,
-// and the bucket refills as the (injected) clock advances.
+// burst (one second's worth) admits, the next request 429s with a sane
+// Retry-After and a counted rejection, other endpoints keep their own
+// untouched bucket, and the bucket refills as the (injected) clock
+// advances. Below one request a second the bucket still holds one token.
 func TestRateLimitMiddleware(t *testing.T) {
 	fc := newFakeClock()
-	srv, m, ts := newHardenedServer(t, "", Config{RatePerSec: 1, RateBurst: 2},
+	srv, m, ts := newHardenedServer(t, "", Config{RatePerSec: 2},
 		func(s *Server) { s.now = fc.now })
 	defer func() {
 		srv.Shutdown(context.Background())
@@ -115,24 +116,40 @@ func TestRateLimitMiddleware(t *testing.T) {
 	if got := m.Registry().CounterValue("onesd_rate_limited_total", "GET /v1/scenarios"); got != 0 {
 		t.Errorf("onesd_rate_limited_total{GET /v1/scenarios} = %d, want 0", got)
 	}
-	// One token accrues per second of clock.
-	fc.advance(1500 * time.Millisecond)
+	// Two tokens accrue per second of clock.
+	fc.advance(750 * time.Millisecond)
 	if resp := doAuth(t, "GET", ts.URL+"/v1/schedulers", ""); resp.StatusCode != http.StatusOK {
 		t.Errorf("post-refill status %d, want 200", resp.StatusCode)
+	}
+
+	// Half a request a second: a one-token burst, then a 2 s wait.
+	slow, _, slowTS := newHardenedServer(t, "", Config{RatePerSec: 0.5},
+		func(s *Server) { s.now = fc.now })
+	defer func() {
+		slow.Shutdown(context.Background())
+		slowTS.Close()
+	}()
+	if resp := doAuth(t, "GET", slowTS.URL+"/v1/schedulers", ""); resp.StatusCode != http.StatusOK {
+		t.Fatalf("RatePerSec 0.5: first request status %d, want 200", resp.StatusCode)
+	}
+	resp = doAuth(t, "GET", slowTS.URL+"/v1/schedulers", "")
+	if resp.StatusCode != http.StatusTooManyRequests || resp.Header.Get("Retry-After") != "2" {
+		t.Errorf("RatePerSec 0.5: second request status %d Retry-After %q, want 429 and 2",
+			resp.StatusCode, resp.Header.Get("Retry-After"))
 	}
 }
 
 // TestBreakerStateMachine unit-tests the circuit breaker against an
 // injected clock and backlog: closed admits, a full backlog opens it,
-// the open state sheds without probing until the cooldown lapses, a
-// failed half-open probe re-opens, a successful one closes.
+// the open breaker sheds without looking at the backlog until the
+// cooldown lapses, then a full backlog re-opens it and a drained one
+// closes it.
 func TestBreakerStateMachine(t *testing.T) {
 	fc := newFakeClock()
 	backlog := 0
 	reg := obs.NewRegistry()
 	b := &breaker{
 		maxBacklog:  2,
-		cooldown:    time.Minute,
 		now:         fc.now,
 		backlog:     func() int { return backlog },
 		rejected:    reg.Counter("rej", "test"),
@@ -145,7 +162,7 @@ func TestBreakerStateMachine(t *testing.T) {
 	}
 	backlog = 2
 	ok, retry := b.allow()
-	if ok || retry != time.Minute {
+	if ok || retry != breakerCooldown {
 		t.Fatalf("full backlog: allow = (%v, %v), want shed with the full cooldown", ok, retry)
 	}
 	if g := reg.GaugeValue("state"); g != 2 {
@@ -154,29 +171,26 @@ func TestBreakerStateMachine(t *testing.T) {
 	// Open sheds WITHOUT probing: even a drained backlog waits out the
 	// cooldown (that hold time is what lets compute actually drain).
 	backlog = 0
-	fc.advance(30 * time.Second)
+	fc.advance(breakerCooldown / 2)
 	ok, retry = b.allow()
-	if ok || retry != 30*time.Second {
-		t.Fatalf("mid-cooldown: allow = (%v, %v), want shed with the remaining 30s", ok, retry)
+	if ok || retry != breakerCooldown/2 {
+		t.Fatalf("mid-cooldown: allow = (%v, %v), want shed with the remaining %v", ok, retry, breakerCooldown/2)
 	}
-	// Cooldown over, backlog full again: the half-open probe fails and
-	// the breaker re-opens for a fresh cooldown.
+	// Cooldown over, backlog full again: the breaker re-opens for a
+	// fresh cooldown.
 	backlog = 2
-	fc.advance(31 * time.Second)
+	fc.advance(breakerCooldown/2 + 100*time.Millisecond)
 	if ok, _ = b.allow(); ok {
-		t.Fatal("failed half-open probe admitted")
-	}
-	if got := reg.CounterValue("trans", "half-open"); got != 1 {
-		t.Errorf("half-open transitions = %d, want 1", got)
+		t.Fatal("full backlog after the cooldown admitted")
 	}
 	if got := reg.CounterValue("trans", "open"); got != 2 {
 		t.Errorf("open transitions = %d, want 2", got)
 	}
-	// Drained after the second cooldown: probe succeeds, breaker closes.
+	// Drained after the second cooldown: the breaker closes and admits.
 	backlog = 0
-	fc.advance(2 * time.Minute)
+	fc.advance(2 * breakerCooldown)
 	if ok, _ = b.allow(); !ok {
-		t.Fatal("successful half-open probe rejected")
+		t.Fatal("drained backlog after the cooldown rejected")
 	}
 	if g := reg.GaugeValue("state"); g != 0 {
 		t.Errorf("state gauge = %v after recovery, want 0 (closed)", g)
@@ -195,7 +209,7 @@ func TestBreakerStateMachine(t *testing.T) {
 // and once the backlog drains and the cooldown lapses creation recovers.
 func TestBreakerShedsRunCreation(t *testing.T) {
 	fc := newFakeClock()
-	srv, m, ts := newHardenedServer(t, "", Config{BreakerBacklog: 1, BreakerCooldown: time.Minute},
+	srv, m, ts := newHardenedServer(t, "", Config{BreakerBacklog: 1},
 		func(s *Server) { s.now = fc.now })
 	defer func() {
 		srv.Shutdown(context.Background())
@@ -219,7 +233,7 @@ func TestBreakerShedsRunCreation(t *testing.T) {
 	doJSON(t, "DELETE", ts.URL+"/v1/runs/"+slow.ID, nil, http.StatusAccepted)
 	waitStatus(t, ts.URL, slow.ID, StatusCancelled, 10*time.Second)
 
-	fc.advance(2 * time.Minute) // past the cooldown: half-open probe sees a drained backlog
+	fc.advance(2 * breakerCooldown) // past the cooldown: the breaker sees a drained backlog
 	st := createRun(t, ts.URL, quickSpec())
 	waitStatus(t, ts.URL, st.ID, StatusDone, 30*time.Second)
 

@@ -39,37 +39,33 @@ func WithMetrics(m *ones.Metrics) Option {
 	return func(s *Server) { s.metrics = m }
 }
 
-// Config bounds the daemon's state and configures admission control.
-// The zero value disables everything — unbounded run table, no auth, no
-// rate limit, no breaker — which is the pre-hardening behavior; each
-// field opts one protection in independently.
+// Config bounds the daemon's state and configures admission control:
+// one cap on the run table and one setting per protection. The zero
+// value disables everything — unbounded run table, no auth, no rate
+// limit, no breaker — which is the pre-hardening behavior; each field
+// opts one protection in independently.
 type Config struct {
 	// MaxRuns caps the run table: when a new run would push it past the
 	// cap, the oldest FINISHED runs are evicted first (evicted runs 404;
 	// in-flight runs are never evicted, so the table can transiently
 	// exceed the cap under a burst of live work — that is what the
-	// breaker is for). 0 ⇒ unbounded.
+	// breaker is for). A finished run's result never changes, so runs do
+	// not expire by age. 0 ⇒ unbounded.
 	MaxRuns int
-	// RunTTL evicts finished runs this long after they finish. 0 ⇒
-	// finished runs are kept until MaxRuns pressure (or forever).
-	RunTTL time.Duration
 	// AuthToken, when set, requires "Authorization: Bearer <AuthToken>"
 	// on every /v1 endpoint (401 otherwise). /healthz, /readyz and
 	// /metrics stay open for probes and scrapers.
 	AuthToken string
 	// RatePerSec, when positive, applies an independent token-bucket
 	// rate limit of this many requests/second to each /v1 endpoint
-	// (429 + Retry-After beyond it). RateBurst is the bucket depth
-	// (0 ⇒ one second's worth, minimum 1).
+	// (429 + Retry-After beyond it). Each bucket holds one second's
+	// worth of tokens, at least one.
 	RatePerSec float64
-	RateBurst  int
 	// BreakerBacklog, when positive, arms the run-creation circuit
 	// breaker: once this many runs are executing concurrently, new POST
-	// /v1/runs are shed with 503 + Retry-After until the backlog drains
-	// and a half-open probe succeeds. BreakerCooldown is the open-state
-	// hold time before that probe (0 ⇒ 5s).
-	BreakerBacklog  int
-	BreakerCooldown time.Duration
+	// /v1/runs are shed with 503 + Retry-After for a fixed 5s cooldown,
+	// and after it until the backlog has drained.
+	BreakerBacklog int
 }
 
 // WithConfig installs the bounded-state and admission configuration
@@ -189,12 +185,11 @@ type run struct {
 	mu sync.Mutex
 	// log holds every event so far; grew is closed, and replaced, each
 	// time log grows or the run finishes.
-	log        []ones.Progress
-	grew       chan struct{}
-	status     string
-	result     *ones.Result
-	errMsg     string
-	finishedAt time.Time // run-table TTL eviction anchor
+	log    []ones.Progress
+	grew   chan struct{}
+	status string
+	result *ones.Result
+	errMsg string
 }
 
 func newRun(id string, spec RunSpec, cancel context.CancelFunc, created time.Time, events *obs.Counter) *run {
@@ -231,7 +226,7 @@ func (r *run) wakeLocked() {
 
 // finish records the terminal state and wakes the run's stream clients.
 // wasCancelled separates a client cancellation from a genuine failure.
-func (r *run) finish(res *ones.Result, err error, wasCancelled bool, at time.Time) {
+func (r *run) finish(res *ones.Result, err error, wasCancelled bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	switch {
@@ -245,7 +240,6 @@ func (r *run) finish(res *ones.Result, err error, wasCancelled bool, at time.Tim
 		r.status = StatusFailed
 		r.errMsg = err.Error()
 	}
-	r.finishedAt = at
 	r.wakeLocked()
 }
 
@@ -272,19 +266,9 @@ func (r *run) snapshot() (status string, res *ones.Result, errMsg string, done, 
 	return r.status, r.result, r.errMsg, done, total
 }
 
-// expired reports whether the run is finished and its TTL has lapsed.
+// isFinished reports whether the run has reached a terminal state.
 // Called with Server.mu held; the brief run.mu acquisition inside
 // respects the Server.mu → run.mu lock order.
-func (r *run) expired(ttl time.Duration, now time.Time) bool {
-	if ttl <= 0 {
-		return false
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.status != StatusRunning && now.Sub(r.finishedAt) >= ttl
-}
-
-// isFinished reports whether the run has reached a terminal state.
 func (r *run) isFinished() bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -304,7 +288,7 @@ type Server struct {
 	log     *log.Logger
 	metrics *ones.Metrics
 	cfg     Config
-	now     func() time.Time // injectable for TTL/rate/breaker tests
+	now     func() time.Time // injectable for the rate and breaker tests
 
 	// HTTP middleware handles (nil without WithMetrics; all nil-safe).
 	httpReqs      *obs.CounterVec
@@ -371,27 +355,16 @@ func New(cache *ones.Cache, logger *log.Logger, opts ...Option) *Server {
 		}
 	}
 	if s.cfg.BreakerBacklog > 0 {
-		cooldown := s.cfg.BreakerCooldown
-		if cooldown <= 0 {
-			cooldown = 5 * time.Second
+		s.breaker = &breaker{
+			maxBacklog: s.cfg.BreakerBacklog,
+			now:        func() time.Time { return s.now() },
+			backlog:    func() int { return s.countRuns(StatusRunning) },
 		}
-		var transitions *obs.CounterVec
-		var rejected *obs.Counter
-		var stateGauge *obs.Gauge
 		if s.metrics != nil {
 			reg := s.metrics.Registry()
-			rejected = reg.Counter("onesd_breaker_rejected_total", "Run creations shed 503 by the compute-backlog circuit breaker.")
-			transitions = reg.CounterVec("onesd_breaker_transitions_total", "Circuit-breaker state transitions, by destination state.", "to")
-			stateGauge = reg.Gauge("onesd_breaker_state", "Circuit-breaker state: 0 closed, 1 half-open, 2 open.")
-		}
-		s.breaker = &breaker{
-			maxBacklog:  s.cfg.BreakerBacklog,
-			cooldown:    cooldown,
-			now:         func() time.Time { return s.now() },
-			backlog:     func() int { return s.countRuns(StatusRunning) },
-			rejected:    rejected,
-			transitions: transitions,
-			stateGauge:  stateGauge,
+			s.breaker.rejected = reg.Counter("onesd_breaker_rejected_total", "Run creations shed 503 by the compute-backlog circuit breaker.")
+			s.breaker.transitions = reg.CounterVec("onesd_breaker_transitions_total", "Circuit-breaker state transitions, by destination state.", "to")
+			s.breaker.stateGauge = reg.Gauge("onesd_breaker_state", "Circuit-breaker state: 0 closed, 2 open.")
 		}
 	}
 	return s
@@ -454,7 +427,7 @@ func (s *Server) start(spec RunSpec) (*run, error) {
 		defer cancel()
 		res, err := sess.Run(traceCtx)
 		endTrace()
-		r.finish(res, err, runCtx.Err() != nil, s.now())
+		r.finish(res, err, runCtx.Err() != nil)
 		if err != nil && runCtx.Err() == nil {
 			s.log.Printf("serve: %s failed: %v", id, err)
 		}
@@ -462,32 +435,24 @@ func (s *Server) start(spec RunSpec) (*run, error) {
 	return r, nil
 }
 
-// sweepRunsLocked applies the run-table bounds under Server.mu: finished
-// runs past their TTL go first, then — while the table exceeds MaxRuns —
-// the oldest finished runs. In-flight runs are NEVER evicted (cancelling
+// sweepRunsLocked evicts the oldest finished runs under Server.mu while
+// the table exceeds MaxRuns. In-flight runs are NEVER evicted (cancelling
 // live work to make room would turn a burst into data loss), so the
 // table can transiently exceed the cap while every excess run is still
 // executing; the admission breaker is the backstop for that regime.
 func (s *Server) sweepRunsLocked() {
-	now := s.now()
-	if ttl := s.cfg.RunTTL; ttl > 0 {
-		// Snapshot the ids: dropRunLocked rewrites s.order in place.
-		ids := append([]string(nil), s.order...)
-		for _, id := range ids {
-			if r, ok := s.runs[id]; ok && r.expired(ttl, now) {
-				s.dropRunLocked(id, "ttl")
-			}
-		}
+	limit := s.cfg.MaxRuns
+	if limit <= 0 || len(s.runs) <= limit {
+		return
 	}
-	if max := s.cfg.MaxRuns; max > 0 && len(s.runs) > max {
-		ids := append([]string(nil), s.order...)
-		for _, id := range ids { // creation order: oldest finished first
-			if len(s.runs) <= max {
-				break
-			}
-			if r, ok := s.runs[id]; ok && r.isFinished() {
-				s.dropRunLocked(id, "cap")
-			}
+	// Snapshot the ids: dropRunLocked rewrites s.order in place.
+	ids := append([]string(nil), s.order...)
+	for _, id := range ids { // creation order: oldest finished first
+		if len(s.runs) <= limit {
+			break
+		}
+		if r, ok := s.runs[id]; ok && r.isFinished() {
+			s.dropRunLocked(id)
 		}
 	}
 }
@@ -495,7 +460,7 @@ func (s *Server) sweepRunsLocked() {
 // dropRunLocked removes one run from the table (Server.mu held) and
 // counts the eviction. Streams already attached keep their run pointer
 // and finish their replay undisturbed; new lookups 404.
-func (s *Server) dropRunLocked(id, reason string) {
+func (s *Server) dropRunLocked(id string) {
 	delete(s.runs, id)
 	for i, oid := range s.order {
 		if oid == id {
@@ -503,12 +468,11 @@ func (s *Server) dropRunLocked(id, reason string) {
 			break
 		}
 	}
-	s.evictions.With("runtable", reason).Inc()
+	s.evictions.With("runtable", "cap").Inc()
 }
 
-// get looks up a run by ID, first sweeping the bounded table so a
-// finished run past its TTL 404s on the read path too — not only when
-// new work happens to arrive.
+// get looks up a run by ID, first sweeping the bounded table: a run that
+// finished after the last insert may have left the table over its cap.
 func (s *Server) get(id string) (*run, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -16,8 +16,8 @@ import (
 )
 
 // fakeClock is an injectable, manually advanced time source shared by
-// the TTL, rate-limit and breaker tests (assigned to Server.now before
-// the httptest server starts, so no handler races the assignment).
+// the rate-limit and breaker tests (assigned to Server.now before the
+// httptest server starts, so no handler races the assignment).
 type fakeClock struct {
 	mu sync.Mutex
 	t  time.Time
@@ -285,31 +285,6 @@ func TestRunTableEvictionPreservesInFlight(t *testing.T) {
 	waitStatus(t, ts.URL, slow.ID, StatusCancelled, 10*time.Second)
 }
 
-// TestRunTTLEviction drives the finished-run TTL with an injected clock:
-// a done run stays addressable within its TTL and 404s (counted as a
-// runtable/ttl eviction) once the clock passes it.
-func TestRunTTLEviction(t *testing.T) {
-	fc := newFakeClock()
-	srv, m, ts := newHardenedServer(t, "", Config{RunTTL: time.Hour}, func(s *Server) { s.now = fc.now })
-	defer func() {
-		srv.Shutdown(context.Background())
-		ts.Close()
-	}()
-
-	st := createRun(t, ts.URL, quickSpec())
-	waitStatus(t, ts.URL, st.ID, StatusDone, 30*time.Second)
-
-	fc.advance(30 * time.Minute)
-	if got := getRun(t, ts.URL, st.ID); got.Status != StatusDone {
-		t.Fatalf("run %q within TTL, want done and addressable", got.Status)
-	}
-	fc.advance(45 * time.Minute) // 75 min since finish ≥ 1h TTL
-	doJSON(t, "GET", ts.URL+"/v1/runs/"+st.ID, nil, http.StatusNotFound)
-	if got := m.Registry().CounterValue("cache_evictions_total", "runtable", "ttl"); got != 1 {
-		t.Errorf("runtable ttl evictions = %d, want 1", got)
-	}
-}
-
 // TestCancelFinishedRunKeepsResult pins the DELETE-on-finished contract
 // the lock audit established: cancelling a run that already finished is
 // an idempotent 202 that changes nothing — the status stays done, the
@@ -409,7 +384,7 @@ func TestStreamClientNeverCut(t *testing.T) {
 		}
 	}
 	// The client has caught up, so only finish can wake it for the end line.
-	r.finish(&ones.Result{}, nil, false, time.Now())
+	r.finish(&ones.Result{}, nil, false)
 	r.Observe(ones.Progress{Kind: ones.KindCellDone, Done: n + 1, Total: n})
 	if !read() {
 		t.Fatalf("no end line: %v", sc.Err())

@@ -54,12 +54,13 @@ func TestNewRejectsIncompatibleComposition(t *testing.T) {
 
 func TestNewRejectsBadOptionValues(t *testing.T) {
 	for name, opt := range map[string]Option{
-		"negative workers":  WithWorkers(-1),
-		"zero topology":     WithTopology(0, 4),
-		"negative trace":    WithTrace(Trace{Jobs: -1}),
-		"mutation rate > 1": WithMutationRate(1.5),
-		"zero capacity":     WithCapacities(16, 0),
-		"negative populace": WithPopulation(-2),
+		"negative workers":   WithWorkers(-1),
+		"zero topology":      WithTopology(0, 4),
+		"oversized topology": WithTopology(2_000_000_000, 8),
+		"negative trace":     WithTrace(Trace{Jobs: -1}),
+		"mutation rate > 1":  WithMutationRate(1.5),
+		"zero capacity":      WithCapacities(16, 0),
+		"negative populace":  WithPopulation(-2),
 	} {
 		if _, err := New(opt); err == nil {
 			t.Errorf("%s: accepted", name)
