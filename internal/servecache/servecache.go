@@ -6,31 +6,44 @@
 // each result through to disk so daemon restarts and repeated CLI
 // invocations skip warm work.
 //
-// Disk layout: one file per cell, <dir>/<sha256(key)>.json, holding a
-// versioned envelope {version, key, result}. A file that fails to read,
-// parse, or match its expected version and key is discarded with a
-// warning and recomputed — never trusted, never fatal. Writes go through
-// a temp file + rename so a crash mid-write leaves no torn entry.
+// Disk layout: one file per cell, <dir>/<sha256(key)>.cell, holding one
+// binary record: the magic "ONESCELL", the format Version as a uvarint,
+// the key (uvarint length, then its bytes; stored in full so a hash
+// collision is caught), the fields of simulator.Result in declaration
+// order, and a CRC-32C (Castagnoli) of everything before it. Strings are
+// a uvarint length and their bytes, ints zig-zag varints, a bool one
+// byte (0 or 1), a float64 the 8 little-endian bytes of its IEEE 754
+// bits, and a slice a uvarint count (0 for nil, n+1 for n elements)
+// followed by each element's fields in declaration order.
 //
-// Determinism contract: a Result loaded from disk is byte-identical
-// (under encoding/json) to the freshly computed Result it was stored
-// from. Go's float64 JSON round-trip is exact and the Result tree is
-// plain exported structs and slices, so storing and loading is the
-// identity; the round-trip tests in this package and internal/engine
-// pin that.
+// The decoder checks the magic and the checksum first, then the version
+// and the key, and every length and count against the bytes left before
+// it allocates. A file that fails to read or any of these checks is
+// discarded with a warning and recomputed: never trusted, never fatal.
+// Writes go through a temp file + rename so a crash mid-write leaves no
+// torn entry. New removes, once, the files a cache wrote but can never
+// read: version-1 JSON envelopes (<sha256(key)>.json) and temp files
+// left by a crash between write and rename.
+//
+// Determinism contract: a Result loaded from disk is deeply equal, and
+// byte-identical under encoding/json, to the freshly computed Result it
+// was stored from. Every float is stored as its exact bits and nil and
+// empty slices stay distinct, so storing and loading is the identity;
+// the round-trip tests in this package and internal/engine pin that.
 package servecache
 
 import (
+	"container/list"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log"
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -39,10 +52,17 @@ import (
 	"repro/internal/simulator"
 )
 
-// Version is the on-disk result-format version. Bump it whenever the
-// simulator's result semantics change: old files are then discarded (and
-// recomputed) instead of serving stale physics.
-const Version = 1
+// Version is the on-disk record format version. Bump it whenever the
+// record layout or the simulator's result semantics change: old files
+// are then discarded (and recomputed) instead of serving stale physics.
+const Version = 2
+
+// recordExt names the files holding cell records; tempPrefix starts
+// the temp files a write renames into place.
+const (
+	recordExt  = ".cell"
+	tempPrefix = ".tmp-"
+)
 
 // Stats counts cache outcomes since construction.
 type Stats struct {
@@ -56,7 +76,8 @@ type Stats struct {
 	// computation of the same key instead of starting their own.
 	DedupWaits int `json:"dedup_waits"`
 	// Discards counts corrupt, unreadable or version-mismatched files
-	// thrown away (each triggered a warning and a recompute).
+	// thrown away (each triggered a warning and a recompute), plus the
+	// unreadable leftovers New removed.
 	Discards int `json:"discards"`
 	// MemoEvictions counts completed memo entries dropped to keep the memo
 	// under its entry cap (least recently used first — see Limits).
@@ -100,9 +121,12 @@ type Cache struct {
 
 	mu      sync.Mutex
 	entries map[string]*entry
-	uses    uint64 // inserts + memory hits so far: the memo's LRU clock
-	stats   Stats
-	limits  Limits
+	// recent holds the completed entries of the memo, most recently used
+	// at the front; the cap sweep evicts from the back. In-flight entries
+	// join it only once they complete, so they are never evicted.
+	recent list.List
+	stats  Stats
+	limits Limits
 
 	obsP atomic.Pointer[cacheObs]
 }
@@ -179,7 +203,7 @@ func (c *Cache) diskBytes() int64 {
 	}
 	var total int64
 	for _, de := range des {
-		if de.IsDir() || filepath.Ext(de.Name()) != ".json" {
+		if de.IsDir() || filepath.Ext(de.Name()) != recordExt {
 			continue
 		}
 		if info, err := de.Info(); err == nil {
@@ -193,41 +217,85 @@ func (c *Cache) diskBytes() int64 {
 // it (from disk or by computing) and closes done; everyone else waits on
 // done or their own context.
 type entry struct {
+	key  string
 	done chan struct{}
 	res  *simulator.Result
 	err  error
 
-	// lastUse orders the memo for LRU eviction: Cache.uses at insertion
-	// and at every memory hit, written under Cache.mu.
-	lastUse uint64
-}
-
-// completed reports whether the entry's computation has finished — only
-// completed entries are evictable (the singleflight contract: waiters
-// hold the entry pointer and must see it resolve).
-func (e *entry) completed() bool {
-	select {
-	case <-e.done:
-		return true
-	default:
-		return false
-	}
+	// elem is the entry's place in Cache.recent, set under Cache.mu when
+	// the entry completes. Only completed entries are evictable (the
+	// singleflight contract: waiters hold the entry pointer and must see
+	// it resolve).
+	elem *list.Element
 }
 
 // New returns a Cache persisting to dir ("" ⇒ shared memory only, no
-// persistence). The directory is created if missing. warn receives
+// persistence). The directory is created if missing, and the files in
+// it that no cache of this version can read are removed. warn receives
 // non-fatal cache problems (corrupt files, failed writes); nil ⇒
 // log.Printf.
 func New(dir string, warn func(format string, args ...any)) (*Cache, error) {
 	if warn == nil {
 		warn = log.Printf
 	}
+	c := &Cache{dir: dir, warn: warn, entries: make(map[string]*entry)}
 	if dir != "" {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return nil, fmt.Errorf("servecache: create %s: %w", dir, err)
 		}
+		c.removeUnreadable()
 	}
-	return &Cache{dir: dir, warn: warn, entries: make(map[string]*entry)}, nil
+	return c, nil
+}
+
+// removeUnreadable deletes the files in the cache directory that this
+// cache wrote but can never read: version-1 records and temp files a
+// crash left between write and rename. Neither counts toward
+// MaxDiskBytes or is ever swept, so without this they would leak disk.
+// They count as Discards, with one warning for them all. A writer in
+// another process sharing the directory loses only its current write:
+// its rename fails and warns, and its memo keeps the result.
+func (c *Cache) removeUnreadable() {
+	des, err := os.ReadDir(c.dir)
+	if err != nil {
+		c.warn("servecache: scan %s: %v", c.dir, err)
+		return
+	}
+	removed := 0
+	for _, de := range des {
+		if de.IsDir() || !unreadable(de.Name()) {
+			continue
+		}
+		if err := os.Remove(filepath.Join(c.dir, de.Name())); err != nil {
+			if !os.IsNotExist(err) {
+				c.warn("servecache: remove %s: %v", de.Name(), err)
+			}
+			continue
+		}
+		removed++
+	}
+	if removed > 0 {
+		c.count(func(s *Stats) { s.Discards += removed })
+		c.warn("servecache: removed %d unreadable files (version-1 records or interrupted writes) from %s", removed, c.dir)
+	}
+}
+
+// unreadable reports whether name is a version-1 record
+// (<sha256(key)>.json) or a temp file of an interrupted write.
+func unreadable(name string) bool {
+	if strings.HasPrefix(name, tempPrefix) {
+		return true
+	}
+	hash, ok := strings.CutSuffix(name, ".json")
+	if !ok || len(hash) != 2*sha256.Size {
+		return false
+	}
+	for _, r := range hash {
+		if (r < '0' || r > '9') && (r < 'a' || r > 'f') {
+			return false
+		}
+	}
+	return true
 }
 
 // Dir returns the persistence directory ("" when memory-only).
@@ -245,32 +313,19 @@ func (c *Cache) SetLimits(l Limits) int {
 }
 
 // sweepMemoLocked evicts the least-recently-used completed entries while
-// the memo exceeds MaxEntries. In-flight entries are never touched (Reset
-// semantics), so the memo can transiently exceed the cap while every
-// excess entry is still computing.
+// the memo exceeds MaxEntries, each in O(1) from the back of c.recent.
+// In-flight entries are never touched (Reset semantics), so the memo can
+// transiently exceed the cap while every excess entry is still computing.
 func (c *Cache) sweepMemoLocked() int {
 	limit := c.limits.MaxEntries
-	if limit <= 0 || len(c.entries) <= limit {
+	if limit <= 0 {
 		return 0
 	}
-	type victim struct {
-		key     string
-		lastUse uint64
-	}
-	var victims []victim
-	for key, e := range c.entries {
-		if e.completed() {
-			victims = append(victims, victim{key, e.lastUse})
-		}
-	}
-	sort.Slice(victims, func(i, j int) bool { return victims[i].lastUse < victims[j].lastUse })
 	oh := c.oh()
 	evicted := 0
-	for _, v := range victims {
-		if len(c.entries) <= limit {
-			break
-		}
-		delete(c.entries, v.key)
+	for len(c.entries) > limit && c.recent.Len() > 0 {
+		e := c.recent.Remove(c.recent.Back()).(*entry)
+		delete(c.entries, e.key)
 		c.stats.MemoEvictions++
 		oh.memoCapEvicts.Inc()
 		evicted++
@@ -300,7 +355,7 @@ func (c *Cache) sweepDisk() int {
 	var files []file
 	var total int64
 	for _, de := range des {
-		if de.IsDir() || filepath.Ext(de.Name()) != ".json" {
+		if de.IsDir() || filepath.Ext(de.Name()) != recordExt {
 			continue
 		}
 		info, err := de.Info()
@@ -359,15 +414,11 @@ func (c *Cache) Stats() Stats {
 func (c *Cache) Reset() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	dropped := 0
-	for key, e := range c.entries {
-		select {
-		case <-e.done:
-			delete(c.entries, key)
-			dropped++
-		default:
-		}
+	dropped := c.recent.Len()
+	for el := c.recent.Front(); el != nil; el = el.Next() {
+		delete(c.entries, el.Value.(*entry).key)
 	}
+	c.recent.Init()
 	return dropped
 }
 
@@ -390,22 +441,22 @@ func (c *Cache) Do(ctx context.Context, key string, compute func() (*simulator.R
 		c.mu.Lock()
 		e, ok := c.entries[key]
 		if !ok {
-			c.uses++
-			e = &entry{done: make(chan struct{}), lastUse: c.uses}
+			e = &entry{key: key, done: make(chan struct{})}
 			c.entries[key] = e
 			c.mu.Unlock()
-			c.resolve(e, key, compute)
+			c.resolve(e, compute)
+			c.mu.Lock()
 			if e.err != nil && isCtxErr(e.err) {
-				c.mu.Lock()
 				delete(c.entries, key)
-				c.mu.Unlock()
+			} else {
+				// Only an insert grows the memo or the disk dir, and only
+				// a completed entry is evictable, so sweeping here keeps
+				// both within their caps. Closing done under c.mu keeps
+				// every completed entry of the memo in c.recent.
+				e.elem = c.recent.PushFront(e)
+				c.sweepMemoLocked()
 			}
 			close(e.done)
-			// Only an insert grows the memo or the disk dir, and only a
-			// completed entry is evictable, so sweeping here, once the new
-			// entry has completed, keeps both within their caps.
-			c.mu.Lock()
-			c.sweepMemoLocked()
 			c.mu.Unlock()
 			c.sweepDisk()
 		} else {
@@ -414,8 +465,7 @@ func (c *Cache) Do(ctx context.Context, key string, compute func() (*simulator.R
 			case <-e.done:
 				c.stats.MemoryHits++
 				oh.memoryHits.Inc()
-				c.uses++
-				e.lastUse = c.uses
+				c.recent.MoveToFront(e.elem)
 			default:
 				c.stats.DedupWaits++
 				oh.dedupWaits.Inc()
@@ -441,8 +491,8 @@ func (c *Cache) Do(ctx context.Context, key string, compute func() (*simulator.R
 
 // resolve fills the entry: disk first, compute on miss, write-through on
 // success.
-func (c *Cache) resolve(e *entry, key string, compute func() (*simulator.Result, error)) {
-	if res, ok := c.load(key); ok {
+func (c *Cache) resolve(e *entry, compute func() (*simulator.Result, error)) {
+	if res, ok := c.load(e.key); ok {
 		e.res = res
 		c.count(func(s *Stats) { s.DiskHits++ })
 		c.oh().diskHits.Inc()
@@ -454,7 +504,7 @@ func (c *Cache) resolve(e *entry, key string, compute func() (*simulator.Result,
 	}
 	c.count(func(s *Stats) { s.Computes++ })
 	c.oh().computes.Inc()
-	c.store(key, e.res)
+	c.store(e.key, e.res)
 }
 
 func (c *Cache) count(f func(*Stats)) {
@@ -463,20 +513,10 @@ func (c *Cache) count(f func(*Stats)) {
 	c.mu.Unlock()
 }
 
-// envelope is the on-disk file format. Key is stored in full (filenames
-// only carry its hash) both for auditability and to detect the
-// astronomically unlikely — or adversarially constructed — hash
-// collision as a mismatch instead of serving the wrong cell.
-type envelope struct {
-	Version int               `json:"version"`
-	Key     string            `json:"key"`
-	Result  *simulator.Result `json:"result"`
-}
-
 // path maps a key to its cache file.
 func (c *Cache) path(key string) string {
 	sum := sha256.Sum256([]byte(key))
-	return filepath.Join(c.dir, hex.EncodeToString(sum[:])+".json")
+	return filepath.Join(c.dir, hex.EncodeToString(sum[:])+recordExt)
 }
 
 // load reads a persisted result, discarding (with a warning) anything
@@ -493,21 +533,9 @@ func (c *Cache) load(key string) (*simulator.Result, bool) {
 		}
 		return nil, false
 	}
-	var env envelope
-	if err := json.Unmarshal(data, &env); err != nil {
-		c.discard(path, fmt.Sprintf("corrupt JSON: %v", err))
-		return nil, false
-	}
-	if env.Version != Version {
-		c.discard(path, fmt.Sprintf("format version %d, want %d", env.Version, Version))
-		return nil, false
-	}
-	if env.Key != key {
-		c.discard(path, fmt.Sprintf("key mismatch (%.60q...)", env.Key))
-		return nil, false
-	}
-	if env.Result == nil {
-		c.discard(path, "missing result")
+	res, err := decodeCell(data, key)
+	if err != nil {
+		c.discard(path, err.Error())
 		return nil, false
 	}
 	// Touch the file so the disk byte-cap sweep (oldest mtime first)
@@ -515,7 +543,7 @@ func (c *Cache) load(key string) (*simulator.Result, bool) {
 	// degrades eviction order.
 	now := time.Now()
 	_ = os.Chtimes(path, now, now)
-	return env.Result, true
+	return res, true
 }
 
 // discard warns about and removes a bad cache file; the caller recomputes.
@@ -535,18 +563,13 @@ func (c *Cache) store(key string, res *simulator.Result) {
 	if c.dir == "" {
 		return
 	}
-	data, err := json.Marshal(envelope{Version: Version, Key: key, Result: res})
-	if err != nil {
-		c.warn("servecache: encode %.60q...: %v", key, err)
-		return
-	}
 	path := c.path(key)
-	tmp, err := os.CreateTemp(c.dir, ".tmp-*")
+	tmp, err := os.CreateTemp(c.dir, tempPrefix+"*")
 	if err != nil {
 		c.warn("servecache: temp file: %v", err)
 		return
 	}
-	if _, err := tmp.Write(data); err != nil {
+	if _, err := tmp.Write(encodeCell(key, res)); err != nil {
 		tmp.Close()
 		os.Remove(tmp.Name())
 		c.warn("servecache: write %s: %v", filepath.Base(path), err)

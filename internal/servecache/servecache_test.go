@@ -5,9 +5,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -24,7 +27,7 @@ import (
 // a hand-built fixture. With recordEvents the run also faces an elastic
 // capacity timeline, so the optional Result fields (Evictions,
 // CapacityEvents, Events) are exercised, not left at zero.
-func simulate(t *testing.T, sched string, recordEvents bool) *simulator.Result {
+func simulate(t testing.TB, sched string, recordEvents bool) *simulator.Result {
 	t.Helper()
 	trace, err := workload.Generate(workload.Config{Seed: 3, NumJobs: 8, MeanInterarrival: 25, MaxReqGPUs: 8})
 	if err != nil {
@@ -192,7 +195,7 @@ func TestCorruptFileDiscardedWithWarning(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := cacheFile(t, dir)
-	if err := os.WriteFile(path, []byte("{not json"), 0o644); err != nil {
+	if err := os.WriteFile(path, []byte("not a record"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	var warnings []string
@@ -219,14 +222,16 @@ func TestCorruptFileDiscardedWithWarning(t *testing.T) {
 	if c2.Stats().Discards != 1 {
 		t.Errorf("stats = %+v, want 1 discard", c2.Stats())
 	}
-	// The recompute rewrites the entry: the file must be valid again.
+	// The recompute rewrites the entry: the file must decode to the same
+	// result again.
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("recomputed entry not rewritten: %v", err)
 	}
-	var env map[string]any
-	if err := json.Unmarshal(data, &env); err != nil {
-		t.Errorf("rewritten entry is not valid JSON: %v", err)
+	if back, err := decodeCell(data, "k"); err != nil {
+		t.Errorf("rewritten entry does not decode: %v", err)
+	} else if !reflect.DeepEqual(back, res) {
+		t.Error("rewritten entry decodes to a different result")
 	}
 }
 
@@ -238,25 +243,24 @@ func TestVersionMismatchDiscarded(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := cacheFile(t, dir)
-	// Rewrite the envelope with a stale version but intact payload.
+	// Re-encode the record at version 1 with a valid checksum, so the
+	// version is its only defect.
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var env map[string]json.RawMessage
-	if err := json.Unmarshal(data, &env); err != nil {
-		t.Fatal(err)
+	if data[len(magic)] != Version {
+		t.Fatalf("version byte = %d, want %d", data[len(magic)], Version)
 	}
-	env["version"] = json.RawMessage("0")
-	stale, err := json.Marshal(env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, stale, 0o644); err != nil {
+	data[len(magic)] = 1
+	if err := os.WriteFile(path, reseal(data), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	var warned bool
-	c2, err := New(dir, func(string, ...any) { warned = true })
+	want := fmt.Sprintf("format version 1, want %d", Version)
+	c2, err := New(dir, func(format string, args ...any) {
+		warned = strings.Contains(fmt.Sprintf(format, args...), want)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +272,7 @@ func TestVersionMismatchDiscarded(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !recomputed || !warned {
-		t.Errorf("version-mismatched file: recomputed=%t warned=%t, want both", recomputed, warned)
+		t.Errorf("version-mismatched file: recomputed=%t warned of the version=%t, want both", recomputed, warned)
 	}
 }
 
@@ -466,5 +470,118 @@ func TestResetLeavesInFlightEntries(t *testing.T) {
 	<-done
 	if got := c.Stats().Entries; got != 1 {
 		t.Fatalf("in-flight entry lost: entries = %d, want 1", got)
+	}
+}
+
+// TestMemoEvictsLeastRecentlyUsed pins the memo's eviction order: a
+// memory hit makes an entry the most recently used, so the entry left
+// untouched longest is evicted first.
+func TestMemoEvictsLeastRecentlyUsed(t *testing.T) {
+	c := mustCache(t, "")
+	c.SetLimits(Limits{MaxEntries: 2})
+	res := simulate(t, "fifo", false)
+	computed := map[string]int{}
+	do := func(key string) {
+		t.Helper()
+		if _, err := c.Do(context.Background(), key, func() (*simulator.Result, error) {
+			computed[key]++
+			return res, nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, key := range []string{"a", "b", "a", "c"} {
+		do(key)
+	}
+	if st := c.Stats(); st.MemoEvictions != 1 || st.Entries != 2 || st.MemoryHits != 1 {
+		t.Fatalf("stats = %+v, want 1 eviction, 2 entries, 1 memory hit", st)
+	}
+	do("a")
+	do("c")
+	if st := c.Stats(); st.MemoryHits != 3 || st.MemoEvictions != 1 {
+		t.Fatalf("stats = %+v: a and c must be memory hits", st)
+	}
+	do("b")
+	if computed["b"] != 2 || computed["a"] != 1 || computed["c"] != 1 {
+		t.Fatalf("computes per key = %v, want b evicted and recomputed, a and c once", computed)
+	}
+}
+
+// TestMemoCapConcurrent drives a capped memo from several goroutines, so
+// memory hits move entries in the recency list while inserts evict from
+// it. Every call is counted once, the memo ends within its cap, and the
+// recency list holds exactly the memo's entries.
+func TestMemoCapConcurrent(t *testing.T) {
+	const workers, calls, limit = 4, 500, 8
+	c := mustCache(t, "")
+	c.SetLimits(Limits{MaxEntries: limit})
+	res := &simulator.Result{}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for i := 0; i < calls; i++ {
+				key := strconv.Itoa(rng.Intn(3 * limit))
+				if _, err := c.Do(context.Background(), key, func() (*simulator.Result, error) { return res, nil }); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(int64(w))
+	}
+	wg.Wait()
+	st := c.Stats()
+	if st.Computes+st.MemoryHits+st.DedupWaits != workers*calls {
+		t.Errorf("stats = %+v do not add up to %d calls", st, workers*calls)
+	}
+	if st.Entries > limit || st.MemoEvictions == 0 || st.MemoryHits == 0 {
+		t.Errorf("stats = %+v, want at most %d entries, evictions and memory hits", st, limit)
+	}
+	c.mu.Lock()
+	listed := c.recent.Len()
+	c.mu.Unlock()
+	if listed != st.Entries {
+		t.Errorf("recency list holds %d entries, memo %d", listed, st.Entries)
+	}
+}
+
+// TestNewRemovesUnreadableFiles: version-1 records and temp files left
+// by an interrupted write are never read, swept or counted toward
+// MaxDiskBytes, so New removes them once, counts them as discards and
+// warns once. Every other file stays.
+func TestNewRemovesUnreadableFiles(t *testing.T) {
+	dir := t.TempDir()
+	v1 := "0123456789abcdef0123456789abcdef0123456789abcdef0123456789abcdef.json"
+	kept := []string{"notes.txt", "config.json", "0123456789abcdef.json",
+		"0123456789abcdef0123456789abcdef0123456789abcdef0123456789abcdef.cell"}
+	for _, name := range append([]string{v1, ".tmp-x"}, kept...) {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("{}"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var warnings []string
+	c, err := New(dir, func(format string, args ...any) {
+		warnings = append(warnings, fmt.Sprintf(format, args...))
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{v1, ".tmp-x"} {
+		if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
+			t.Errorf("%s survived New (stat: %v)", name, err)
+		}
+	}
+	for _, name := range kept {
+		if data, err := os.ReadFile(filepath.Join(dir, name)); err != nil || string(data) != "{}" {
+			t.Errorf("New touched %s: %q, %v", name, data, err)
+		}
+	}
+	if st := c.Stats(); st.Discards != 2 {
+		t.Errorf("stats = %+v, want 2 discards", st)
+	}
+	if len(warnings) != 1 {
+		t.Errorf("warnings = %q, want one", warnings)
 	}
 }

@@ -12,7 +12,7 @@ import (
 	"repro/internal/simulator"
 )
 
-// dirBytes sums the persisted .json files under dir.
+// dirBytes sums the persisted record files under dir.
 func dirBytes(t *testing.T, dir string) int64 {
 	t.Helper()
 	des, err := os.ReadDir(dir)
@@ -21,7 +21,7 @@ func dirBytes(t *testing.T, dir string) int64 {
 	}
 	var total int64
 	for _, de := range des {
-		if de.IsDir() || filepath.Ext(de.Name()) != ".json" {
+		if de.IsDir() || filepath.Ext(de.Name()) != ".cell" {
 			continue
 		}
 		info, err := de.Info()
@@ -51,12 +51,8 @@ func TestEvictionSoak(t *testing.T) {
 	c := mustCache(t, dir)
 
 	res := simulate(t, "fifo", false)
-	// Size one envelope so the byte cap is a meaningful ~5 files.
-	blob, err := json.Marshal(envelope{Version: Version, Key: "probe", Result: res})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fileSize := int64(len(blob))
+	// Size one record so the byte cap is a meaningful ~5 files.
+	fileSize := int64(len(encodeCell("probe", res)))
 
 	limits := Limits{
 		MaxEntries:   8,
