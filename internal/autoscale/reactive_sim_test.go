@@ -13,10 +13,9 @@ import (
 // the closed loop can be exercised without importing internal/schedulers.
 type fifoSched struct{}
 
-func (fifoSched) Name() string                 { return "fifo-test" }
-func (fifoSched) TickInterval() float64        { return 0 }
-func (fifoSched) CostKind() simulator.CostKind { return simulator.CostElastic }
-func (fifoSched) ManagesLR() bool              { return true }
+func (fifoSched) Traits() simulator.Traits {
+	return simulator.Traits{Name: "fifo-test", ManagesLR: true}
+}
 func (fifoSched) Decide(tr simulator.Trigger, v *simulator.View) *cluster.Schedule {
 	s := v.Current.Clone()
 	changed := false

@@ -31,8 +31,8 @@ type GPUID int
 // which rack (failure domain) it lives in. A rack drain removes every
 // server sharing a Rack id at once.
 type ServerSpec struct {
-	GPUs int `json:"gpus"`
-	Rack int `json:"rack"`
+	GPUs int
+	Rack int
 }
 
 // Topology describes the physical shape of the cluster as an ordered
@@ -249,9 +249,9 @@ func (t Topology) RackServers(rack int) []int {
 
 // RackCapacity summarizes one rack's share of the cluster.
 type RackCapacity struct {
-	Rack    int `json:"rack"`
-	Servers int `json:"servers"`
-	GPUs    int `json:"gpus"`
+	Rack    int
+	Servers int
+	GPUs    int
 }
 
 // RackSummary returns per-rack capacity, ascending by rack id.

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/autoscale"
+	"repro/internal/evolution"
 	"repro/internal/obs"
 	"repro/internal/scenario"
 	"repro/internal/schedulers"
@@ -166,6 +167,28 @@ func (r *Runner) Workers() int { return r.workers }
 // Runner sharing the cache.
 func (r *Runner) CachedCells() int { return r.Cache.Stats().Entries }
 
+// CheckBounds rejects a cell whose trace or search would outgrow memory:
+// a trace of more than workload.MaxJobs jobs, or an ONES cell whose
+// population times initial GPUs exceeds evolution.MaxGenes. Every
+// simulation passes it first; a caller validating outside input (the
+// SDK's session) calls it to fail before any run starts.
+func (r *Runner) CheckBounds(c Cell) error {
+	if r.params.Jobs > workload.MaxJobs {
+		return fmt.Errorf("%d jobs exceed the %d-job bound", r.params.Jobs, workload.MaxJobs)
+	}
+	if c.Scheduler != "ones" {
+		return nil
+	}
+	topo, err := c.normalize(r.params).Topology()
+	if err != nil {
+		return err
+	}
+	if gpus := topo.TotalGPUs(); r.params.Population > evolution.MaxGenes/gpus {
+		return fmt.Errorf("population %d × %d GPUs exceeds the %d-gene search bound", r.params.Population, gpus, evolution.MaxGenes)
+	}
+	return nil
+}
+
 // isCtxErr reports whether err is the computing goroutine's context
 // giving up, as opposed to the simulation itself failing.
 func isCtxErr(err error) bool {
@@ -244,13 +267,13 @@ func (r *Runner) Compare(ctx context.Context, capacity int, scheds []string) ([]
 	return r.Results(ctx, ComparisonCells(scheds, capacity))
 }
 
-// simulate executes one simulation: wait for a worker slot (or the
-// context), resolve the scenario, generate the trace its arrival process
-// shapes, build the named scheduler with the cell-derived
-// seed, compose the capacity sources, simulate. Out of band, it records
-// the cell lifecycle — queued → trace-gen → simulate → done — as engine
-// metrics and, when the context carries a trace (see obs.StartSpan), as
-// a span tree.
+// simulate executes one simulation: check the cell's bounds, wait for a
+// worker slot (or the context), resolve the scenario, generate the trace
+// its arrival process shapes, build the named scheduler with the
+// cell-derived seed, compose the capacity sources, simulate. Out of band,
+// it records the cell lifecycle — queued → trace-gen → simulate → done —
+// as engine metrics and, when the context carries a trace (see
+// obs.StartSpan), as a span tree.
 func (r *Runner) simulate(ctx context.Context, c Cell) (res *simulator.Result, err error) {
 	oh := r.obsHandles()
 	ctx, cellSpan := obs.StartSpan(ctx, "cell "+c.String())
@@ -264,6 +287,9 @@ func (r *Runner) simulate(ctx context.Context, c Cell) (res *simulator.Result, e
 		}
 		cellSpan.End()
 	}()
+	if err := r.CheckBounds(c); err != nil {
+		return nil, err
+	}
 	queueSpan := cellSpan.StartChild("queued")
 	oh.queued.Inc()
 	select {

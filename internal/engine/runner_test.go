@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"os"
 	"reflect"
 	"runtime"
 	"sort"
@@ -10,6 +11,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/evolution"
+	"repro/internal/servecache"
 	"repro/internal/simulator"
 )
 
@@ -141,6 +144,31 @@ func TestRunnerUnknownScheduler(t *testing.T) {
 	r := NewRunner(testParams(1))
 	if _, err := r.Result(context.Background(), Cell{Scheduler: "bogus", Capacity: 16}); err == nil {
 		t.Error("unknown scheduler accepted")
+	}
+}
+
+// TestRunnerRejectsOversizedSearch: an ONES cell whose population times
+// GPUs exceeds evolution.MaxGenes fails before anything is built and
+// leaves nothing in the cache, while a FIFO cell under the same params,
+// which holds no population, runs.
+func TestRunnerRejectsOversizedSearch(t *testing.T) {
+	p := testParams(1)
+	p.Population = evolution.MaxGenes/16 + 1
+	r := NewRunner(p)
+	dir := t.TempDir()
+	cache, err := servecache.New(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Cache = cache
+	if _, err := r.Result(context.Background(), Cell{Scheduler: "ones", Capacity: 16}); err == nil {
+		t.Fatal("ONES cell over the gene bound ran")
+	}
+	if files, _ := os.ReadDir(dir); cache.Stats().Computes != 0 || len(files) != 0 {
+		t.Errorf("rejected cell reached the cache: %+v, %d files", cache.Stats(), len(files))
+	}
+	if _, err := r.Result(context.Background(), Cell{Scheduler: "fifo", Capacity: 16}); err != nil {
+		t.Fatalf("FIFO cell under the same params: %v", err)
 	}
 }
 

@@ -40,6 +40,13 @@ type JobInfo struct {
 // the loss (Figure 13).
 const GrowthFactor = 4
 
+// MaxGenes bounds one search's population size times GPU count. The
+// engine keeps the population and about four candidates per member, each
+// a schedule with one 16-byte slot per GPU, so at the bound one search
+// holds about 5 × 2^20 slots (80 MiB). The paper-scale default is
+// 32 × 64 = 2,048 genes.
+const MaxGenes = 1 << 20
+
 // effLimit returns the job's effective batch ceiling for this round of
 // candidate generation.
 func (info *JobInfo) effLimit() int {

@@ -193,18 +193,18 @@ func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 	return ContextWithSpan(ctx, child), child
 }
 
-// SpanNode is the JSON view of one span in a trace tree. Times are
+// SpanNode is one span in a trace tree. Times are
 // milliseconds relative to the trace start, so a tree is readable
 // without clock context.
 type SpanNode struct {
-	Name       string            `json:"name"`
-	StartMS    float64           `json:"start_ms"`
-	DurationMS float64           `json:"duration_ms"`
-	InProgress bool              `json:"in_progress,omitempty"`
-	Attrs      map[string]string `json:"attrs,omitempty"`
-	Children   []*SpanNode       `json:"children,omitempty"`
+	Name       string
+	StartMS    float64
+	DurationMS float64
+	InProgress bool
+	Attrs      map[string]string
+	Children   []*SpanNode
 	// DroppedSpans (root only) counts spans the bounded buffer refused.
-	DroppedSpans int `json:"dropped_spans,omitempty"`
+	DroppedSpans int
 }
 
 // tree assembles the span tree. Spans were appended in creation order

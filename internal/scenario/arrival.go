@@ -42,25 +42,25 @@ const (
 // Two scenarios sharing an arrival spec replay the identical trace,
 // preserving paired comparisons.
 type ArrivalSpec struct {
-	Kind ArrivalKind `json:"kind,omitempty"`
+	Kind ArrivalKind
 	// Mean is the base mean interarrival time in seconds (1/λ0).
 	// Zero ⇒ the trace config's MeanInterarrival.
-	Mean float64 `json:"mean,omitempty"`
+	Mean float64
 
 	// Period and Amplitude shape the diurnal sinusoid:
 	// λ(t) = λ0·(1 + Amplitude·sin(2πt/Period)).
-	Period    float64 `json:"period,omitempty"`
-	Amplitude float64 `json:"amplitude,omitempty"`
+	Period    float64
+	Amplitude float64
 
 	// A burst window of BurstLen seconds opens every BurstEvery seconds,
 	// multiplying the rate by BurstFactor inside it.
-	BurstEvery  float64 `json:"burst_every,omitempty"`
-	BurstLen    float64 `json:"burst_len,omitempty"`
-	BurstFactor float64 `json:"burst_factor,omitempty"`
+	BurstEvery  float64
+	BurstLen    float64
+	BurstFactor float64
 
 	// Alpha is the Pareto shape for heavy-tail interarrivals (>1 so the
 	// mean exists; smaller ⇒ heavier tail).
-	Alpha float64 `json:"alpha,omitempty"`
+	Alpha float64
 }
 
 // Normalize fills defaults against the given fallback mean interarrival

@@ -28,27 +28,27 @@ const (
 
 // CapacityEvent is one entry of a capacity timeline.
 type CapacityEvent struct {
-	Time float64           `json:"time"`
-	Kind CapacityEventKind `json:"kind"`
+	Time float64
+	Kind CapacityEventKind
 	// Servers is how many servers join or leave (0 ⇒ 1 — except for
 	// restock joins, where 0 means "everything still out": the whole
 	// drained rack powers back up). Ignored by rack drains, which
 	// remove the whole rack.
-	Servers int `json:"servers,omitempty"`
+	Servers int
 	// Pick ∈ [0,1) selects which server a removal hits, scaled by the
 	// live server count at apply time — precomputing the fraction rather
 	// than an index keeps the timeline valid whatever the cluster size
 	// has become by then.
-	Pick float64 `json:"pick,omitempty"`
+	Pick float64
 	// Rack is the rack id a rackdrain empties (matching
 	// cluster.ServerSpec.Rack; ParseShape assigns group i to rack i).
 	// Ignored by every other kind.
-	Rack int `json:"rack,omitempty"`
+	Rack int
 	// GPUs sets the per-server GPU count of joined servers (0 ⇒ match
 	// the cluster's first server — on a homogeneous fleet, more of the
 	// same). Ignored by removals and by restock joins, which return the
 	// exact servers that left.
-	GPUs int `json:"gpus,omitempty"`
+	GPUs int
 	// Restocks marks a join that returns capacity removed by an earlier
 	// event of the given kind (a repaired node, restocked spot capacity,
 	// a drained rack powering back up). The simulator returns the exact
@@ -57,14 +57,13 @@ type CapacityEvent struct {
 	// at the MinServers floor), so the cluster can never grow past its
 	// physical size through repairs alone. Empty for planned joins,
 	// which are deliberate growth.
-	Restocks CapacityEventKind `json:"restocks,omitempty"`
+	Restocks CapacityEventKind
 	// Origin identifies what produced the event: empty for planned
 	// timelines and chaos processes, OriginAutoscaler for events a
 	// reactive controller emitted. The simulator uses it to count
 	// controller-driven scaling separately; it never changes how the
-	// event applies. Omitted from JSON when empty, so pre-source cached
-	// results marshal exactly as before.
-	Origin string `json:"origin,omitempty"`
+	// event applies.
+	Origin string
 }
 
 // DefaultHorizon bounds stochastic timeline generation: past it the
@@ -77,18 +76,18 @@ const DefaultHorizon = 7200.0
 type CapacitySpec struct {
 	// Planned events fire at fixed times (elastic scale-up/down,
 	// maintenance drains). Times are relative to simulation start.
-	Planned []CapacityEvent `json:"planned,omitempty"`
+	Planned []CapacityEvent
 
 	// FailMTBF is the cluster-wide mean time between node failures in
 	// seconds (0 ⇒ no failures). A failed server rejoins FailRepair
 	// seconds later (0 ⇒ lost for the rest of the run).
-	FailMTBF   float64 `json:"fail_mtbf,omitempty"`
-	FailRepair float64 `json:"fail_repair,omitempty"`
+	FailMTBF   float64
+	FailRepair float64
 
 	// PreemptMTBF is the mean time between spot reclaims (0 ⇒ none);
 	// reclaimed capacity is restocked PreemptRestock seconds later.
-	PreemptMTBF    float64 `json:"preempt_mtbf,omitempty"`
-	PreemptRestock float64 `json:"preempt_restock,omitempty"`
+	PreemptMTBF    float64
+	PreemptRestock float64
 
 	// DrainMTBF is the mean time between whole-rack drains in seconds
 	// (0 ⇒ none). Unlike the other stochastic processes each drain hits
@@ -96,12 +95,12 @@ type CapacitySpec struct {
 	// so the process runs as a DrainMTBFSource rather than a precomputed
 	// timeline (see Timeline, which ignores these fields). The drained
 	// rack powers back up DrainRestock seconds later (0 ⇒ lost).
-	DrainMTBF    float64 `json:"drain_mtbf,omitempty"`
-	DrainRestock float64 `json:"drain_restock,omitempty"`
+	DrainMTBF    float64
+	DrainRestock float64
 
 	// MinServers floors the cluster: removals that would shrink it below
 	// are skipped by the simulator (0 ⇒ 1).
-	MinServers int `json:"min_servers,omitempty"`
+	MinServers int
 }
 
 // IsStatic reports whether the capacity never changes.

@@ -22,25 +22,18 @@ func waitingJobs(view *simulator.View) []simulator.JobView {
 	return out
 }
 
-// runningJobs returns the alive jobs holding GPUs, ascending ID.
-func runningJobs(view *simulator.View) []simulator.JobView {
-	var out []simulator.JobView
-	for _, j := range view.Jobs {
-		if j.Running {
-			out = append(out, j)
-		}
-	}
-	return out
-}
-
 // placeGang assigns `gpus` idle GPUs to the job with an even split of
-// `batch`, preferring contiguous placement (lowest-index idle GPUs, which
-// the reorder convention keeps packed). Returns false without modifying s
-// when not enough GPUs are idle.
-func placeGang(s *cluster.Schedule, id cluster.JobID, gpus, batch int) bool {
+// `batch`, first clamped so the per-GPU batch fits maxPerGPU (no cap when
+// maxPerGPU ≤ 0), preferring contiguous placement (lowest-index idle
+// GPUs, which the reorder convention keeps packed). Returns false without
+// modifying s when not enough GPUs are idle.
+func placeGang(s *cluster.Schedule, id cluster.JobID, gpus, batch, maxPerGPU int) bool {
 	idle := s.IdleGPUs()
 	if len(idle) < gpus || gpus <= 0 {
 		return false
+	}
+	if maxPerGPU > 0 {
+		batch = min(batch, gpus*maxPerGPU)
 	}
 	if batch < gpus {
 		batch = gpus
@@ -57,18 +50,6 @@ func placeGang(s *cluster.Schedule, id cluster.JobID, gpus, batch int) bool {
 	return true
 }
 
-// clampBatchToMemory shrinks a (gpus, batch) request so the per-GPU batch
-// fits the model's memory cap.
-func clampBatchToMemory(gpus, batch, maxPerGPU int) int {
-	if maxPerGPU <= 0 {
-		return batch
-	}
-	if max := gpus * maxPerGPU; batch > max {
-		return max
-	}
-	return batch
-}
-
 // FIFO is the simplest baseline: first-come first-served gang scheduling
 // with the user-requested fixed size, no preemption, checkpoint-based
 // starts. It exists for tests and as a floor in ablation benches.
@@ -77,17 +58,11 @@ type FIFO struct{}
 // NewFIFO returns a FIFO scheduler.
 func NewFIFO() *FIFO { return &FIFO{} }
 
-// Name implements simulator.Scheduler.
-func (f *FIFO) Name() string { return "FIFO" }
-
-// TickInterval implements simulator.Scheduler: FIFO is event-driven.
-func (f *FIFO) TickInterval() float64 { return 0 }
-
-// CostKind implements simulator.Scheduler.
-func (f *FIFO) CostKind() simulator.CostKind { return simulator.CostCheckpoint }
-
-// ManagesLR implements simulator.Scheduler: FIFO runs jobs as black boxes.
-func (f *FIFO) ManagesLR() bool { return false }
+// Traits implements simulator.Scheduler: FIFO is event-driven, starts
+// jobs from checkpoints and runs them as black boxes.
+func (f *FIFO) Traits() simulator.Traits {
+	return simulator.Traits{Name: "FIFO", Cost: simulator.CostCheckpoint}
+}
 
 // Decide implements simulator.Scheduler: admit waiting jobs in arrival
 // order while they fit; never touch running jobs.
@@ -99,8 +74,7 @@ func (f *FIFO) Decide(trigger simulator.Trigger, view *simulator.View) *cluster.
 	s := view.Current.Clone()
 	changed := false
 	for _, j := range waiting {
-		batch := clampBatchToMemory(j.ReqGPUs, j.ReqBatch, j.Task.Profile.MaxPerGPU)
-		if placeGang(s, j.ID, j.ReqGPUs, batch) {
+		if placeGang(s, j.ID, j.ReqGPUs, j.ReqBatch, j.Task.Profile.MaxPerGPU) {
 			changed = true
 		} else {
 			break // strict FIFO: the head of the queue blocks
@@ -120,17 +94,11 @@ type SJF struct{}
 // NewSJF returns an SJF scheduler.
 func NewSJF() *SJF { return &SJF{} }
 
-// Name implements simulator.Scheduler.
-func (s *SJF) Name() string { return "SJF" }
-
-// TickInterval implements simulator.Scheduler.
-func (s *SJF) TickInterval() float64 { return 0 }
-
-// CostKind implements simulator.Scheduler.
-func (s *SJF) CostKind() simulator.CostKind { return simulator.CostCheckpoint }
-
-// ManagesLR implements simulator.Scheduler: SJF runs jobs as black boxes.
-func (s *SJF) ManagesLR() bool { return false }
+// Traits implements simulator.Scheduler: like FIFO, SJF is event-driven,
+// starts jobs from checkpoints and runs them as black boxes.
+func (s *SJF) Traits() simulator.Traits {
+	return simulator.Traits{Name: "SJF", Cost: simulator.CostCheckpoint}
+}
 
 // Decide implements simulator.Scheduler.
 func (s *SJF) Decide(trigger simulator.Trigger, view *simulator.View) *cluster.Schedule {
@@ -146,8 +114,7 @@ func (s *SJF) Decide(trigger simulator.Trigger, view *simulator.View) *cluster.S
 	sched := view.Current.Clone()
 	changed := false
 	for _, j := range waiting {
-		batch := clampBatchToMemory(j.ReqGPUs, j.ReqBatch, j.Task.Profile.MaxPerGPU)
-		if placeGang(sched, j.ID, j.ReqGPUs, batch) {
+		if placeGang(sched, j.ID, j.ReqGPUs, j.ReqBatch, j.Task.Profile.MaxPerGPU) {
 			changed = true
 		}
 	}

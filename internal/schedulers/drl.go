@@ -56,19 +56,13 @@ func NewDRL(seed int64) *DRL {
 	}
 }
 
-// Name implements simulator.Scheduler.
-func (d *DRL) Name() string { return "DRL" }
-
-// TickInterval implements simulator.Scheduler: decisions are event-driven.
-func (d *DRL) TickInterval() float64 { return 0 }
-
-// CostKind implements simulator.Scheduler: DRL never preempts, so its only
-// reconfigurations are job starts; checkpoint-style loading applies.
-func (d *DRL) CostKind() simulator.CostKind { return simulator.CostCheckpoint }
-
-// ManagesLR implements simulator.Scheduler: the DRL baseline sizes jobs but
+// Traits implements simulator.Scheduler: DRL's decisions are
+// event-driven; it never preempts, so its only reconfigurations are job
+// starts, where checkpoint-style loading applies; and it sizes jobs but
 // leaves batch size and LR at the user's configuration (Table 3).
-func (d *DRL) ManagesLR() bool { return false }
+func (d *DRL) Traits() simulator.Traits {
+	return simulator.Traits{Name: "DRL", Cost: simulator.CostCheckpoint}
+}
 
 // features builds the policy input for assigning c GPUs to job j.
 func (d *DRL) features(view *simulator.View, j simulator.JobView, c int) [drlFeatures]float64 {
@@ -187,8 +181,7 @@ func (d *DRL) Decide(trigger simulator.Trigger, view *simulator.View) *cluster.S
 	}
 	a := actions[pick]
 	s := view.Current.Clone()
-	batch := clampBatchToMemory(a.gpus, a.job.ReqBatch, a.job.Task.Profile.MaxPerGPU)
-	if !placeGang(s, a.job.ID, a.gpus, batch) {
+	if !placeGang(s, a.job.ID, a.gpus, a.job.ReqBatch, a.job.Task.Profile.MaxPerGPU) {
 		return nil
 	}
 	d.chosen[a.job.ID] = a.feats

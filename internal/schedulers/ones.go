@@ -51,7 +51,6 @@ type ONES struct {
 	limiter     *scaling.Limiter
 	rng         *rand.Rand
 	arrivalRate float64
-	cancelled   func() bool
 
 	jobs map[cluster.JobID]*onesJob
 	// lastDeployEpochs snapshots each running job's epoch count at the
@@ -73,14 +72,13 @@ const (
 
 // onesJob is ONES's private per-job state.
 type onesJob struct {
-	limit      int
-	startLimit int
-	everRan    bool
-	seenEpochs float64
-	logs       []predictor.Sample
-	logSamples []int64 // processed counter at each log point
-	lastSeen   simulator.JobView
-	wasWaiting bool // waiting at the previous deployment (Resume policy)
+	limit         int
+	startLimit    int
+	everRan       bool
+	seenEpochs    float64
+	logs          []predictor.Sample
+	lastProcessed int64 // samples processed as of the latest view
+	wasWaiting    bool  // waiting at the previous deployment (Resume policy)
 }
 
 // NewONES builds the scheduler. arrivalRate (λ) tunes the scale-down
@@ -104,34 +102,17 @@ func NewONES(seed int64, arrivalRate float64) *ONES {
 	}
 }
 
-// Name implements simulator.Scheduler.
-func (o *ONES) Name() string { return "ONES" }
-
-// TickInterval implements simulator.Scheduler: ONES is event-driven (the
-// population evolves at every arrival, epoch end and completion).
-func (o *ONES) TickInterval() float64 { return 0 }
-
-// CostKind implements simulator.Scheduler: reconfigurations use the
-// elastic batch-size scaling mechanism.
-func (o *ONES) CostKind() simulator.CostKind { return simulator.CostElastic }
-
-// ManagesLR implements simulator.Scheduler: ONES scales the learning rate
-// linearly with the batch size (§3.3.2), so its jobs keep their
-// convergence behaviour across rescales.
-func (o *ONES) ManagesLR() bool { return true }
+// Traits implements simulator.Scheduler: ONES is event-driven (the
+// population evolves at every arrival, epoch end and completion), its
+// reconfigurations use the elastic batch-size scaling mechanism, and it
+// scales the learning rate linearly with the batch size (§3.3.2), so its
+// jobs keep their convergence behaviour across rescales.
+func (o *ONES) Traits() simulator.Traits {
+	return simulator.Traits{Name: "ONES", Cost: simulator.CostElastic, ManagesLR: true}
+}
 
 // Predictor exposes the online progress model to tests.
 func (o *ONES) Predictor() *predictor.Predictor { return o.pred }
-
-// SetCancel implements simulator.CancelAware: the evolution loop polls
-// the probe between candidate tasks so a cancelled run aborts
-// mid-decision instead of waiting out the search.
-func (o *ONES) SetCancel(cancelled func() bool) {
-	o.cancelled = cancelled
-	if o.engine != nil {
-		o.engine.Cancel = cancelled
-	}
-}
 
 // Decide implements simulator.Scheduler.
 func (o *ONES) Decide(trigger simulator.Trigger, view *simulator.View) *cluster.Schedule {
@@ -142,7 +123,6 @@ func (o *ONES) Decide(trigger simulator.Trigger, view *simulator.View) *cluster.
 			o.PopulationSize = k
 		}
 		o.engine = evolution.NewEngine(k, o.MutationRate)
-		o.engine.Cancel = o.cancelled
 		o.engine.DisableReorder = o.DisableReorder
 		o.engine.DisableSampling = o.DisableSampling
 		if o.Parallelism > 0 {
@@ -160,6 +140,10 @@ func (o *ONES) Decide(trigger simulator.Trigger, view *simulator.View) *cluster.
 		o.decisions = o.Obs.Counter("ones_decisions_total", "ONES scheduling decisions taken.")
 		o.deployments = o.Obs.Counter("ones_deployments_total", "Champion schedules actually deployed (improvements over the live schedule).")
 	}
+	// The evolution loop polls the run's cancellation probe between
+	// candidate tasks, so a cancelled run aborts mid-decision instead of
+	// waiting out the search.
+	o.engine.Cancel = view.Cancelled
 	o.ingest(view)
 
 	evoSpan := o.Span.StartChild("evolution-interval")
@@ -171,7 +155,7 @@ func (o *ONES) Decide(trigger simulator.Trigger, view *simulator.View) *cluster.
 	evoSpan.End()
 
 	o.decisions.Inc()
-	if o.cancelled != nil && o.cancelled() {
+	if view.Cancelled != nil && view.Cancelled() {
 		// The search was cut short: the champion may be stale — it can
 		// even reference jobs that completed since the population last
 		// refreshed — so deploying it could be invalid. Keep the current
@@ -207,7 +191,7 @@ func (o *ONES) ingest(view *simulator.View) {
 			o.onEpochEnd(&j, st, view.Topo)
 		}
 		st.seenEpochs = j.WallEpochs
-		st.lastSeen = j
+		st.lastProcessed = j.Processed
 		if j.Running {
 			st.everRan = true
 		}
@@ -245,7 +229,6 @@ func (o *ONES) onEpochEnd(j *simulator.JobView, st *onesJob, topo cluster.Topolo
 		},
 		Progress: 0, // labeled at completion
 	})
-	st.logSamples = append(st.logSamples, j.Processed)
 }
 
 func lossRatio(j *simulator.JobView) float64 {
@@ -262,13 +245,15 @@ func lossRatio(j *simulator.JobView) float64 {
 // finalize labels a completed job's log with true progress and feeds the
 // predictor.
 func (o *ONES) finalize(st *onesJob) {
-	total := st.lastSeen.Processed
+	total := st.lastProcessed
 	if total <= 0 || len(st.logs) == 0 {
 		return
 	}
 	labeled := st.logs[:0]
 	for i := range st.logs {
-		p := float64(st.logSamples[i]) / float64(total)
+		// X.Processed holds the log point's sample count exactly: counts
+		// stay far below 2^53.
+		p := st.logs[i].X.Processed / float64(total)
 		if p <= 0 || p >= 1 {
 			continue
 		}

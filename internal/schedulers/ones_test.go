@@ -176,10 +176,7 @@ type preemptionWatcher struct {
 	preempted bool
 }
 
-func (w *preemptionWatcher) Name() string                 { return w.inner.Name() }
-func (w *preemptionWatcher) TickInterval() float64        { return w.inner.TickInterval() }
-func (w *preemptionWatcher) CostKind() simulator.CostKind { return w.inner.CostKind() }
-func (w *preemptionWatcher) ManagesLR() bool              { return w.inner.ManagesLR() }
+func (w *preemptionWatcher) Traits() simulator.Traits { return w.inner.Traits() }
 func (w *preemptionWatcher) Decide(tr simulator.Trigger, v *simulator.View) *cluster.Schedule {
 	s := w.inner.Decide(tr, v)
 	if s != nil {

@@ -1,6 +1,7 @@
 package schedulers
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/cluster"
@@ -38,18 +39,12 @@ func NewOptimus() *Optimus {
 	return &Optimus{hist: make(map[cluster.JobID][]obsPoint)}
 }
 
-// Name implements simulator.Scheduler.
-func (o *Optimus) Name() string { return "Optimus" }
-
-// TickInterval implements simulator.Scheduler.
-func (o *Optimus) TickInterval() float64 { return optimusInterval }
-
-// CostKind implements simulator.Scheduler.
-func (o *Optimus) CostKind() simulator.CostKind { return simulator.CostCheckpoint }
-
-// ManagesLR implements simulator.Scheduler: Optimus adjusts worker counts
+// Traits implements simulator.Scheduler: Optimus reschedules every
+// optimusInterval, migrates through checkpoints, and adjusts worker counts
 // but never touches the batch size or learning rate (Table 3).
-func (o *Optimus) ManagesLR() bool { return false }
+func (o *Optimus) Traits() simulator.Traits {
+	return simulator.Traits{Name: "Optimus", TickInterval: optimusInterval, Cost: simulator.CostCheckpoint}
+}
 
 // observe records the job's current training point for curve fitting.
 func (o *Optimus) observe(view *simulator.View) {
@@ -110,7 +105,8 @@ func (o *Optimus) Decide(trigger simulator.Trigger, view *simulator.View) *clust
 	if trigger != simulator.TriggerTick && trigger != simulator.TriggerArrival {
 		return nil
 	}
-	if trigger == simulator.TriggerArrival && len(runningJobs(view)) > 0 {
+	running := func(j simulator.JobView) bool { return j.Running }
+	if trigger == simulator.TriggerArrival && slices.ContainsFunc(view.Jobs, running) {
 		// Mid-interval arrivals wait for the next tick — the paper's
 		// critique of periodic schedulers.
 		return nil
@@ -168,8 +164,7 @@ func (o *Optimus) Decide(trigger simulator.Trigger, view *simulator.View) *clust
 		if want == 0 || s.IsRunning(j.ID) {
 			continue
 		}
-		batch := clampBatchToMemory(want, j.ReqBatch, j.Task.Profile.MaxPerGPU)
-		if placeGang(s, j.ID, want, batch) {
+		if placeGang(s, j.ID, want, j.ReqBatch, j.Task.Profile.MaxPerGPU) {
 			changed = true
 		}
 	}

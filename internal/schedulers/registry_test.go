@@ -32,7 +32,7 @@ func TestRegistryBuildsEveryKnownName(t *testing.T) {
 			t.Errorf("New(%q): %v", name, err)
 			continue
 		}
-		if s == nil || s.Name() == "" {
+		if s == nil || s.Traits().Name == "" {
 			t.Errorf("New(%q) built an unusable scheduler %v", name, s)
 		}
 	}

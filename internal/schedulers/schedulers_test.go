@@ -25,13 +25,13 @@ func runSched(t testing.TB, sched simulator.Scheduler, n int, seed int64) *simul
 	cfg.Topo = cluster.Uniform(4, 4)
 	res, err := simulator.Run(cfg, sched)
 	if err != nil {
-		t.Fatalf("%s: %v", sched.Name(), err)
+		t.Fatalf("%s: %v", sched.Traits().Name, err)
 	}
 	if res.Truncated {
-		t.Fatalf("%s truncated with %d unfinished jobs", sched.Name(), res.Unfinished)
+		t.Fatalf("%s truncated with %d unfinished jobs", sched.Traits().Name, res.Unfinished)
 	}
 	if len(res.Jobs) != n {
-		t.Fatalf("%s completed %d/%d jobs", sched.Name(), len(res.Jobs), n)
+		t.Fatalf("%s completed %d/%d jobs", sched.Traits().Name, len(res.Jobs), n)
 	}
 	return res
 }
@@ -111,10 +111,10 @@ func TestOptimusUsesSlopeWhenHistoryAvailable(t *testing.T) {
 
 func TestPlaceGangRespectsCapacity(t *testing.T) {
 	s := cluster.NewSchedule(cluster.Uniform(1, 4))
-	if !placeGang(s, 1, 4, 256) {
+	if !placeGang(s, 1, 4, 256, 0) {
 		t.Fatal("placement of 4 GPUs on empty 4-GPU cluster failed")
 	}
-	if placeGang(s, 2, 1, 64) {
+	if placeGang(s, 2, 1, 64, 0) {
 		t.Error("placement on full cluster succeeded")
 	}
 	if got := s.GlobalBatch(1); got != 256 {
@@ -127,7 +127,7 @@ func TestPlaceGangRespectsCapacity(t *testing.T) {
 
 func TestPlaceGangEvenSplit(t *testing.T) {
 	s := cluster.NewSchedule(cluster.Uniform(1, 4))
-	placeGang(s, 1, 3, 100) // 34+33+33
+	placeGang(s, 1, 3, 100, 0) // 34+33+33
 	want := []int{34, 33, 33}
 	for i, w := range want {
 		if got := s.Slot(cluster.GPUID(i)).Batch; got != w {
@@ -136,15 +136,21 @@ func TestPlaceGangEvenSplit(t *testing.T) {
 	}
 }
 
-func TestClampBatchToMemory(t *testing.T) {
-	if got := clampBatchToMemory(2, 5000, 512); got != 1024 {
-		t.Errorf("clamp = %d, want 1024", got)
-	}
-	if got := clampBatchToMemory(2, 100, 512); got != 100 {
-		t.Errorf("clamp = %d, want 100", got)
-	}
-	if got := clampBatchToMemory(2, 100, 0); got != 100 {
-		t.Errorf("clamp with no cap = %d, want 100", got)
+// TestPlaceGangFitsMemory: the global batch is clamped so each GPU's
+// share fits the model's memory cap; a cap of 0 means no cap.
+func TestPlaceGangFitsMemory(t *testing.T) {
+	for _, c := range []struct{ batch, maxPerGPU, want int }{
+		{5000, 512, 1024},
+		{100, 512, 100},
+		{100, 0, 100},
+	} {
+		s := cluster.NewSchedule(cluster.Uniform(1, 4))
+		if !placeGang(s, 1, 2, c.batch, c.maxPerGPU) {
+			t.Fatalf("placeGang(2 GPUs, batch %d, cap %d) failed on an empty cluster", c.batch, c.maxPerGPU)
+		}
+		if got := s.GlobalBatch(1); got != c.want {
+			t.Errorf("placeGang(2 GPUs, batch %d, cap %d) placed global batch %d, want %d", c.batch, c.maxPerGPU, got, c.want)
+		}
 	}
 }
 
@@ -175,12 +181,12 @@ func TestONESPredictorLearnsOnline(t *testing.T) {
 
 func TestONESUsesElasticCosts(t *testing.T) {
 	o := NewONES(1, 0.05)
-	if o.CostKind() != simulator.CostElastic {
+	if o.Traits().Cost != simulator.CostElastic {
 		t.Error("ONES must use elastic scaling costs")
 	}
 	for _, s := range []simulator.Scheduler{NewFIFO(), NewTiresias(), NewOptimus(), NewDRL(1)} {
-		if s.CostKind() != simulator.CostCheckpoint {
-			t.Errorf("%s should use checkpoint-based migration", s.Name())
+		if s.Traits().Cost != simulator.CostCheckpoint {
+			t.Errorf("%s should use checkpoint-based migration", s.Traits().Name)
 		}
 	}
 }
@@ -195,19 +201,46 @@ func TestSchedulerNames(t *testing.T) {
 		NewSJF():      "SJF",
 	}
 	for s, want := range names {
-		if s.Name() != want {
-			t.Errorf("Name() = %q, want %q", s.Name(), want)
+		if got := s.Traits().Name; got != want {
+			t.Errorf("Traits().Name = %q, want %q", got, want)
 		}
 	}
 }
 
 func TestOptimusTickInterval(t *testing.T) {
-	if got := NewOptimus().TickInterval(); got != 600 {
+	if got := NewOptimus().Traits().TickInterval; got != 600 {
 		t.Errorf("Optimus interval %v, want the paper's 600 s", got)
 	}
 	for _, s := range []simulator.Scheduler{NewONES(1, 0), NewTiresias(), NewDRL(1), NewFIFO()} {
-		if s.TickInterval() != 0 {
-			t.Errorf("%s should be event-driven", s.Name())
+		if s.Traits().TickInterval != 0 {
+			t.Errorf("%s should be event-driven", s.Traits().Name)
+		}
+	}
+}
+
+// TestSchedulerTraits pins every registered scheduler's fixed
+// properties: its report name, Optimus's 10-minute interval (§4.2; the
+// rest are event-driven), and the Table 3 columns that shape a run —
+// only ONES rescales checkpoint-free and manages the learning rate.
+func TestSchedulerTraits(t *testing.T) {
+	want := map[string]simulator.Traits{
+		"ones":     {Name: "ONES", Cost: simulator.CostElastic, ManagesLR: true},
+		"drl":      {Name: "DRL", Cost: simulator.CostCheckpoint},
+		"tiresias": {Name: "Tiresias", Cost: simulator.CostCheckpoint},
+		"optimus":  {Name: "Optimus", TickInterval: 600, Cost: simulator.CostCheckpoint},
+		"fifo":     {Name: "FIFO", Cost: simulator.CostCheckpoint},
+		"sjf":      {Name: "SJF", Cost: simulator.CostCheckpoint},
+	}
+	if len(want) != len(Names()) {
+		t.Errorf("table covers %d schedulers, registry has %v", len(want), Names())
+	}
+	for name, w := range want {
+		s, err := New(name, Config{Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := s.Traits(); got != w {
+			t.Errorf("%s: Traits() = %+v, want %+v", name, got, w)
 		}
 	}
 }

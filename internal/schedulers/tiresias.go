@@ -23,19 +23,12 @@ const tiresiasDemoteAt = 2000
 // NewTiresias returns a two-queue Tiresias.
 func NewTiresias() *Tiresias { return &Tiresias{} }
 
-// Name implements simulator.Scheduler.
-func (t *Tiresias) Name() string { return "Tiresias" }
-
-// TickInterval implements simulator.Scheduler: Tiresias reacts to events.
-func (t *Tiresias) TickInterval() float64 { return 0 }
-
-// CostKind implements simulator.Scheduler: preemption goes through
-// checkpoints.
-func (t *Tiresias) CostKind() simulator.CostKind { return simulator.CostCheckpoint }
-
-// ManagesLR implements simulator.Scheduler: Tiresias treats jobs as black
-// boxes (Table 3), so large user-configured batches keep the user's LR.
-func (t *Tiresias) ManagesLR() bool { return false }
+// Traits implements simulator.Scheduler: Tiresias reacts to events, its
+// preemption goes through checkpoints, and it treats jobs as black boxes
+// (Table 3), so large user-configured batches keep the user's LR.
+func (t *Tiresias) Traits() simulator.Traits {
+	return simulator.Traits{Name: "Tiresias", Cost: simulator.CostCheckpoint}
+}
 
 // queueOf returns the job's priority queue index (0 = highest priority).
 func (t *Tiresias) queueOf(j simulator.JobView) int {
@@ -84,8 +77,7 @@ func (t *Tiresias) Decide(trigger simulator.Trigger, view *simulator.View) *clus
 		if !admit[j.ID] || s.IsRunning(j.ID) {
 			continue
 		}
-		batch := clampBatchToMemory(j.ReqGPUs, j.ReqBatch, j.Task.Profile.MaxPerGPU)
-		if placeGang(s, j.ID, j.ReqGPUs, batch) {
+		if placeGang(s, j.ID, j.ReqGPUs, j.ReqBatch, j.Task.Profile.MaxPerGPU) {
 			changed = true
 		}
 	}

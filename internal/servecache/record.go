@@ -150,7 +150,7 @@ func decodeCell(data []byte, key string) (*simulator.Result, error) {
 		for i := range res.Events {
 			e := &res.Events[i]
 			e.Time = r.float()
-			e.Kind = simulator.EventKind(r.str())
+			e.Kind = r.kind()
 			e.Job = cluster.JobID(r.int())
 			e.GPUs = r.int()
 			e.Batch = r.int()
@@ -221,6 +221,25 @@ func (r *reader) raw() []byte {
 }
 
 func (r *reader) str() string { return string(r.raw()) }
+
+// eventKinds are the kinds the simulator logs.
+var eventKinds = [...]simulator.EventKind{
+	simulator.EventArrive, simulator.EventStart, simulator.EventRescale, simulator.EventPreempt,
+	simulator.EventComplete, simulator.EventEvict, simulator.EventCapacity,
+}
+
+// kind reads an event kind. One of eventKinds comes back as the constant
+// itself, so a decoded log allocates no string per event (comparing
+// string(b) builds none); any other kind is copied.
+func (r *reader) kind() simulator.EventKind {
+	b := r.raw()
+	for _, k := range eventKinds {
+		if string(b) == string(k) {
+			return k
+		}
+	}
+	return simulator.EventKind(b)
+}
 
 func (r *reader) float() float64 {
 	if r.err != nil {

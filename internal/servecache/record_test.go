@@ -77,6 +77,29 @@ func TestCodecCoversEveryField(t *testing.T) {
 	}
 }
 
+// TestDecodeSharesEventKinds: a decoded event log costs one allocation,
+// its slice; each event's kind is the simulator's constant, not a new
+// string.
+func TestDecodeSharesEventKinds(t *testing.T) {
+	withLog := simulate(t, "fifo", true)
+	if len(withLog.Events) == 0 {
+		t.Fatal("the run recorded no events")
+	}
+	noLog := *withLog
+	noLog.Events = nil
+	allocs := func(res *simulator.Result) float64 {
+		rec := encodeCell("k", res)
+		return testing.AllocsPerRun(20, func() {
+			if _, err := decodeCell(rec, "k"); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if with, without := allocs(withLog), allocs(&noLog); with > without+1 {
+		t.Errorf("decoding %d events allocated %v objects, %v without the log; want at most one more", len(withLog.Events), with, without)
+	}
+}
+
 // checkDecode decodes data as load does and holds FuzzDecodeCell's
 // invariants: no panic, no allocation beyond a small multiple of the
 // input, and an accepted record re-encodes to one that decodes to the

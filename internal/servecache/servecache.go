@@ -67,26 +67,26 @@ const (
 // Stats counts cache outcomes since construction.
 type Stats struct {
 	// Computes is how many results were actually simulated.
-	Computes int `json:"computes"`
+	Computes int
 	// MemoryHits served from the in-process memo.
-	MemoryHits int `json:"memory_hits"`
+	MemoryHits int
 	// DiskHits served by loading a persisted file.
-	DiskHits int `json:"disk_hits"`
+	DiskHits int
 	// DedupWaits are calls that piggybacked on another caller's in-flight
 	// computation of the same key instead of starting their own.
-	DedupWaits int `json:"dedup_waits"`
+	DedupWaits int
 	// Discards counts corrupt, unreadable or version-mismatched files
 	// thrown away (each triggered a warning and a recompute), plus the
 	// unreadable leftovers New removed.
-	Discards int `json:"discards"`
+	Discards int
 	// MemoEvictions counts completed memo entries dropped to keep the memo
 	// under its entry cap (least recently used first — see Limits).
-	MemoEvictions int `json:"memo_evictions"`
+	MemoEvictions int
 	// DiskEvictions counts persisted files removed to keep the cache
 	// directory under its byte cap (oldest files first).
-	DiskEvictions int `json:"disk_evictions"`
+	DiskEvictions int
 	// Entries is the current in-memory memo size.
-	Entries int `json:"entries"`
+	Entries int
 }
 
 // Limits bounds the cache's state so a long-lived daemon cannot grow
@@ -538,11 +538,16 @@ func (c *Cache) load(key string) (*simulator.Result, bool) {
 		c.discard(path, err.Error())
 		return nil, false
 	}
-	// Touch the file so the disk byte-cap sweep (oldest mtime first)
-	// approximates LRU instead of FIFO. Best effort: a failed touch only
-	// degrades eviction order.
-	now := time.Now()
-	_ = os.Chtimes(path, now, now)
+	// Under a disk cap, touch the file so the byte-cap sweep (oldest
+	// mtime first) approximates LRU instead of FIFO; nothing else reads
+	// mtimes. Best effort: a failed touch only degrades eviction order.
+	c.mu.Lock()
+	capped := c.limits.MaxDiskBytes > 0
+	c.mu.Unlock()
+	if capped {
+		now := time.Now()
+		_ = os.Chtimes(path, now, now)
+	}
 	return res, true
 }
 

@@ -507,6 +507,75 @@ func TestMemoEvictsLeastRecentlyUsed(t *testing.T) {
 	}
 }
 
+// TestDiskHitTouchesOnlyUnderCap: a disk hit refreshes the file's mtime
+// only when a disk cap is set, since only the byte-cap sweep reads
+// mtimes; under a cap that refresh makes the sweep evict the least
+// recently used record rather than the oldest written.
+func TestDiskHitTouchesOnlyUnderCap(t *testing.T) {
+	res := simulate(t, "fifo", false)
+	compute := func() (*simulator.Result, error) { return res, nil }
+	do := func(c *Cache, key string) {
+		t.Helper()
+		if _, err := c.Do(context.Background(), key, compute); err != nil {
+			t.Fatal(err)
+		}
+	}
+	old := time.Now().Add(-2 * time.Hour)
+	setMtime := func(path string, mt time.Time) {
+		t.Helper()
+		if err := os.Chtimes(path, mt, mt); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	t.Run("uncapped", func(t *testing.T) {
+		dir := t.TempDir()
+		do(mustCache(t, dir), "a")
+		path := cacheFile(t, dir)
+		setMtime(path, old)
+		c := mustCache(t, dir)
+		do(c, "a")
+		if st := c.Stats(); st.DiskHits != 1 {
+			t.Fatalf("stats = %+v, want one disk hit", st)
+		}
+		info, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !info.ModTime().Equal(old) {
+			t.Errorf("uncapped disk hit moved the mtime from %v to %v", old, info.ModTime())
+		}
+	})
+
+	t.Run("capped", func(t *testing.T) {
+		dir := t.TempDir()
+		w := mustCache(t, dir)
+		do(w, "a")
+		do(w, "b")
+		info, err := os.Stat(w.path("a"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		setMtime(w.path("a"), old)
+		setMtime(w.path("b"), old.Add(time.Hour))
+		// The cap fits two records. A disk hit makes a the most recently
+		// used, so the sweep after inserting c evicts b, though a was
+		// written first.
+		c := mustCache(t, dir)
+		c.SetLimits(Limits{MaxDiskBytes: 2 * info.Size()})
+		do(c, "a")
+		do(c, "c")
+		if st := c.Stats(); st.DiskHits != 1 || st.DiskEvictions != 1 {
+			t.Fatalf("stats = %+v, want one disk hit and one eviction", st)
+		}
+		for key, want := range map[string]bool{"a": true, "b": false, "c": true} {
+			if _, err := os.Stat(c.path(key)); (err == nil) != want {
+				t.Errorf("record %q present = %v, want %v", key, err == nil, want)
+			}
+		}
+	})
+}
+
 // TestMemoCapConcurrent drives a capped memo from several goroutines, so
 // memory hits move entries in the recency list while inserts evict from
 // it. Every call is counted once, the memo ends within its cap, and the

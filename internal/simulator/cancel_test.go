@@ -11,29 +11,23 @@ import (
 	"repro/internal/workload"
 )
 
-// slowSched is a CancelAware scheduler whose Decide is expensive until
-// the cancellation probe fires — the shape of ONES's evolutionary
-// search, without dragging the real scheduler (an import cycle) into
-// this package's tests.
+// slowSched is a scheduler whose Decide is expensive until the view's
+// cancellation probe fires — the shape of ONES's evolutionary search,
+// without dragging the real scheduler (an import cycle) into this
+// package's tests.
 type slowSched struct {
 	perDecide time.Duration
-	cancelled func() bool
 	decides   atomic.Int64
 	shortcut  atomic.Int64 // decides cut short by the probe
 }
 
-func (s *slowSched) Name() string          { return "slow" }
-func (s *slowSched) TickInterval() float64 { return 0 }
-func (s *slowSched) CostKind() CostKind    { return CostElastic }
-func (s *slowSched) ManagesLR() bool       { return true }
+func (s *slowSched) Traits() Traits { return Traits{Name: "slow", ManagesLR: true} }
 
-func (s *slowSched) SetCancel(cancelled func() bool) { s.cancelled = cancelled }
-
-func (s *slowSched) Decide(Trigger, *View) *cluster.Schedule {
+func (s *slowSched) Decide(_ Trigger, v *View) *cluster.Schedule {
 	s.decides.Add(1)
 	const slices = 20
 	for i := 0; i < slices; i++ {
-		if s.cancelled != nil && s.cancelled() {
+		if v.Cancelled() {
 			s.shortcut.Add(1)
 			return nil
 		}
@@ -53,8 +47,8 @@ func cancelTrace(t *testing.T, jobs int) *workload.Trace {
 
 // TestRunContextAbortsMidCell: cancelling mid-run returns context.Canceled
 // well before the uncancelled run would have finished, because the
-// CancelAware scheduler short-circuits its in-flight decision and the
-// event loop's poll surfaces the error.
+// scheduler short-circuits its in-flight decision on View.Cancelled and
+// the event loop's poll surfaces the error.
 func TestRunContextAbortsMidCell(t *testing.T) {
 	// 12 arrivals × 100ms per honest decision ≈ 1.2s uncancelled.
 	sched := &slowSched{perDecide: 100 * time.Millisecond}

@@ -14,10 +14,9 @@ import (
 // (which imports this package).
 type fifoTest struct{ cost CostKind }
 
-func (f *fifoTest) Name() string          { return "fifo-test" }
-func (f *fifoTest) TickInterval() float64 { return 0 }
-func (f *fifoTest) CostKind() CostKind    { return f.cost }
-func (f *fifoTest) ManagesLR() bool       { return true }
+func (f *fifoTest) Traits() Traits {
+	return Traits{Name: "fifo-test", Cost: f.cost, ManagesLR: true}
+}
 func (f *fifoTest) Decide(tr Trigger, v *View) *cluster.Schedule {
 	s := v.Current.Clone()
 	changed := false
@@ -151,10 +150,7 @@ func TestRejectsScheduleWithUnknownJob(t *testing.T) {
 
 type badScheduler struct{}
 
-func (b *badScheduler) Name() string          { return "bad" }
-func (b *badScheduler) TickInterval() float64 { return 0 }
-func (b *badScheduler) CostKind() CostKind    { return CostElastic }
-func (b *badScheduler) ManagesLR() bool       { return true }
+func (b *badScheduler) Traits() Traits { return Traits{Name: "bad", ManagesLR: true} }
 func (b *badScheduler) Decide(tr Trigger, v *View) *cluster.Schedule {
 	s := v.Current.Clone()
 	s.SetSlot(0, 9999, 64) // job 9999 does not exist
@@ -170,10 +166,7 @@ func TestRejectsOverMemoryBatch(t *testing.T) {
 
 type overMemScheduler struct{}
 
-func (o *overMemScheduler) Name() string          { return "overmem" }
-func (o *overMemScheduler) TickInterval() float64 { return 0 }
-func (o *overMemScheduler) CostKind() CostKind    { return CostElastic }
-func (o *overMemScheduler) ManagesLR() bool       { return true }
+func (o *overMemScheduler) Traits() Traits { return Traits{Name: "overmem", ManagesLR: true} }
 func (o *overMemScheduler) Decide(tr Trigger, v *View) *cluster.Schedule {
 	for _, j := range v.Jobs {
 		if !j.Running {
@@ -199,10 +192,7 @@ func TestIdleSchedulerTruncates(t *testing.T) {
 
 type nilScheduler struct{}
 
-func (n *nilScheduler) Name() string                                 { return "nil" }
-func (n *nilScheduler) TickInterval() float64                        { return 0 }
-func (n *nilScheduler) CostKind() CostKind                           { return CostElastic }
-func (n *nilScheduler) ManagesLR() bool                              { return true }
+func (n *nilScheduler) Traits() Traits                               { return Traits{Name: "nil", ManagesLR: true} }
 func (n *nilScheduler) Decide(tr Trigger, v *View) *cluster.Schedule { return nil }
 
 func TestTickSchedulerGetsPeriodicCalls(t *testing.T) {
@@ -225,7 +215,11 @@ type tickCounter struct {
 	ticks int
 }
 
-func (tc *tickCounter) TickInterval() float64 { return 60 }
+func (tc *tickCounter) Traits() Traits {
+	t := tc.fifoTest.Traits()
+	t.TickInterval = 60
+	return t
+}
 func (tc *tickCounter) Decide(tr Trigger, v *View) *cluster.Schedule {
 	if tr == TriggerTick {
 		tc.ticks++

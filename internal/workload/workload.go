@@ -161,10 +161,18 @@ func (c Config) ArrivalRate() float64 {
 	return 1 / c.MeanInterarrival
 }
 
+// MaxJobs bounds the length of a generated trace, 546× the paper's
+// 120-job trace: Generate allocates the whole trace up front, so an
+// unbounded request from outside input could exhaust memory.
+const MaxJobs = 1 << 16
+
 // Generate builds a deterministic Poisson trace over the Table 2 catalog.
 func Generate(cfg Config) (*Trace, error) {
 	if cfg.NumJobs <= 0 {
 		return nil, fmt.Errorf("workload: NumJobs %d", cfg.NumJobs)
+	}
+	if cfg.NumJobs > MaxJobs {
+		return nil, fmt.Errorf("workload: NumJobs %d exceeds MaxJobs (%d)", cfg.NumJobs, MaxJobs)
 	}
 	if cfg.MeanInterarrival <= 0 {
 		return nil, fmt.Errorf("workload: MeanInterarrival %v", cfg.MeanInterarrival)

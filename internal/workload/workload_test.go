@@ -109,6 +109,9 @@ func TestGenerateValidates(t *testing.T) {
 	if _, err := Generate(Config{NumJobs: 5, MeanInterarrival: 0}); err == nil {
 		t.Error("MeanInterarrival=0 accepted")
 	}
+	if _, err := Generate(Config{NumJobs: MaxJobs + 1, MeanInterarrival: 30}); err == nil {
+		t.Errorf("NumJobs=%d accepted, over MaxJobs", MaxJobs+1)
+	}
 }
 
 func TestGeneratedTraceIsValid(t *testing.T) {

@@ -137,7 +137,8 @@ func WithWorkers(n int) Option {
 }
 
 // WithPopulation overrides ONES's evolutionary population size K.
-// Smaller populations run faster with slightly noisier search.
+// Smaller populations run faster with slightly noisier search. New
+// rejects an ONES session whose K times GPUs exceeds 2^20.
 func WithPopulation(k int) Option {
 	return func(s *settings) {
 		if k < 0 {

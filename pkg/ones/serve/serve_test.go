@@ -303,6 +303,9 @@ func TestDaemonErrorPaths(t *testing.T) {
 	// Oversized clusters are rejected before anything is built.
 	doJSON(t, "POST", ts.URL+"/v1/runs", RunSpec{Shape: "2000000000x8"}, http.StatusBadRequest)
 	doJSON(t, "POST", ts.URL+"/v1/runs", RunSpec{Servers: 2_000_000_000}, http.StatusBadRequest)
+	// So are traces and ONES searches too large to hold in memory.
+	doJSON(t, "POST", ts.URL+"/v1/runs", RunSpec{Scheduler: "fifo", Jobs: 1 << 30}, http.StatusBadRequest)
+	doJSON(t, "POST", ts.URL+"/v1/runs", RunSpec{Scheduler: "ones", Population: 100_000_000}, http.StatusBadRequest)
 	doJSON(t, "GET", ts.URL+"/v1/runs/run-999999", nil, http.StatusNotFound)
 	doJSON(t, "DELETE", ts.URL+"/v1/runs/run-999999", nil, http.StatusNotFound)
 	// Unknown spec fields and data after the spec are rejected, not

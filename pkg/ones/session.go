@@ -84,6 +84,9 @@ func New(opts ...Option) (*Session, error) {
 		obs:        st.observer,
 		runner:     engine.NewRunner(p),
 	}
+	if err := s.runner.CheckBounds(s.cell(s.scheduler)); err != nil {
+		return nil, fmt.Errorf("ones: %w", err)
+	}
 	if st.cache != nil {
 		s.runner.Cache = st.cache.impl
 	}

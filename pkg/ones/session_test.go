@@ -61,6 +61,8 @@ func TestNewRejectsBadOptionValues(t *testing.T) {
 		"mutation rate > 1":  WithMutationRate(1.5),
 		"zero capacity":      WithCapacities(16, 0),
 		"negative populace":  WithPopulation(-2),
+		"oversized trace":    WithTrace(Trace{Jobs: 1 << 30}),
+		"oversized search":   WithPopulation(100_000_000),
 	} {
 		if _, err := New(opt); err == nil {
 			t.Errorf("%s: accepted", name)

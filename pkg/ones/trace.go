@@ -10,7 +10,7 @@ import (
 // interarrival, requests capped at 8 GPUs, trace seed = the session's
 // master seed.
 type Trace struct {
-	// Jobs is the number of submissions (0 ⇒ 120).
+	// Jobs is the number of submissions (0 ⇒ 120; at most 65536).
 	Jobs int
 	// MeanInterarrival is the mean seconds between arrivals, 1/λ0
 	// (0 ⇒ 12). Non-stationary scenarios modulate this base rate.
