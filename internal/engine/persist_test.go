@@ -178,3 +178,74 @@ func TestCellKeyNormalizes(t *testing.T) {
 	p4.RecordEvents = true
 	add("events", CellKey(p4, Cell{Scheduler: "fifo"}))
 }
+
+// TestResultReportsCacheService: Result reports cached for every call
+// that did not simulate its cell — a memory hit, a disk hit and a wait
+// on another caller's computation — and only for those.
+func TestResultReportsCacheService(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	newRunner := func() *Runner {
+		c, err := servecache.New(dir, func(string, ...any) {})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := NewRunner(testParams(2))
+		r.Cache = c
+		return r
+	}
+	cell := Cell{Scheduler: "fifo", Capacity: 16}
+	result := func(r *Runner, c Cell) bool {
+		t.Helper()
+		_, cached, err := r.Result(ctx, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cached
+	}
+	r := newRunner()
+	if result(r, cell) {
+		t.Error("the simulating call reported cached")
+	}
+	if !result(r, cell) {
+		t.Error("a memory hit reported not cached")
+	}
+	if !result(newRunner(), cell) {
+		t.Error("a disk hit reported not cached")
+	}
+
+	// Park a simulation until a second caller waits on it.
+	r = newRunner()
+	waiting := make(chan struct{})
+	r.OnCellStart = func(Cell) { <-waiting }
+	fresh := Cell{Scheduler: "sjf", Capacity: 16}
+	first := make(chan bool)
+	go func() {
+		_, cached, err := r.Result(ctx, fresh)
+		if err != nil {
+			t.Error(err)
+		}
+		first <- cached
+	}()
+	second := make(chan bool)
+	go func() {
+		for r.CachedCells() == 0 { // until the first call holds the entry
+			time.Sleep(time.Millisecond)
+		}
+		_, cached, err := r.Result(ctx, fresh)
+		if err != nil {
+			t.Error(err)
+		}
+		second <- cached
+	}()
+	for r.Cache.Stats().DedupWaits == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	close(waiting)
+	if <-first {
+		t.Error("the simulating call reported cached")
+	}
+	if !<-second {
+		t.Error("a wait on another caller's computation reported not cached")
+	}
+}

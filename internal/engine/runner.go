@@ -201,11 +201,13 @@ func isCtxErr(err error) bool {
 // worker-pool slot is acquired inside the flight, so cache hits return
 // immediately and goroutines waiting on another's in-flight computation
 // of the same cell do not hold slots the pool could be simulating with.
-// A caller whose context ends stops waiting at once.
-func (r *Runner) Result(ctx context.Context, cell Cell) (*simulator.Result, error) {
+// A caller whose context ends stops waiting at once. cached reports that
+// this call did not simulate the cell: a memory or disk hit, or a wait
+// on another caller's computation.
+func (r *Runner) Result(ctx context.Context, cell Cell) (res *simulator.Result, cached bool, err error) {
 	cell = cell.normalize(r.params)
 	simulated := false
-	res, err := r.Cache.Do(ctx, CellKey(r.params, cell), func() (*simulator.Result, error) {
+	res, err = r.Cache.Do(ctx, CellKey(r.params, cell), func() (*simulator.Result, error) {
 		simulated = true
 		return r.simulate(ctx, cell)
 	})
@@ -214,11 +216,11 @@ func (r *Runner) Result(ctx context.Context, cell Cell) (*simulator.Result, erro
 		if !simulated && r.OnCellCached != nil {
 			r.OnCellCached(cell)
 		}
-		return res, nil
+		return res, !simulated, nil
 	case isCtxErr(err):
-		return nil, err
+		return nil, false, err
 	default:
-		return nil, fmt.Errorf("engine: cell %s: %w", cell, err)
+		return nil, false, fmt.Errorf("engine: cell %s: %w", cell, err)
 	}
 }
 
@@ -237,7 +239,7 @@ func (r *Runner) Results(ctx context.Context, cells []Cell) ([]*simulator.Result
 		wg.Add(1)
 		go func(i int, c Cell) {
 			defer wg.Done()
-			out[i], errs[i] = r.Result(ctx, c)
+			out[i], _, errs[i] = r.Result(ctx, c)
 		}(i, c)
 	}
 	wg.Wait()
@@ -331,19 +333,23 @@ func (r *Runner) simulate(ctx context.Context, c Cell) (res *simulator.Result, e
 	if r.OnCellStart != nil {
 		r.OnCellStart(c)
 	}
-	// Workers is the total CPU budget and cells are the primary unit of
-	// parallelism, but a batch with fewer cells than workers would leave
-	// the surplus idle — so the slots still free when this cell starts
-	// flow into the cell as intra-cell parallelism for ONES's evolution
-	// loop (its candidate generation fans out over goroutines). This is
-	// safe because evolution results are identical at any parallelism:
-	// candidate randomness is pre-seeded serially from the master RNG
-	// before the fan-out and selection ties break by candidate index, so
-	// the champion — and every Result byte — matches the serial run. The
-	// snapshot of free slots is taken once per cell: this cell's own slot
-	// (already acquired) plus every slot no other cell has claimed. A busy
-	// pool yields 1 (serial, never oversubscribing); a lone cell gets all
-	// Workers slots. This rule is the only source of the fan-out width.
+	// Workers bounds this Runner's cells, and cells are the primary unit
+	// of parallelism, but a batch with fewer cells than workers would
+	// leave the surplus idle — so the slots still free when this cell
+	// starts flow into the cell as intra-cell parallelism for ONES's
+	// evolution loop (its candidate generation fans out over goroutines).
+	// This is safe because evolution results are identical at any
+	// parallelism: candidate randomness is pre-seeded serially from the
+	// master RNG before the fan-out and selection ties break by candidate
+	// index, so the champion — and every Result byte — matches the serial
+	// run. The snapshot of free slots is taken once per cell: this cell's
+	// own slot (already acquired) plus every slot no other cell of this
+	// Runner has claimed. A busy pool yields 1; a lone cell gets all
+	// Workers slots. This rule is the only source of the fan-out width. It
+	// sees only this Runner's pool: onesd builds one Runner per run, so
+	// concurrent runs each size their fan-out from their own idle pool
+	// and together can use more goroutines than GOMAXPROCS (DESIGN.md,
+	// "Deterministic intra-cell parallelism", has the measurements).
 	evoPar := max(r.workers-len(r.sem)+1, 1)
 	simSpan := cellSpan.StartChild("simulate")
 	simSpan.Annotate("scheduler", c.Scheduler)

@@ -13,7 +13,7 @@ import (
 // tiresiasResult runs the default 120-job trace under Tiresias on the
 // 64-GPU cluster: a default-scale onesd cell. With events it keeps the
 // full event log, the largest Result the cache stores.
-func tiresiasResult(b *testing.B, events bool) *simulator.Result {
+func tiresiasResult(b testing.TB, events bool) *simulator.Result {
 	b.Helper()
 	wc := workload.DefaultConfig()
 	trace, err := workload.Generate(wc)
@@ -62,6 +62,34 @@ func BenchmarkDiskHit(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkDiskInsertUnderCap measures an insert written through to a
+// directory of 1000 records under a byte cap it never reaches: the sweep
+// after the write reads only the running total, not the directory.
+func BenchmarkDiskInsertUnderCap(b *testing.B) {
+	res := &simulator.Result{}
+	compute := func() (*simulator.Result, error) { return res, nil }
+	c, err := New(b.TempDir(), func(string, ...any) {})
+	if err != nil {
+		b.Fatal(err)
+	}
+	c.SetLimits(Limits{MaxDiskBytes: 1 << 40})
+	ctx := context.Background()
+	const present = 1000
+	for i := 0; i < present; i++ {
+		if _, err := c.Do(ctx, strconv.Itoa(i), compute); err != nil {
+			b.Fatal(err)
+		}
+	}
+	next := present
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := c.Do(ctx, strconv.Itoa(next), compute); err != nil {
+			b.Fatal(err)
+		}
+		next++
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/simulator"
+	"repro/internal/workload"
 )
 
 // magic opens every cell record (see the package doc for the layout).
@@ -123,7 +124,7 @@ func decodeCell(data []byte, key string) (*simulator.Result, error) {
 		for i := range res.Jobs {
 			j := &res.Jobs[i]
 			j.ID = cluster.JobID(r.int())
-			j.Name = r.str()
+			j.Name = r.taskName()
 			j.Submit = r.float()
 			j.Start = r.float()
 			j.Done = r.float()
@@ -221,6 +222,28 @@ func (r *reader) raw() []byte {
 }
 
 func (r *reader) str() string { return string(r.raw()) }
+
+// taskNames maps each workload.Catalog task name to itself: every job of
+// a generated trace is named after its task.
+var taskNames = func() map[string]string {
+	cat := workload.Catalog()
+	m := make(map[string]string, len(cat))
+	for _, t := range cat {
+		m[t.Name] = t.Name
+	}
+	return m
+}()
+
+// taskName reads a job name. A catalog task name comes back as the
+// catalog's own string, so a decoded job allocates no name (indexing
+// with string(b) builds none); any other name is copied.
+func (r *reader) taskName() string {
+	b := r.raw()
+	if name, ok := taskNames[string(b)]; ok {
+		return name
+	}
+	return string(b)
+}
 
 // eventKinds are the kinds the simulator logs.
 var eventKinds = [...]simulator.EventKind{

@@ -100,6 +100,32 @@ func TestDecodeSharesEventKinds(t *testing.T) {
 	}
 }
 
+// TestDecodeSharesTaskNames: decoding a default-scale cell's record
+// allocates no string per job, since every job is named after a
+// workload.Catalog task. What is left is the Result, its job slice and
+// the scheduler name.
+func TestDecodeSharesTaskNames(t *testing.T) {
+	res := tiresiasResult(t, false)
+	if len(res.Jobs) != 120 {
+		t.Fatalf("the default cell has %d jobs, want 120", len(res.Jobs))
+	}
+	rec := encodeCell("k", res)
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := decodeCell(rec, "k"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 3 {
+		t.Errorf("decoding %d jobs allocated %v objects, want at most 3", len(res.Jobs), allocs)
+	}
+	// A name outside the catalog still round-trips, as its own copy.
+	res.Jobs[0].Name = "custom-task"
+	got, err := decodeCell(encodeCell("k", res), "k")
+	if err != nil || got.Jobs[0].Name != "custom-task" {
+		t.Fatalf("decoded name %q (%v), want custom-task", got.Jobs[0].Name, err)
+	}
+}
+
 // checkDecode decodes data as load does and holds FuzzDecodeCell's
 // invariants: no panic, no allocation beyond a small multiple of the
 // input, and an accepted record re-encodes to one that decodes to the

@@ -30,6 +30,11 @@
 // was stored from. Every float is stored as its exact bits and nil and
 // empty slices stay distinct, so storing and loading is the identity;
 // the round-trip tests in this package and internal/engine pin that.
+//
+// A completed memo entry can also carry one byte slice derived from its
+// Result (see Attached): onesd keeps the public JSON of a cache-served
+// cell there, so each entry is encoded once however often it is served.
+// The bytes live and die with the entry and are never persisted.
 package servecache
 
 import (
@@ -128,6 +133,15 @@ type Cache struct {
 	stats  Stats
 	limits Limits
 
+	// diskMu serializes everything that changes the persisted records —
+	// a write's rename, a discard, the cap sweep — with diskTotal, their
+	// running byte count: seeded by New's scan, grown by each write,
+	// shrunk by each discard and eviction, and reset by a sweep's scan.
+	// Nothing holds mu while taking diskMu, and mu is never held across
+	// a file-system call.
+	diskMu    sync.Mutex
+	diskTotal int64
+
 	obsP atomic.Pointer[cacheObs]
 }
 
@@ -190,27 +204,12 @@ func (c *Cache) Instrument(reg *obs.Registry) {
 	})
 }
 
-// diskBytes sums the sizes of the persisted result files (0 when
-// memory-only or unreadable). Scanned at scrape time: writes rename into
-// place atomically, so the walk never sees torn entries.
+// diskBytes returns the running total of the persisted record bytes (0
+// when memory-only): no directory scan.
 func (c *Cache) diskBytes() int64 {
-	if c.dir == "" {
-		return 0
-	}
-	des, err := os.ReadDir(c.dir)
-	if err != nil {
-		return 0
-	}
-	var total int64
-	for _, de := range des {
-		if de.IsDir() || filepath.Ext(de.Name()) != recordExt {
-			continue
-		}
-		if info, err := de.Info(); err == nil {
-			total += info.Size()
-		}
-	}
-	return total
+	c.diskMu.Lock()
+	defer c.diskMu.Unlock()
+	return c.diskTotal
 }
 
 // entry is a singleflight slot: the goroutine that inserts it resolves
@@ -227,13 +226,16 @@ type entry struct {
 	// singleflight contract: waiters hold the entry pointer and must see
 	// it resolve).
 	elem *list.Element
+	// attached is the byte slice derived from res (see Attached): set at
+	// most once, under Cache.mu, and never written after.
+	attached []byte
 }
 
 // New returns a Cache persisting to dir ("" ⇒ shared memory only, no
-// persistence). The directory is created if missing, and the files in
-// it that no cache of this version can read are removed. warn receives
-// non-fatal cache problems (corrupt files, failed writes); nil ⇒
-// log.Printf.
+// persistence). The directory is created if missing, the files in it
+// that no cache of this version can read are removed, and the records
+// left are counted toward MaxDiskBytes. warn receives non-fatal cache
+// problems (corrupt files, failed writes); nil ⇒ log.Printf.
 func New(dir string, warn func(format string, args ...any)) (*Cache, error) {
 	if warn == nil {
 		warn = log.Printf
@@ -243,19 +245,20 @@ func New(dir string, warn func(format string, args ...any)) (*Cache, error) {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return nil, fmt.Errorf("servecache: create %s: %w", dir, err)
 		}
-		c.removeUnreadable()
+		c.scanDir()
 	}
 	return c, nil
 }
 
-// removeUnreadable deletes the files in the cache directory that this
-// cache wrote but can never read: version-1 records and temp files a
-// crash left between write and rename. Neither counts toward
-// MaxDiskBytes or is ever swept, so without this they would leak disk.
-// They count as Discards, with one warning for them all. A writer in
-// another process sharing the directory loses only its current write:
-// its rename fails and warns, and its memo keeps the result.
-func (c *Cache) removeUnreadable() {
+// scanDir seeds diskTotal with the size of the records in the cache
+// directory and deletes the files this cache wrote but can never read:
+// version-1 records and temp files a crash left between write and
+// rename. Neither counts toward MaxDiskBytes or is ever swept, so
+// without this they would leak disk. They count as Discards, with one
+// warning for them all. A writer in another process sharing the
+// directory loses only its current write: its rename fails and warns,
+// and its memo keeps the result.
+func (c *Cache) scanDir() {
 	des, err := os.ReadDir(c.dir)
 	if err != nil {
 		c.warn("servecache: scan %s: %v", c.dir, err)
@@ -263,7 +266,16 @@ func (c *Cache) removeUnreadable() {
 	}
 	removed := 0
 	for _, de := range des {
-		if de.IsDir() || !unreadable(de.Name()) {
+		if de.IsDir() {
+			continue
+		}
+		if filepath.Ext(de.Name()) == recordExt {
+			if info, err := de.Info(); err == nil {
+				c.diskTotal += info.Size()
+			}
+			continue
+		}
+		if !unreadable(de.Name()) {
 			continue
 		}
 		if err := os.Remove(filepath.Join(c.dir, de.Name())); err != nil {
@@ -334,13 +346,22 @@ func (c *Cache) sweepMemoLocked() int {
 }
 
 // sweepDisk removes the oldest persisted files until the directory fits
-// MaxDiskBytes. Writes rename into place atomically, so the scan never
-// sees torn entries; a file that disappears mid-sweep is simply skipped.
+// MaxDiskBytes. Under the cap it reads only the running total. Over it,
+// it lists the directory, resets the total from that listing (which
+// also counts records another process wrote or removed) and evicts the
+// oldest files first. Writes rename into place atomically, so the scan
+// never sees torn entries; a file that disappears mid-sweep is simply
+// skipped.
 func (c *Cache) sweepDisk() int {
 	c.mu.Lock()
 	capBytes := c.limits.MaxDiskBytes
 	c.mu.Unlock()
 	if c.dir == "" || capBytes <= 0 {
+		return 0
+	}
+	c.diskMu.Lock()
+	defer c.diskMu.Unlock()
+	if c.diskTotal <= capBytes {
 		return 0
 	}
 	des, err := os.ReadDir(c.dir)
@@ -365,6 +386,7 @@ func (c *Cache) sweepDisk() int {
 		files = append(files, file{de.Name(), info.Size(), info.ModTime()})
 		total += info.Size()
 	}
+	c.diskTotal = total
 	if total <= capBytes {
 		return 0
 	}
@@ -377,7 +399,7 @@ func (c *Cache) sweepDisk() int {
 	oh := c.oh()
 	evicted := 0
 	for _, f := range files {
-		if total <= capBytes {
+		if c.diskTotal <= capBytes {
 			break
 		}
 		if err := os.Remove(filepath.Join(c.dir, f.name)); err != nil {
@@ -386,7 +408,7 @@ func (c *Cache) sweepDisk() int {
 				continue
 			}
 		}
-		total -= f.size
+		c.diskTotal -= f.size
 		c.count(func(s *Stats) { s.DiskEvictions++ })
 		oh.diskCapEvicts.Inc()
 		evicted++
@@ -420,6 +442,51 @@ func (c *Cache) Reset() int {
 	}
 	c.recent.Init()
 	return dropped
+}
+
+// Attached returns the byte slice attached to key's memo entry, building
+// it at most once per entry: while the entry has completed holding res,
+// the first call runs build, outside the cache's lock, and attaches what
+// it returns (unless it is nil), and every later call returns those same
+// bytes. When key's entry is gone, still in flight or holding another
+// result, build's bytes come back unattached, so bytes derived from an
+// evicted result never reach the entry that replaced it. The bytes are
+// shared by every caller and must not be modified. They leave the memo
+// with their entry (a cap eviction or Reset), and an entry loaded from
+// disk starts without them. Attached is not a use: it moves no entry in
+// the LRU order and counts nothing.
+func (c *Cache) Attached(key string, res *simulator.Result, build func() []byte) []byte {
+	c.mu.Lock()
+	if e := c.holdingLocked(key, res); e != nil && e.attached != nil {
+		c.mu.Unlock()
+		return e.attached
+	}
+	c.mu.Unlock()
+	b := build()
+	if b == nil {
+		return nil
+	}
+	b = b[:len(b):len(b)] // an append by any holder copies
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e := c.holdingLocked(key, res)
+	if e == nil {
+		return b
+	}
+	if e.attached == nil {
+		e.attached = b
+	}
+	return e.attached
+}
+
+// holdingLocked returns key's memo entry if it has completed holding res.
+// res is read only once elem is set: both are written before the entry
+// completes under c.mu.
+func (c *Cache) holdingLocked(key string, res *simulator.Result) *entry {
+	if e, ok := c.entries[key]; ok && e.elem != nil && e.res == res {
+		return e
+	}
+	return nil
 }
 
 func isCtxErr(err error) bool {
@@ -556,8 +623,17 @@ func (c *Cache) discard(path, reason string) {
 	c.count(func(s *Stats) { s.Discards++ })
 	c.oh().discards.Inc()
 	c.warn("servecache: discarding %s: %s", filepath.Base(path), reason)
-	if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
-		c.warn("servecache: remove %s: %v", filepath.Base(path), err)
+	c.diskMu.Lock()
+	defer c.diskMu.Unlock()
+	info, statErr := os.Stat(path)
+	if err := os.Remove(path); err != nil {
+		if !os.IsNotExist(err) {
+			c.warn("servecache: remove %s: %v", filepath.Base(path), err)
+		}
+		return
+	}
+	if statErr == nil && !info.IsDir() {
+		c.diskTotal -= info.Size()
 	}
 }
 
@@ -574,7 +650,8 @@ func (c *Cache) store(key string, res *simulator.Result) {
 		c.warn("servecache: temp file: %v", err)
 		return
 	}
-	if _, err := tmp.Write(encodeCell(key, res)); err != nil {
+	rec := encodeCell(key, res)
+	if _, err := tmp.Write(rec); err != nil {
 		tmp.Close()
 		os.Remove(tmp.Name())
 		c.warn("servecache: write %s: %v", filepath.Base(path), err)
@@ -585,7 +662,13 @@ func (c *Cache) store(key string, res *simulator.Result) {
 		c.warn("servecache: close %s: %v", filepath.Base(path), err)
 		return
 	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
+	c.diskMu.Lock()
+	err = os.Rename(tmp.Name(), path)
+	if err == nil {
+		c.diskTotal += int64(len(rec))
+	}
+	c.diskMu.Unlock()
+	if err != nil {
 		os.Remove(tmp.Name())
 		c.warn("servecache: rename %s: %v", filepath.Base(path), err)
 		return

@@ -185,14 +185,17 @@ func newResult(cell engine.Cell, p engine.Params, res *simulator.Result) *Result
 	}
 	box := stats.Box(res.JCTs())
 	out.JCT = Distribution{Min: box.Min, Q1: box.Q1, Median: box.Median, Q3: box.Q3, Max: box.Max}
-	for _, ev := range res.Events {
-		out.Events = append(out.Events, Event{
-			Time:  ev.Time,
-			Kind:  string(ev.Kind),
-			Job:   int(ev.Job),
-			GPUs:  ev.GPUs,
-			Batch: ev.Batch,
-		})
+	if len(res.Events) > 0 { // an empty log stays nil
+		out.Events = make([]Event, len(res.Events))
+		for i, ev := range res.Events {
+			out.Events[i] = Event{
+				Time:  ev.Time,
+				Kind:  string(ev.Kind),
+				Job:   int(ev.Job),
+				GPUs:  ev.GPUs,
+				Batch: ev.Batch,
+			}
+		}
 	}
 	return out
 }

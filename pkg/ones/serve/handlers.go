@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"time"
 
 	"repro/pkg/ones"
@@ -114,18 +115,32 @@ func writeError(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, map[string]string{"error": err.Error()})
 }
 
-func (r *run) statusView() RunStatus {
-	status, res, errMsg, done, total := r.snapshot()
-	return RunStatus{
-		ID:         r.ID,
-		Status:     status,
-		Created:    r.Created,
-		Spec:       r.Spec,
-		CellsDone:  done,
-		CellsTotal: total,
-		Result:     res,
-		Error:      errMsg,
+// writeRun writes the run's status view. A done run that holds the
+// shared JSON of its Result is spliced instead of encoded: the view
+// without its Result, less the closing brace, then "result", a copy of
+// the shared bytes and the brace. A done run has no Error, so result is
+// the last field RunStatus encodes and the body is byte for byte the
+// one writeJSON writes for the view with its Result. Its length is known
+// up front, so it goes out with a Content-Length.
+func writeRun(w http.ResponseWriter, code int, r *run) {
+	st, raw := r.snapshot()
+	if raw == nil {
+		writeJSON(w, code, st)
+		return
 	}
+	head, err := json.Marshal(st)
+	w.Header().Set("Content-Type", "application/json")
+	if err != nil { // as in writeJSON: no body
+		w.WriteHeader(code)
+		return
+	}
+	head = append(head[:len(head)-1], `,"result":`...)
+	const tail = "}\n"
+	w.Header().Set("Content-Length", strconv.Itoa(len(head)+len(raw)+len(tail)))
+	w.WriteHeader(code)
+	w.Write(head)
+	w.Write(raw)
+	io.WriteString(w, tail)
 }
 
 func (s *Server) handleCreate(w http.ResponseWriter, req *http.Request) {
@@ -157,14 +172,14 @@ func (s *Server) handleCreate(w http.ResponseWriter, req *http.Request) {
 		writeError(w, code, err)
 		return
 	}
-	writeJSON(w, http.StatusCreated, r.statusView())
+	writeRun(w, http.StatusCreated, r)
 }
 
 func (s *Server) handleList(w http.ResponseWriter, req *http.Request) {
 	runs := s.list()
 	out := make([]RunStatus, len(runs))
 	for i, r := range runs {
-		out[i] = r.statusView()
+		out[i], _ = r.snapshot()
 		// Listing stays O(#runs): the full Result (per-job metrics, event
 		// logs) is only served by GET /v1/runs/{id}.
 		out[i].Result = nil
@@ -178,7 +193,7 @@ func (s *Server) handleGet(w http.ResponseWriter, req *http.Request) {
 		writeError(w, http.StatusNotFound, fmt.Errorf("unknown run %q", req.PathValue("id")))
 		return
 	}
-	writeJSON(w, http.StatusOK, r.statusView())
+	writeRun(w, http.StatusOK, r)
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, req *http.Request) {
@@ -188,7 +203,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	r.cancel() // idempotent; a finished run is unaffected
-	writeJSON(w, http.StatusAccepted, r.statusView())
+	writeRun(w, http.StatusAccepted, r)
 }
 
 // handleStream replays the run's progress log and follows it live as
@@ -220,8 +235,8 @@ func (s *Server) handleStream(w http.ResponseWriter, req *http.Request) {
 		}
 		next += len(events)
 		if finished {
-			status, _, errMsg, done, total := r.snapshot()
-			enc.Encode(streamEvent{Kind: "end", Status: status, Error: errMsg, Done: done, Total: total})
+			st, _ := r.snapshot()
+			enc.Encode(streamEvent{Kind: "end", Status: st.Status, Error: st.Error, Done: st.CellsDone, Total: st.CellsTotal})
 		}
 		if flusher != nil {
 			flusher.Flush()

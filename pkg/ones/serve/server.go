@@ -13,6 +13,7 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"log"
@@ -188,8 +189,13 @@ type run struct {
 	log    []ones.Progress
 	grew   chan struct{}
 	status string
-	result *ones.Result
-	errMsg string
+	// A done run keeps its Result in one of two forms: result, when the
+	// run simulated its cell, or resultJSON, the shared encoding of a
+	// cache-served cell's Result (see ones.Session.RunJSON), which
+	// nothing here ever modifies.
+	result     *ones.Result
+	resultJSON json.RawMessage
+	errMsg     string
 }
 
 func newRun(id string, spec RunSpec, cancel context.CancelFunc, created time.Time, events *obs.Counter) *run {
@@ -224,15 +230,16 @@ func (r *run) wakeLocked() {
 	r.grew = make(chan struct{})
 }
 
-// finish records the terminal state and wakes the run's stream clients.
+// finish records the terminal state and wakes the run's stream clients:
+// a done run keeps res or, when the cache served it, raw (see run).
 // wasCancelled separates a client cancellation from a genuine failure.
-func (r *run) finish(res *ones.Result, err error, wasCancelled bool) {
+func (r *run) finish(res *ones.Result, raw json.RawMessage, err error, wasCancelled bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	switch {
 	case err == nil:
 		r.status = StatusDone
-		r.result = res
+		r.result, r.resultJSON = res, raw
 	case wasCancelled:
 		r.status = StatusCancelled
 		r.errMsg = err.Error()
@@ -255,15 +262,18 @@ func (r *run) since(i int) (events []ones.Progress, grew <-chan struct{}, finish
 	return r.log[i:n:n], r.grew, r.status != StatusRunning
 }
 
-// snapshot returns the run's status fields under one lock acquisition;
-// done and total come from the last logged event (0/0 before the first).
-func (r *run) snapshot() (status string, res *ones.Result, errMsg string, done, total int) {
+// snapshot returns the run's status view under one lock acquisition;
+// its cell counts come from the last logged event (0/0 before the
+// first). A done run served from the cache has no Result in the view:
+// the shared JSON of its Result comes back beside it instead.
+func (r *run) snapshot() (RunStatus, json.RawMessage) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	st := RunStatus{ID: r.ID, Status: r.status, Created: r.Created, Spec: r.Spec, Result: r.result, Error: r.errMsg}
 	if n := len(r.log); n > 0 {
-		done, total = r.log[n-1].Done, r.log[n-1].Total
+		st.CellsDone, st.CellsTotal = r.log[n-1].Done, r.log[n-1].Total
 	}
-	return r.status, r.result, r.errMsg, done, total
+	return st, r.resultJSON
 }
 
 // isFinished reports whether the run has reached a terminal state.
@@ -374,8 +384,7 @@ func New(cache *ones.Cache, logger *log.Logger, opts ...Option) *Server {
 func (s *Server) countRuns(state string) int {
 	n := 0
 	for _, r := range s.list() {
-		st, _, _, _, _ := r.snapshot()
-		if st == state {
+		if st, _ := r.snapshot(); st.Status == state {
 			n++
 		}
 	}
@@ -425,9 +434,9 @@ func (s *Server) start(spec RunSpec) (*run, error) {
 	go func() {
 		defer s.wg.Done()
 		defer cancel()
-		res, err := sess.Run(traceCtx)
+		res, raw, err := sess.RunJSON(traceCtx)
 		endTrace()
-		r.finish(res, err, runCtx.Err() != nil)
+		r.finish(res, raw, err, runCtx.Err() != nil)
 		if err != nil && runCtx.Err() == nil {
 			s.log.Printf("serve: %s failed: %v", id, err)
 		}

@@ -384,7 +384,7 @@ func TestStreamClientNeverCut(t *testing.T) {
 		}
 	}
 	// The client has caught up, so only finish can wake it for the end line.
-	r.finish(&ones.Result{}, nil, false)
+	r.finish(&ones.Result{}, nil, nil, false)
 	r.Observe(ones.Progress{Kind: ones.KindCellDone, Done: n + 1, Total: n})
 	if !read() {
 		t.Fatalf("no end line: %v", sc.Err())
@@ -408,8 +408,8 @@ func TestStreamClientNeverCut(t *testing.T) {
 	if got := m.Registry().CounterValue("onesd_hub_events_total"); got != n {
 		t.Errorf("onesd_hub_events_total = %d, want %d", got, n)
 	}
-	if _, _, _, done, total := r.snapshot(); done != n || total != n {
-		t.Errorf("snapshot progress = %d/%d, want %d/%d", done, total, n, n)
+	if st, _ := r.snapshot(); st.CellsDone != n || st.CellsTotal != n {
+		t.Errorf("snapshot progress = %d/%d, want %d/%d", st.CellsDone, st.CellsTotal, n, n)
 	}
 }
 

@@ -2,6 +2,7 @@ package ones
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"repro/internal/simulator"
 	"sync"
@@ -197,15 +198,52 @@ func (s *Session) cell(scheduler string) engine.Cell {
 // and returns only once the session's workers have drained.
 // Results are memoized: a second identical Run returns instantly.
 func (s *Session) Run(ctx context.Context) (*Result, error) {
+	res, _, err := s.run(ctx, false)
+	return res, err
+}
+
+// RunJSON is Run for a caller that encodes the Result as JSON, as onesd
+// does. A cell served from the cache (a memory or disk hit, or a wait on
+// another caller's computation) comes back as the JSON encoding of its
+// Result and a nil Result. That JSON is encoded once per cache entry and
+// shared by every caller: it must not be modified. A cell this call
+// simulated, or whose Result does not encode, comes back as the Result
+// Run returns and nil JSON, so a cell nobody asks for twice is never
+// encoded here.
+func (s *Session) RunJSON(ctx context.Context) (*Result, json.RawMessage, error) {
+	return s.run(ctx, true)
+}
+
+// run resolves the session's cell as a one-cell batch. With shared set,
+// a cell the cache served comes back as its entry's JSON (see RunJSON).
+func (s *Session) run(ctx context.Context, shared bool) (*Result, json.RawMessage, error) {
 	start := time.Now()
 	cell := s.cell(s.scheduler)
 	s.beginBatch([]engine.Cell{cell})
 	defer s.endBatch(start)
-	res, err := s.runner.Result(ctx, cell)
+	res, cached, err := s.runner.Result(ctx, cell)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return newResult(cell, s.params, res), nil
+	if !shared || !cached {
+		return newResult(cell, s.params, res), nil, nil
+	}
+	// The entry is shared by every session whose cell has its CellKey, so
+	// the bytes must depend on the key alone; newResult reads only what
+	// the key fixes (TestRunJSONIsAFunctionOfTheKey pins this).
+	var out *Result
+	raw := s.runner.Cache.Attached(engine.CellKey(s.params, cell), res, func() []byte {
+		out = newResult(cell, s.params, res)
+		b, err := json.Marshal(out)
+		if err != nil {
+			return nil
+		}
+		return b
+	})
+	if raw == nil {
+		return out, nil, nil
+	}
+	return nil, raw, nil
 }
 
 // Compare simulates each named scheduler against the session's identical
