@@ -276,7 +276,7 @@ func BenchmarkFig17Scalability(b *testing.B) {
 func BenchmarkScenarioNodeFailure(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r := engine.NewRunner(engine.QuickParams())
-		res, _, err := r.Result(context.Background(), engine.Cell{Scheduler: "ones", Scenario: "node-failure"})
+		res, err := r.Result(context.Background(), engine.Cell{Scheduler: "ones", Scenario: "node-failure"})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -288,7 +288,7 @@ func BenchmarkScenarioNodeFailure(b *testing.B) {
 func BenchmarkScenarioBurst(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r := engine.NewRunner(engine.QuickParams())
-		res, _, err := r.Result(context.Background(), engine.Cell{Scheduler: "ones", Scenario: "burst"})
+		res, err := r.Result(context.Background(), engine.Cell{Scheduler: "ones", Scenario: "burst"})
 		if err != nil {
 			b.Fatal(err)
 		}

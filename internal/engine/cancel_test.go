@@ -138,7 +138,7 @@ func TestResultsCancelNoGoroutineLeak(t *testing.T) {
 func TestResultErrorStaysCached(t *testing.T) {
 	r := NewRunner(testParams(1))
 	for i := 0; i < 2; i++ {
-		if _, _, err := r.Result(context.Background(), Cell{Scheduler: "bogus", Capacity: 16}); err == nil {
+		if _, err := r.Result(context.Background(), Cell{Scheduler: "bogus", Capacity: 16}); err == nil {
 			t.Fatal("unknown scheduler accepted")
 		}
 	}

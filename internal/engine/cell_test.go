@@ -87,7 +87,7 @@ func TestCellTopologyFromShape(t *testing.T) {
 
 func TestRunnerRejectsInvalidShape(t *testing.T) {
 	r := NewRunner(QuickParams())
-	if _, _, err := r.Result(context.Background(), Cell{Scheduler: "fifo", Shape: "not-a-shape"}); err == nil {
+	if _, err := r.Result(context.Background(), Cell{Scheduler: "fifo", Shape: "not-a-shape"}); err == nil {
 		t.Fatal("invalid shape ran")
 	}
 }

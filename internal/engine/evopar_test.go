@@ -17,7 +17,7 @@ func TestEvolutionParallelismGoldenResults(t *testing.T) {
 	cell := Cell{Scheduler: "ones", Capacity: 16}
 	var golden []byte
 	for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
-		res, _, err := NewRunner(testParams(workers)).Result(context.Background(), cell)
+		res, err := NewRunner(testParams(workers)).Result(context.Background(), cell)
 		if err != nil {
 			t.Fatalf("workers %d: %v", workers, err)
 		}

@@ -179,10 +179,10 @@ func TestCellKeyNormalizes(t *testing.T) {
 	add("events", CellKey(p4, Cell{Scheduler: "fifo"}))
 }
 
-// TestResultReportsCacheService: Result reports cached for every call
-// that did not simulate its cell — a memory hit, a disk hit and a wait
-// on another caller's computation — and only for those.
-func TestResultReportsCacheService(t *testing.T) {
+// TestResultCachedReportsCacheService: ResultCached reports cached for
+// every call that did not simulate its cell — a memory hit, a disk hit
+// and a wait on another caller's computation — and only for those.
+func TestResultCachedReportsCacheService(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
 	newRunner := func() *Runner {
@@ -197,7 +197,7 @@ func TestResultReportsCacheService(t *testing.T) {
 	cell := Cell{Scheduler: "fifo", Capacity: 16}
 	result := func(r *Runner, c Cell) bool {
 		t.Helper()
-		_, cached, err := r.Result(ctx, c)
+		_, cached, err := r.ResultCached(ctx, c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -221,7 +221,7 @@ func TestResultReportsCacheService(t *testing.T) {
 	fresh := Cell{Scheduler: "sjf", Capacity: 16}
 	first := make(chan bool)
 	go func() {
-		_, cached, err := r.Result(ctx, fresh)
+		_, cached, err := r.ResultCached(ctx, fresh)
 		if err != nil {
 			t.Error(err)
 		}
@@ -232,7 +232,7 @@ func TestResultReportsCacheService(t *testing.T) {
 		for r.CachedCells() == 0 { // until the first call holds the entry
 			time.Sleep(time.Millisecond)
 		}
-		_, cached, err := r.Result(ctx, fresh)
+		_, cached, err := r.ResultCached(ctx, fresh)
 		if err != nil {
 			t.Error(err)
 		}

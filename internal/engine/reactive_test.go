@@ -76,7 +76,7 @@ func TestReactiveEvolutionParallelismByteIdentical(t *testing.T) {
 	cell := Cell{Scheduler: "ones", Capacity: 16, Scenario: "burst", Autoscaler: "reactive-aggressive"}
 	var golden []byte
 	for _, workers := range []int{1, 4} {
-		res, _, err := NewRunner(testParams(workers)).Result(context.Background(), cell)
+		res, err := NewRunner(testParams(workers)).Result(context.Background(), cell)
 		if err != nil {
 			t.Fatalf("workers %d: %v", workers, err)
 		}
@@ -101,7 +101,7 @@ func TestReactiveCellProducesScaleActivity(t *testing.T) {
 	p := testParams(2)
 	p.Interarrival = 8 // overload the 2-server cluster so pressure sustains
 	r := NewRunner(p)
-	reactive, _, err := r.Result(context.Background(),
+	reactive, err := r.Result(context.Background(),
 		Cell{Scheduler: "tiresias", Capacity: 8, Scenario: "burst", Autoscaler: "reactive-aggressive"})
 	if err != nil {
 		t.Fatal(err)
@@ -113,7 +113,7 @@ func TestReactiveCellProducesScaleActivity(t *testing.T) {
 	if reactive.AutoscaleEvents != reactive.ScaleUps+reactive.ScaleDowns {
 		t.Errorf("AutoscaleEvents %d != %d + %d", reactive.AutoscaleEvents, reactive.ScaleUps, reactive.ScaleDowns)
 	}
-	baseline, _, err := r.Result(context.Background(),
+	baseline, err := r.Result(context.Background(),
 		Cell{Scheduler: "tiresias", Capacity: 8, Scenario: "burst"})
 	if err != nil {
 		t.Fatal(err)
@@ -135,7 +135,7 @@ func TestMTBFDrainCellThroughEngine(t *testing.T) {
 	// drains, so the process actually fires inside the makespan.
 	p.Jobs = 40
 	r := NewRunner(p)
-	res, _, err := r.Result(context.Background(), Cell{Scheduler: "tiresias", Shape: "2x4,2x4", Scenario: "mtbf-drain"})
+	res, err := r.Result(context.Background(), Cell{Scheduler: "tiresias", Shape: "2x4,2x4", Scenario: "mtbf-drain"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestMTBFDrainCellThroughEngine(t *testing.T) {
 	if res.ScaleUps != 0 || res.ScaleDowns != 0 {
 		t.Errorf("chaos drains counted as autoscaler activity: %+v", res)
 	}
-	again, _, err := NewRunner(p).Result(context.Background(), Cell{Scheduler: "tiresias", Shape: "2x4,2x4", Scenario: "mtbf-drain"})
+	again, err := NewRunner(p).Result(context.Background(), Cell{Scheduler: "tiresias", Shape: "2x4,2x4", Scenario: "mtbf-drain"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestMTBFDrainCellThroughEngine(t *testing.T) {
 // run, like unknown schedulers and scenarios do.
 func TestRunnerUnknownAutoscaler(t *testing.T) {
 	r := NewRunner(testParams(1))
-	_, _, err := r.Result(context.Background(), Cell{Scheduler: "ones", Capacity: 16, Autoscaler: "bogus"})
+	_, err := r.Result(context.Background(), Cell{Scheduler: "ones", Capacity: 16, Autoscaler: "bogus"})
 	if err == nil || !strings.Contains(err.Error(), "unknown autoscaler") {
 		t.Fatalf("err = %v, want unknown-autoscaler", err)
 	}

@@ -201,10 +201,16 @@ func isCtxErr(err error) bool {
 // worker-pool slot is acquired inside the flight, so cache hits return
 // immediately and goroutines waiting on another's in-flight computation
 // of the same cell do not hold slots the pool could be simulating with.
-// A caller whose context ends stops waiting at once. cached reports that
-// this call did not simulate the cell: a memory or disk hit, or a wait
-// on another caller's computation.
-func (r *Runner) Result(ctx context.Context, cell Cell) (res *simulator.Result, cached bool, err error) {
+// A caller whose context ends stops waiting at once.
+func (r *Runner) Result(ctx context.Context, cell Cell) (*simulator.Result, error) {
+	res, _, err := r.ResultCached(ctx, cell)
+	return res, err
+}
+
+// ResultCached is Result that also reports whether the cache served the
+// cell: a memory or disk hit, or a wait on another caller's computation,
+// rather than a simulation this call ran.
+func (r *Runner) ResultCached(ctx context.Context, cell Cell) (res *simulator.Result, cached bool, err error) {
 	cell = cell.normalize(r.params)
 	simulated := false
 	res, err = r.Cache.Do(ctx, CellKey(r.params, cell), func() (*simulator.Result, error) {
@@ -239,7 +245,7 @@ func (r *Runner) Results(ctx context.Context, cells []Cell) ([]*simulator.Result
 		wg.Add(1)
 		go func(i int, c Cell) {
 			defer wg.Done()
-			out[i], _, errs[i] = r.Result(ctx, c)
+			out[i], errs[i] = r.Result(ctx, c)
 		}(i, c)
 	}
 	wg.Wait()

@@ -69,11 +69,11 @@ func TestRunnerSeedChangesResults(t *testing.T) {
 	p1 := testParams(1)
 	p2 := testParams(1)
 	p2.Seed = 8
-	r1, _, err := NewRunner(p1).Result(context.Background(), cell)
+	r1, err := NewRunner(p1).Result(context.Background(), cell)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, _, err := NewRunner(p2).Result(context.Background(), cell)
+	r2, err := NewRunner(p2).Result(context.Background(), cell)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestRunnerDefaultsEmptyCapacities(t *testing.T) {
 
 func TestRunnerUnknownScheduler(t *testing.T) {
 	r := NewRunner(testParams(1))
-	if _, _, err := r.Result(context.Background(), Cell{Scheduler: "bogus", Capacity: 16}); err == nil {
+	if _, err := r.Result(context.Background(), Cell{Scheduler: "bogus", Capacity: 16}); err == nil {
 		t.Error("unknown scheduler accepted")
 	}
 }
@@ -161,20 +161,20 @@ func TestRunnerRejectsOversizedSearch(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.Cache = cache
-	if _, _, err := r.Result(context.Background(), Cell{Scheduler: "ones", Capacity: 16}); err == nil {
+	if _, err := r.Result(context.Background(), Cell{Scheduler: "ones", Capacity: 16}); err == nil {
 		t.Fatal("ONES cell over the gene bound ran")
 	}
 	if files, _ := os.ReadDir(dir); cache.Stats().Computes != 0 || len(files) != 0 {
 		t.Errorf("rejected cell reached the cache: %+v, %d files", cache.Stats(), len(files))
 	}
-	if _, _, err := r.Result(context.Background(), Cell{Scheduler: "fifo", Capacity: 16}); err != nil {
+	if _, err := r.Result(context.Background(), Cell{Scheduler: "fifo", Capacity: 16}); err != nil {
 		t.Fatalf("FIFO cell under the same params: %v", err)
 	}
 }
 
 func TestRunnerComposedScenarioCell(t *testing.T) {
 	r := NewRunner(testParams(2))
-	res, _, err := r.Result(context.Background(), Cell{Scheduler: "fifo", Capacity: 32, Scenario: "diurnal+spot"})
+	res, err := r.Result(context.Background(), Cell{Scheduler: "fifo", Capacity: 32, Scenario: "diurnal+spot"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestRunnerComposedScenarioCell(t *testing.T) {
 	}
 	// The composed cell shares the plain-diurnal arrival spec, so it
 	// must replay the same job stream as a plain "diurnal" cell.
-	plain, _, err := r.Result(context.Background(), Cell{Scheduler: "fifo", Capacity: 32, Scenario: "diurnal"})
+	plain, err := r.Result(context.Background(), Cell{Scheduler: "fifo", Capacity: 32, Scenario: "diurnal"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestRunnerComposedScenarioCell(t *testing.T) {
 
 func TestRunnerUnknownScenario(t *testing.T) {
 	r := NewRunner(testParams(1))
-	_, _, err := r.Result(context.Background(), Cell{Scheduler: "fifo", Capacity: 16, Scenario: "bogus"})
+	_, err := r.Result(context.Background(), Cell{Scheduler: "fifo", Capacity: 16, Scenario: "bogus"})
 	if err == nil {
 		t.Error("unknown scenario accepted")
 	}
@@ -238,7 +238,7 @@ func jobStream(res *simulator.Result) []string {
 
 func TestRunnerNodeFailureEvictsButCompletes(t *testing.T) {
 	r := NewRunner(testParams(2))
-	res, _, err := r.Result(context.Background(), Cell{Scheduler: "tiresias", Capacity: 32, Scenario: "node-failure"})
+	res, err := r.Result(context.Background(), Cell{Scheduler: "tiresias", Capacity: 32, Scenario: "node-failure"})
 	if err != nil {
 		t.Fatal(err)
 	}

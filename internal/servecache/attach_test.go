@@ -3,7 +3,6 @@ package servecache
 import (
 	"bytes"
 	"context"
-	"fmt"
 	"sync"
 	"testing"
 
@@ -159,37 +158,5 @@ func TestAttachedConcurrent(t *testing.T) {
 	}
 	if string(final) != "shared" {
 		t.Errorf("attached bytes = %q", final)
-	}
-}
-
-// TestDiskTotalConcurrent: writers racing a capped directory's sweeps
-// leave the running total equal to the directory and within the cap.
-func TestDiskTotalConcurrent(t *testing.T) {
-	dir := t.TempDir()
-	c := mustCache(t, dir)
-	res := simulate(t, "fifo", false)
-	size := int64(len(encodeCell("w0-k00", res)))
-	c.SetLimits(Limits{MaxDiskBytes: 5 * size})
-	var wg sync.WaitGroup
-	for w := range 4 {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range 20 {
-				key := fmt.Sprintf("w%d-k%02d", w, i)
-				if _, err := c.Do(context.Background(), key, func() (*simulator.Result, error) { return res, nil }); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	b := dirBytes(t, dir)
-	if total := c.diskBytes(); total != b || b > 5*size {
-		t.Errorf("running total %d, directory %d, cap %d", total, b, 5*size)
-	}
-	if st := c.Stats(); st.DiskEvictions == 0 {
-		t.Errorf("stats = %+v, want disk evictions", st)
 	}
 }

@@ -65,34 +65,6 @@ func BenchmarkDiskHit(b *testing.B) {
 	}
 }
 
-// BenchmarkDiskInsertUnderCap measures an insert written through to a
-// directory of 1000 records under a byte cap it never reaches: the sweep
-// after the write reads only the running total, not the directory.
-func BenchmarkDiskInsertUnderCap(b *testing.B) {
-	res := &simulator.Result{}
-	compute := func() (*simulator.Result, error) { return res, nil }
-	c, err := New(b.TempDir(), func(string, ...any) {})
-	if err != nil {
-		b.Fatal(err)
-	}
-	c.SetLimits(Limits{MaxDiskBytes: 1 << 40})
-	ctx := context.Background()
-	const present = 1000
-	for i := 0; i < present; i++ {
-		if _, err := c.Do(ctx, strconv.Itoa(i), compute); err != nil {
-			b.Fatal(err)
-		}
-	}
-	next := present
-	b.ReportAllocs()
-	for b.Loop() {
-		if _, err := c.Do(ctx, strconv.Itoa(next), compute); err != nil {
-			b.Fatal(err)
-		}
-		next++
-	}
-}
-
 // BenchmarkMemoInsertAtCap measures an insert into a full memory-only
 // memo: each one evicts the least recently used entry.
 func BenchmarkMemoInsertAtCap(b *testing.B) {

@@ -133,15 +133,6 @@ type Cache struct {
 	stats  Stats
 	limits Limits
 
-	// diskMu serializes everything that changes the persisted records —
-	// a write's rename, a discard, the cap sweep — with diskTotal, their
-	// running byte count: seeded by New's scan, grown by each write,
-	// shrunk by each discard and eviction, and reset by a sweep's scan.
-	// Nothing holds mu while taking diskMu, and mu is never held across
-	// a file-system call.
-	diskMu    sync.Mutex
-	diskTotal int64
-
 	obsP atomic.Pointer[cacheObs]
 }
 
@@ -204,12 +195,27 @@ func (c *Cache) Instrument(reg *obs.Registry) {
 	})
 }
 
-// diskBytes returns the running total of the persisted record bytes (0
-// when memory-only): no directory scan.
+// diskBytes sums the sizes of the persisted result files (0 when
+// memory-only or unreadable). Scanned at scrape time: writes rename into
+// place atomically, so the walk never sees torn entries.
 func (c *Cache) diskBytes() int64 {
-	c.diskMu.Lock()
-	defer c.diskMu.Unlock()
-	return c.diskTotal
+	if c.dir == "" {
+		return 0
+	}
+	des, err := os.ReadDir(c.dir)
+	if err != nil {
+		return 0
+	}
+	var total int64
+	for _, de := range des {
+		if de.IsDir() || filepath.Ext(de.Name()) != recordExt {
+			continue
+		}
+		if info, err := de.Info(); err == nil {
+			total += info.Size()
+		}
+	}
+	return total
 }
 
 // entry is a singleflight slot: the goroutine that inserts it resolves
@@ -232,10 +238,10 @@ type entry struct {
 }
 
 // New returns a Cache persisting to dir ("" ⇒ shared memory only, no
-// persistence). The directory is created if missing, the files in it
-// that no cache of this version can read are removed, and the records
-// left are counted toward MaxDiskBytes. warn receives non-fatal cache
-// problems (corrupt files, failed writes); nil ⇒ log.Printf.
+// persistence). The directory is created if missing, and the files in
+// it that no cache of this version can read are removed. warn receives
+// non-fatal cache problems (corrupt files, failed writes); nil ⇒
+// log.Printf.
 func New(dir string, warn func(format string, args ...any)) (*Cache, error) {
 	if warn == nil {
 		warn = log.Printf
@@ -245,20 +251,19 @@ func New(dir string, warn func(format string, args ...any)) (*Cache, error) {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return nil, fmt.Errorf("servecache: create %s: %w", dir, err)
 		}
-		c.scanDir()
+		c.removeUnreadable()
 	}
 	return c, nil
 }
 
-// scanDir seeds diskTotal with the size of the records in the cache
-// directory and deletes the files this cache wrote but can never read:
-// version-1 records and temp files a crash left between write and
-// rename. Neither counts toward MaxDiskBytes or is ever swept, so
-// without this they would leak disk. They count as Discards, with one
-// warning for them all. A writer in another process sharing the
-// directory loses only its current write: its rename fails and warns,
-// and its memo keeps the result.
-func (c *Cache) scanDir() {
+// removeUnreadable deletes the files in the cache directory that this
+// cache wrote but can never read: version-1 records and temp files a
+// crash left between write and rename. Neither counts toward
+// MaxDiskBytes or is ever swept, so without this they would leak disk.
+// They count as Discards, with one warning for them all. A writer in
+// another process sharing the directory loses only its current write:
+// its rename fails and warns, and its memo keeps the result.
+func (c *Cache) removeUnreadable() {
 	des, err := os.ReadDir(c.dir)
 	if err != nil {
 		c.warn("servecache: scan %s: %v", c.dir, err)
@@ -266,16 +271,7 @@ func (c *Cache) scanDir() {
 	}
 	removed := 0
 	for _, de := range des {
-		if de.IsDir() {
-			continue
-		}
-		if filepath.Ext(de.Name()) == recordExt {
-			if info, err := de.Info(); err == nil {
-				c.diskTotal += info.Size()
-			}
-			continue
-		}
-		if !unreadable(de.Name()) {
+		if de.IsDir() || !unreadable(de.Name()) {
 			continue
 		}
 		if err := os.Remove(filepath.Join(c.dir, de.Name())); err != nil {
@@ -346,22 +342,13 @@ func (c *Cache) sweepMemoLocked() int {
 }
 
 // sweepDisk removes the oldest persisted files until the directory fits
-// MaxDiskBytes. Under the cap it reads only the running total. Over it,
-// it lists the directory, resets the total from that listing (which
-// also counts records another process wrote or removed) and evicts the
-// oldest files first. Writes rename into place atomically, so the scan
-// never sees torn entries; a file that disappears mid-sweep is simply
-// skipped.
+// MaxDiskBytes. Writes rename into place atomically, so the scan never
+// sees torn entries; a file that disappears mid-sweep is simply skipped.
 func (c *Cache) sweepDisk() int {
 	c.mu.Lock()
 	capBytes := c.limits.MaxDiskBytes
 	c.mu.Unlock()
 	if c.dir == "" || capBytes <= 0 {
-		return 0
-	}
-	c.diskMu.Lock()
-	defer c.diskMu.Unlock()
-	if c.diskTotal <= capBytes {
 		return 0
 	}
 	des, err := os.ReadDir(c.dir)
@@ -386,7 +373,6 @@ func (c *Cache) sweepDisk() int {
 		files = append(files, file{de.Name(), info.Size(), info.ModTime()})
 		total += info.Size()
 	}
-	c.diskTotal = total
 	if total <= capBytes {
 		return 0
 	}
@@ -399,7 +385,7 @@ func (c *Cache) sweepDisk() int {
 	oh := c.oh()
 	evicted := 0
 	for _, f := range files {
-		if c.diskTotal <= capBytes {
+		if total <= capBytes {
 			break
 		}
 		if err := os.Remove(filepath.Join(c.dir, f.name)); err != nil {
@@ -408,7 +394,7 @@ func (c *Cache) sweepDisk() int {
 				continue
 			}
 		}
-		c.diskTotal -= f.size
+		total -= f.size
 		c.count(func(s *Stats) { s.DiskEvictions++ })
 		oh.diskCapEvicts.Inc()
 		evicted++
@@ -623,17 +609,8 @@ func (c *Cache) discard(path, reason string) {
 	c.count(func(s *Stats) { s.Discards++ })
 	c.oh().discards.Inc()
 	c.warn("servecache: discarding %s: %s", filepath.Base(path), reason)
-	c.diskMu.Lock()
-	defer c.diskMu.Unlock()
-	info, statErr := os.Stat(path)
-	if err := os.Remove(path); err != nil {
-		if !os.IsNotExist(err) {
-			c.warn("servecache: remove %s: %v", filepath.Base(path), err)
-		}
-		return
-	}
-	if statErr == nil && !info.IsDir() {
-		c.diskTotal -= info.Size()
+	if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
+		c.warn("servecache: remove %s: %v", filepath.Base(path), err)
 	}
 }
 
@@ -650,8 +627,7 @@ func (c *Cache) store(key string, res *simulator.Result) {
 		c.warn("servecache: temp file: %v", err)
 		return
 	}
-	rec := encodeCell(key, res)
-	if _, err := tmp.Write(rec); err != nil {
+	if _, err := tmp.Write(encodeCell(key, res)); err != nil {
 		tmp.Close()
 		os.Remove(tmp.Name())
 		c.warn("servecache: write %s: %v", filepath.Base(path), err)
@@ -662,13 +638,7 @@ func (c *Cache) store(key string, res *simulator.Result) {
 		c.warn("servecache: close %s: %v", filepath.Base(path), err)
 		return
 	}
-	c.diskMu.Lock()
-	err = os.Rename(tmp.Name(), path)
-	if err == nil {
-		c.diskTotal += int64(len(rec))
-	}
-	c.diskMu.Unlock()
-	if err != nil {
+	if err := os.Rename(tmp.Name(), path); err != nil {
 		os.Remove(tmp.Name())
 		c.warn("servecache: rename %s: %v", filepath.Base(path), err)
 		return

@@ -34,14 +34,13 @@ func dirBytes(t *testing.T, dir string) int64 {
 }
 
 // TestEvictionSoak drives a bounded cache through a seeded-random
-// sequence of inserts and hits, holding three invariants after every
+// sequence of inserts and hits, holding two invariants after every
 // operation:
 //
 //   - the in-memory memo never exceeds MaxEntries (every entry here is
 //     completed, so the cap is exact);
 //   - the disk directory never exceeds MaxDiskBytes (Do sweeps after
-//     each insert);
-//   - the cache's running byte total equals a scan of the directory.
+//     each insert).
 //
 // Afterwards it pins the determinism contract across the churn: a key
 // that survived on disk reloads byte-identical in a fresh cache with the
@@ -73,12 +72,8 @@ func TestEvictionSoak(t *testing.T) {
 		if n := c.Stats().Entries; n > limits.MaxEntries {
 			t.Fatalf("step %d: memo holds %d entries, cap %d", step, n, limits.MaxEntries)
 		}
-		b := dirBytes(t, dir)
-		if b > limits.MaxDiskBytes {
+		if b := dirBytes(t, dir); b > limits.MaxDiskBytes {
 			t.Fatalf("step %d: disk holds %d bytes, cap %d", step, b, limits.MaxDiskBytes)
-		}
-		if total := c.diskBytes(); total != b {
-			t.Fatalf("step %d: running total %d bytes, directory %d", step, total, b)
 		}
 	}
 	st := c.Stats()
@@ -99,9 +94,6 @@ func TestEvictionSoak(t *testing.T) {
 		t.Fatal("no persisted key survived the soak (cap fits ~5 files)")
 	}
 	c2 := mustCache(t, dir)
-	if total, b := c2.diskBytes(), dirBytes(t, dir); total != b {
-		t.Fatalf("a new cache counts %d bytes, directory %d", total, b)
-	}
 	got, err := c2.Do(ctx, survivor, func() (*simulator.Result, error) {
 		t.Fatalf("warm restart recomputed %s instead of loading it", survivor)
 		return nil, nil

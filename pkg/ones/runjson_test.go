@@ -106,7 +106,7 @@ func TestRunJSONIsAFunctionOfTheKey(t *testing.T) {
 func TestNewResultSizesEventsOnce(t *testing.T) {
 	sess := quickSession(t, WithEventLog(true))
 	cell := sess.cell(sess.scheduler)
-	res, _, err := sess.runner.Result(context.Background(), cell)
+	res, err := sess.runner.Result(context.Background(), cell)
 	if err != nil {
 		t.Fatal(err)
 	}

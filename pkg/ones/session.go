@@ -198,8 +198,15 @@ func (s *Session) cell(scheduler string) engine.Cell {
 // and returns only once the session's workers have drained.
 // Results are memoized: a second identical Run returns instantly.
 func (s *Session) Run(ctx context.Context) (*Result, error) {
-	res, _, err := s.run(ctx, false)
-	return res, err
+	start := time.Now()
+	cell := s.cell(s.scheduler)
+	s.beginBatch([]engine.Cell{cell})
+	defer s.endBatch(start)
+	res, err := s.runner.Result(ctx, cell)
+	if err != nil {
+		return nil, err
+	}
+	return newResult(cell, s.params, res), nil
 }
 
 // RunJSON is Run for a caller that encodes the Result as JSON, as onesd
@@ -209,23 +216,17 @@ func (s *Session) Run(ctx context.Context) (*Result, error) {
 // shared by every caller: it must not be modified. A cell this call
 // simulated, or whose Result does not encode, comes back as the Result
 // Run returns and nil JSON, so a cell nobody asks for twice is never
-// encoded here.
+// encoded here and a caller that keeps it keeps the smaller struct.
 func (s *Session) RunJSON(ctx context.Context) (*Result, json.RawMessage, error) {
-	return s.run(ctx, true)
-}
-
-// run resolves the session's cell as a one-cell batch. With shared set,
-// a cell the cache served comes back as its entry's JSON (see RunJSON).
-func (s *Session) run(ctx context.Context, shared bool) (*Result, json.RawMessage, error) {
 	start := time.Now()
 	cell := s.cell(s.scheduler)
 	s.beginBatch([]engine.Cell{cell})
 	defer s.endBatch(start)
-	res, cached, err := s.runner.Result(ctx, cell)
+	res, cached, err := s.runner.ResultCached(ctx, cell)
 	if err != nil {
 		return nil, nil, err
 	}
-	if !shared || !cached {
+	if !cached {
 		return newResult(cell, s.params, res), nil, nil
 	}
 	// The entry is shared by every session whose cell has its CellKey, so
