@@ -52,8 +52,10 @@ func (c Cell) String() string {
 	return s
 }
 
-// normalize resolves the cell's zero-value defaults against the params.
-func (c Cell) normalize(p Params) Cell {
+// Normalize resolves the cell's zero-value defaults against the params:
+// the cell that simulates, the one CellKey renders and the one a Result
+// reports. It is idempotent.
+func (c Cell) Normalize(p Params) Cell {
 	if c.Shape != "" {
 		// A shaped cell carries its size in the shape itself; Capacity is
 		// derived for reporting and GPUsPer stays out of the key space.
@@ -177,7 +179,7 @@ func (c Cell) autoscalerSeed(master int64) int64 {
 // the cache layer (servecache), not here, so a format bump invalidates
 // files without renaming keys.
 func CellKey(p Params, c Cell) string {
-	c = c.normalize(p)
+	c = c.Normalize(p)
 	key := fmt.Sprintf("cell|seed=%d|jobs=%d|ia=%g|maxgpus=%d|pop=%d|theta=%g|events=%t|sched=%s|cap=%d|per=%d|trace=%d|scn=%s",
 		p.Seed, p.Jobs, p.Interarrival, p.MaxGPUs, p.Population, p.MutationRate, p.RecordEvents,
 		c.Scheduler, c.Capacity, c.GPUsPer, c.TraceSeed, c.Scenario)

@@ -45,8 +45,8 @@ func TestCellKeySpellingVariantsShareAKey(t *testing.T) {
 	if canon != padded {
 		t.Fatalf("spelling variants keyed apart:\n %s\n %s", canon, padded)
 	}
-	a := Cell{Scheduler: "ones", Shape: "4x8,2x4"}.normalize(p)
-	b := Cell{Scheduler: "ones", Shape: " 4x8 , 2x4 "}.normalize(p)
+	a := Cell{Scheduler: "ones", Shape: "4x8,2x4"}.Normalize(p)
+	b := Cell{Scheduler: "ones", Shape: " 4x8 , 2x4 "}.Normalize(p)
 	if a != b {
 		t.Fatalf("normalized cells differ: %+v vs %+v", a, b)
 	}

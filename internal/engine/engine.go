@@ -69,19 +69,49 @@ func QuickParams() Params {
 	}
 }
 
-// TraceConfig returns the workload configuration for the given trace
-// seed. All cells sharing a trace seed replay the identical job stream —
-// the pairing the Wilcoxon analysis of Table 4 requires.
-func (p Params) TraceConfig(seed int64) workload.Config {
-	maxGPUs := p.MaxGPUs
-	if maxGPUs <= 0 {
-		maxGPUs = 8
+// Normalize resolves each unset field to its DefaultParams value, one
+// field at a time, so a caller may set only the fields it cares about.
+// Workers and MutationRate keep their zero values, which mean GOMAXPROCS
+// and the scheduler's default rate.
+func (p Params) Normalize() Params {
+	def := DefaultParams()
+	if p.Seed == 0 {
+		p.Seed = def.Seed
 	}
+	if p.Jobs <= 0 {
+		p.Jobs = def.Jobs
+	}
+	if p.Interarrival <= 0 {
+		p.Interarrival = def.Interarrival
+	}
+	if p.MaxGPUs <= 0 {
+		p.MaxGPUs = def.MaxGPUs
+	}
+	if p.Population <= 0 {
+		p.Population = def.Population
+	}
+	if len(p.Capacities) == 0 {
+		p.Capacities = def.Capacities
+	}
+	if p.ParamScale <= 0 {
+		p.ParamScale = def.ParamScale
+	}
+	if p.CFPoints <= 0 {
+		p.CFPoints = def.CFPoints
+	}
+	return p
+}
+
+// TraceConfig returns the workload configuration of normalized params
+// for the given trace seed. All cells sharing a trace seed replay the
+// identical job stream — the pairing the Wilcoxon analysis of Table 4
+// requires.
+func (p Params) TraceConfig(seed int64) workload.Config {
 	return workload.Config{
 		Seed:             seed,
 		NumJobs:          p.Jobs,
 		MeanInterarrival: p.Interarrival,
-		MaxReqGPUs:       maxGPUs,
+		MaxReqGPUs:       p.MaxGPUs,
 	}
 }
 

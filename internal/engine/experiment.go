@@ -30,7 +30,7 @@ func DeclaredCells(exps []Experiment, p Params) []Cell {
 			continue
 		}
 		for _, c := range e.Cells(p) {
-			c = c.normalize(p)
+			c = c.Normalize(p)
 			if seen[c] {
 				continue
 			}

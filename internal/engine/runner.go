@@ -113,35 +113,10 @@ func (r *Runner) obsHandles() *runnerObs {
 	return r.oh
 }
 
-// NewRunner returns a Runner over the given params. Unset fields default
-// individually (to DefaultParams values), so a caller may set only the
-// fields it cares about.
+// NewRunner returns a Runner over the given params, normalized (see
+// Params.Normalize), so a caller may set only the fields it cares about.
 func NewRunner(p Params) *Runner {
-	def := DefaultParams()
-	if p.Seed == 0 {
-		p.Seed = def.Seed
-	}
-	if p.Jobs <= 0 {
-		p.Jobs = def.Jobs
-	}
-	if p.Interarrival <= 0 {
-		p.Interarrival = def.Interarrival
-	}
-	if p.MaxGPUs <= 0 {
-		p.MaxGPUs = def.MaxGPUs
-	}
-	if p.Population <= 0 {
-		p.Population = def.Population
-	}
-	if len(p.Capacities) == 0 {
-		p.Capacities = def.Capacities
-	}
-	if p.ParamScale <= 0 {
-		p.ParamScale = def.ParamScale
-	}
-	if p.CFPoints <= 0 {
-		p.CFPoints = def.CFPoints
-	}
+	p = p.Normalize()
 	workers := p.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -179,7 +154,7 @@ func (r *Runner) CheckBounds(c Cell) error {
 	if c.Scheduler != "ones" {
 		return nil
 	}
-	topo, err := c.normalize(r.params).Topology()
+	topo, err := c.Normalize(r.params).Topology()
 	if err != nil {
 		return err
 	}
@@ -211,7 +186,7 @@ func (r *Runner) Result(ctx context.Context, cell Cell) (*simulator.Result, erro
 // cell: a memory or disk hit, or a wait on another caller's computation,
 // rather than a simulation this call ran.
 func (r *Runner) ResultCached(ctx context.Context, cell Cell) (res *simulator.Result, cached bool, err error) {
-	cell = cell.normalize(r.params)
+	cell = cell.Normalize(r.params)
 	simulated := false
 	res, err = r.Cache.Do(ctx, CellKey(r.params, cell), func() (*simulator.Result, error) {
 		simulated = true
@@ -384,11 +359,8 @@ func (r *Runner) simulate(ctx context.Context, c Cell) (res *simulator.Result, e
 	// The capacity timeline is seeded from the cell key minus the
 	// scheduler, so paired comparisons face the identical world.
 	var srcs []scenario.CapacitySource
-	if timeline := scn.Capacity.Timeline(c.scenarioSeed(r.params.Seed)); len(timeline) > 0 {
+	if timeline := scn.Capacity.Timeline(c.scenarioSeed(r.params.Seed), c.drainSeed(r.params.Seed)); len(timeline) > 0 {
 		srcs = append(srcs, scenario.NewTimelineSource(timeline))
-	}
-	if scn.Capacity.DrainMTBF > 0 {
-		srcs = append(srcs, scenario.NewDrainMTBFSource(scn.Capacity, c.drainSeed(r.params.Seed)))
 	}
 	if c.Autoscaler != "" {
 		policy, perr := autoscale.Get(c.Autoscaler)

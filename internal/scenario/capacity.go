@@ -35,14 +35,19 @@ type CapacityEvent struct {
 	// drained rack powers back up). Ignored by rack drains, which
 	// remove the whole rack.
 	Servers int
-	// Pick ∈ [0,1) selects which server a removal hits, scaled by the
-	// live server count at apply time — precomputing the fraction rather
-	// than an index keeps the timeline valid whatever the cluster size
-	// has become by then.
+	// Pick ∈ [0,1) selects what a removal hits, scaled at apply time:
+	// a single-server removal's server by the live server count, and a
+	// rackdrain that names no rack (Rack < 0) its rack by the live rack
+	// count. Precomputing the fraction rather than an index keeps the
+	// timeline valid whatever the cluster has become by then.
 	Pick float64
 	// Rack is the rack id a rackdrain empties (matching
 	// cluster.ServerSpec.Rack; ParseShape assigns group i to rack i).
-	// Ignored by every other kind.
+	// A negative Rack names none: the simulator empties the live rack
+	// Pick selects, among the racks still live after every event applied
+	// before this one, at the same instant included. Planned drains name
+	// their rack; the DrainMTBF process does not. Ignored by every other
+	// kind.
 	Rack int
 	// GPUs sets the per-server GPU count of joined servers (0 ⇒ match
 	// the cluster's first server — on a homogeneous fleet, more of the
@@ -90,11 +95,11 @@ type CapacitySpec struct {
 	PreemptRestock float64
 
 	// DrainMTBF is the mean time between whole-rack drains in seconds
-	// (0 ⇒ none). Unlike the other stochastic processes each drain hits
-	// a random *live* rack — a choice that depends on simulation state,
-	// so the process runs as a DrainMTBFSource rather than a precomputed
-	// timeline (see Timeline, which ignores these fields). The drained
-	// rack powers back up DrainRestock seconds later (0 ⇒ lost).
+	// (0 ⇒ none). Timeline draws the drains from their own seed; each
+	// names no rack (Rack −1), so the simulator empties a random *live*
+	// rack, picked by the drain's Pick when it applies. The drained rack
+	// powers back up DrainRestock seconds later (0 ⇒ lost); overlapping
+	// drains restock together at the earlier repair.
 	DrainMTBF    float64
 	DrainRestock float64
 
@@ -109,12 +114,14 @@ func (c CapacitySpec) IsStatic() bool {
 }
 
 // Timeline expands the spec into a concrete, time-sorted event list. The
-// stochastic draws depend only on (spec, seed), never on simulation
+// failure and preemption draws come from seed, the rack drains from
+// drainSeed, so the drain process is independent of the others. The
+// draws depend only on (spec, seed, drainSeed), never on simulation
 // state, so every scheduler facing the same scenario cell sees the
 // identical sequence of cluster changes — the pairing that keeps
 // cross-scheduler comparisons meaningful. Generation stops at
 // DefaultHorizon.
-func (c CapacitySpec) Timeline(seed int64) []CapacityEvent {
+func (c CapacitySpec) Timeline(seed, drainSeed int64) []CapacityEvent {
 	var events []CapacityEvent
 	for _, ev := range c.Planned {
 		if ev.Time <= DefaultHorizon {
@@ -135,8 +142,19 @@ func (c CapacitySpec) Timeline(seed int64) []CapacityEvent {
 	}
 	draw(c.FailMTBF, c.FailRepair, CapacityFail)
 	draw(c.PreemptMTBF, c.PreemptRestock, CapacityPreempt)
-	// Stable sort: the pre-sort order (planned, failures, preemptions) is
-	// deterministic, so ties at equal times resolve identically every run.
+	if c.DrainMTBF > 0 {
+		rng := rand.New(rand.NewSource(drainSeed))
+		for t := rng.ExpFloat64() * c.DrainMTBF; t <= DefaultHorizon; t += rng.ExpFloat64() * c.DrainMTBF {
+			events = append(events, CapacityEvent{Time: t, Kind: CapacityRackDrain, Rack: -1, Pick: rng.Float64()})
+			if c.DrainRestock > 0 {
+				// Servers 0 on a restock join means "everything still out".
+				events = append(events, CapacityEvent{Time: t + c.DrainRestock, Kind: CapacityJoin, Restocks: CapacityRackDrain})
+			}
+		}
+	}
+	// Stable sort: the pre-sort order (planned, failures, preemptions,
+	// drains) is deterministic, so ties at equal times resolve
+	// identically every run.
 	sort.SliceStable(events, func(i, j int) bool { return events[i].Time < events[j].Time })
 	return events
 }

@@ -86,8 +86,8 @@ func TestDiurnalRateOscillatesAndStaysPositive(t *testing.T) {
 
 func TestTimelineDeterministicAndSorted(t *testing.T) {
 	spec := CapacitySpec{FailMTBF: 300, FailRepair: 900, PreemptMTBF: 500, PreemptRestock: 400}
-	a := spec.Timeline(42)
-	b := spec.Timeline(42)
+	a := spec.Timeline(42, 0)
+	b := spec.Timeline(42, 0)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("same seed built different timelines")
 	}
@@ -99,14 +99,14 @@ func TestTimelineDeterministicAndSorted(t *testing.T) {
 			t.Fatalf("timeline out of order at %d: %+v", i, a)
 		}
 	}
-	if reflect.DeepEqual(a, spec.Timeline(43)) {
+	if reflect.DeepEqual(a, spec.Timeline(43, 0)) {
 		t.Error("different seeds built identical timelines")
 	}
 }
 
 func TestTimelinePairsFailuresWithRepairs(t *testing.T) {
 	spec := CapacitySpec{FailMTBF: 200, FailRepair: 500}
-	events := spec.Timeline(7)
+	events := spec.Timeline(7, 0)
 	fails, joins := 0, 0
 	for _, ev := range events {
 		switch ev.Kind {
@@ -130,7 +130,7 @@ func TestTimelinePairsFailuresWithRepairs(t *testing.T) {
 func TestTimelineRespectsHorizon(t *testing.T) {
 	spec := CapacitySpec{FailMTBF: 50}
 	last := 0.0
-	for _, ev := range spec.Timeline(1) {
+	for _, ev := range spec.Timeline(1, 0) {
 		if ev.Kind != CapacityFail {
 			continue
 		}
@@ -150,7 +150,7 @@ func TestTimelineKeepsPlannedEvents(t *testing.T) {
 		{Time: 100, Kind: CapacityLeave, Servers: 2, Pick: 0.9},
 		{Time: 300, Kind: CapacityJoin, Servers: 2},
 	}}
-	got := spec.Timeline(1)
+	got := spec.Timeline(1, 0)
 	if !reflect.DeepEqual(got, spec.Planned) {
 		t.Errorf("static planned spec expanded to %+v", got)
 	}

@@ -1,10 +1,5 @@
 package scenario
 
-import (
-	"math/rand"
-	"sort"
-)
-
 // OriginAutoscaler marks a CapacityEvent emitted by a reactive
 // autoscaling controller (see internal/autoscale), as opposed to a
 // pre-planned timeline or a seeded chaos process. The simulator counts
@@ -30,9 +25,6 @@ type ClusterView struct {
 	// PendingGPUs sums the user-requested GPU counts of the queued jobs —
 	// the demand the cluster is not currently serving.
 	PendingGPUs int
-	// LiveRacks lists the rack ids with at least one live server,
-	// ascending.
-	LiveRacks []int
 }
 
 // Pressure returns (busy + pending demand) / capacity: 1.0 means the
@@ -50,11 +42,10 @@ func (v ClusterView) Pressure() float64 {
 
 // CapacitySource produces capacity events while a simulation runs. It
 // generalizes the precomputed CapacitySpec timeline: planned schedules
-// (TimelineSource), seeded chaos processes (DrainMTBFSource) and
-// closed-loop reactive controllers (autoscale.Controller) are
-// interchangeable behind it — the simulator neither knows nor cares
-// whether the cluster's next change was scheduled in advance or decided
-// by feedback.
+// and seeded chaos processes (TimelineSource) and closed-loop reactive
+// controllers (autoscale.Controller) are interchangeable behind it — the
+// simulator neither knows nor cares whether the cluster's next change
+// was scheduled in advance or decided by feedback.
 //
 // The simulator drives a source with two calls. NextWake(now) asks when
 // the source next wants control (now = the time of the previous
@@ -160,75 +151,6 @@ func (m *multiSource) Next(now float64, view ClusterView) []CapacityEvent {
 	var out []CapacityEvent
 	for _, s := range m.srcs {
 		out = append(out, s.Next(now, view)...)
-	}
-	return out
-}
-
-// DrainMTBFSource is a seeded stochastic rack-failure process: it draws
-// drain times from an exponential distribution (mean CapacitySpec.
-// DrainMTBF) and, at each, drains one *live* rack picked uniformly at
-// random — something a precomputed timeline cannot express, since which
-// racks are alive depends on simulation state. A drained rack powers
-// back up DrainRestock seconds later (0 ⇒ lost for the run).
-//
-// Determinism: drain times and pick fractions are drawn up front from
-// (spec, seed) only; the live-rack pick indexes the fraction into the
-// rack list observed at apply time. The same seed against the same
-// world therefore drains the same racks at the same times on every run,
-// at any worker count.
-type DrainMTBFSource struct {
-	pending []CapacityEvent // time-sorted drains (Pick set) and restocks
-	idx     int
-}
-
-// NewDrainMTBFSource expands the spec's DrainMTBF/DrainRestock process
-// into a source. Generation stops at DefaultHorizon, like
-// CapacitySpec.Timeline.
-func NewDrainMTBFSource(spec CapacitySpec, seed int64) *DrainMTBFSource {
-	src := &DrainMTBFSource{}
-	if spec.DrainMTBF <= 0 {
-		return src
-	}
-	rng := rand.New(rand.NewSource(seed))
-	for t := rng.ExpFloat64() * spec.DrainMTBF; t <= DefaultHorizon; t += rng.ExpFloat64() * spec.DrainMTBF {
-		src.pending = append(src.pending, CapacityEvent{Time: t, Kind: CapacityRackDrain, Pick: rng.Float64()})
-		if spec.DrainRestock > 0 {
-			// Servers 0 on a restock join means "everything still out":
-			// overlapping drains restock together at the earlier repair.
-			src.pending = append(src.pending, CapacityEvent{Time: t + spec.DrainRestock, Kind: CapacityJoin, Restocks: CapacityRackDrain})
-		}
-	}
-	sort.SliceStable(src.pending, func(i, j int) bool { return src.pending[i].Time < src.pending[j].Time })
-	return src
-}
-
-// NextWake implements CapacitySource.
-func (s *DrainMTBFSource) NextWake(now float64) float64 {
-	if s.idx >= len(s.pending) {
-		return -1
-	}
-	return s.pending[s.idx].Time
-}
-
-// Next implements CapacitySource: due drains resolve their Pick
-// fraction against the racks currently alive; due restocks pass
-// through.
-func (s *DrainMTBFSource) Next(now float64, view ClusterView) []CapacityEvent {
-	var out []CapacityEvent
-	for s.idx < len(s.pending) && s.pending[s.idx].Time <= now {
-		ev := s.pending[s.idx]
-		s.idx++
-		if ev.Kind == CapacityRackDrain {
-			if len(view.LiveRacks) == 0 {
-				continue // nothing to drain
-			}
-			i := int(ev.Pick * float64(len(view.LiveRacks)))
-			if i >= len(view.LiveRacks) {
-				i = len(view.LiveRacks) - 1
-			}
-			ev.Rack = view.LiveRacks[i]
-		}
-		out = append(out, ev)
 	}
 	return out
 }

@@ -78,25 +78,9 @@ func TestSourcesComposition(t *testing.T) {
 	}
 }
 
-func TestDrainMTBFSourceDeterministicAndStateDependent(t *testing.T) {
+func TestTimelineDrawsMTBFDrains(t *testing.T) {
 	spec := CapacitySpec{DrainMTBF: 500, DrainRestock: 300}
-	expand := func() []CapacityEvent {
-		src := NewDrainMTBFSource(spec, 7)
-		view := ClusterView{LiveRacks: []int{0, 1, 2, 3}}
-		var all []CapacityEvent
-		for {
-			wake := src.NextWake(-1)
-			if wake < 0 {
-				break
-			}
-			all = append(all, src.Next(wake, view)...)
-		}
-		return all
-	}
-	first := expand()
-	if len(first) == 0 {
-		t.Fatal("no drain events drawn over a horizon of 14 MTBFs")
-	}
+	first := spec.Timeline(1, 7)
 	var drains, restocks int
 	last := -1.0
 	for _, ev := range first {
@@ -107,8 +91,8 @@ func TestDrainMTBFSourceDeterministicAndStateDependent(t *testing.T) {
 		switch ev.Kind {
 		case CapacityRackDrain:
 			drains++
-			if ev.Rack < 0 || ev.Rack > 3 {
-				t.Errorf("drain picked rack %d outside the live set", ev.Rack)
+			if ev.Rack >= 0 || ev.Pick < 0 || ev.Pick >= 1 {
+				t.Errorf("drawn drain %+v must name no rack and pick in [0,1)", ev)
 			}
 		case CapacityJoin:
 			restocks++
@@ -120,30 +104,35 @@ func TestDrainMTBFSourceDeterministicAndStateDependent(t *testing.T) {
 		}
 	}
 	if drains == 0 || restocks != drains {
-		t.Errorf("drains = %d, restocks = %d; want equal and nonzero", drains, restocks)
+		t.Errorf("drains = %d, restocks = %d; want equal and nonzero over 14 MTBFs", drains, restocks)
 	}
-	if again := expand(); !reflect.DeepEqual(first, again) {
-		t.Error("same (spec, seed) expanded to different event sequences")
+	if again := spec.Timeline(1, 7); !reflect.DeepEqual(first, again) {
+		t.Error("same (spec, seeds) expanded to different timelines")
+	}
+	if reflect.DeepEqual(first, spec.Timeline(1, 8)) {
+		t.Error("different drain seeds drew identical drains")
+	}
+	if got := (CapacitySpec{}).Timeline(1, 7); len(got) != 0 {
+		t.Errorf("a zero spec drew %+v", got)
 	}
 
-	// The pick resolves against racks alive *at apply time*: shrinking the
-	// live set changes which rack a late drain hits — exactly what a
-	// precomputed timeline cannot express.
-	src := NewDrainMTBFSource(spec, 7)
-	wake := src.NextWake(-1)
-	ev := src.Next(wake, ClusterView{LiveRacks: []int{9}})
-	if len(ev) == 0 || ev[0].Rack != 9 {
-		t.Errorf("drain against a single live rack hit %+v, want rack 9", ev)
+	// The drains come from their own seed: the scenario seed and the
+	// other processes leave them as they are, and at a tie they follow
+	// every other event of the instant.
+	spec.FailMTBF, spec.FailRepair = 300, 900
+	spec.Planned = []CapacityEvent{{Time: first[0].Time, Kind: CapacityLeave}}
+	var got []CapacityEvent
+	tl := spec.Timeline(2, 7)
+	for i, ev := range tl {
+		if ev.Kind == CapacityRackDrain || ev.Restocks == CapacityRackDrain {
+			got = append(got, ev)
+		}
+		if ev == first[0] && (i == 0 || tl[i-1] != spec.Planned[0]) {
+			t.Errorf("the first drain does not follow the planned event of its instant: %+v", tl[:i+1])
+		}
 	}
-	if out := src.Next(src.NextWake(wake), ClusterView{}); len(out) != 0 && out[0].Kind == CapacityRackDrain {
-		t.Errorf("drain with no live racks should be skipped, got %+v", out)
-	}
-}
-
-func TestDrainMTBFSourceZeroSpec(t *testing.T) {
-	src := NewDrainMTBFSource(CapacitySpec{}, 1)
-	if src.NextWake(-1) >= 0 {
-		t.Error("zero DrainMTBF must yield an exhausted source")
+	if !reflect.DeepEqual(got, first) {
+		t.Errorf("failures and another scenario seed moved the drains:\n%+v\nwant\n%+v", got, first)
 	}
 }
 
@@ -158,9 +147,18 @@ func TestMTBFDrainScenarioRegistered(t *testing.T) {
 	if s.Capacity.IsStatic() {
 		t.Error("a drain process is capacity churn; IsStatic must be false")
 	}
-	// The drain process is state-dependent and must NOT leak into the
-	// precomputed timeline (it runs as a DrainMTBFSource instead).
-	if tl := s.Capacity.Timeline(1); len(tl) != 0 {
-		t.Errorf("Timeline expanded drain events: %+v", tl)
+	// The drain process is part of the precomputed timeline; its drains
+	// name no rack, so the simulator empties a live one as each applies.
+	drains := 0
+	for _, ev := range s.Capacity.Timeline(1, 1) {
+		if ev.Kind == CapacityRackDrain {
+			drains++
+			if ev.Rack >= 0 {
+				t.Errorf("drawn drain names rack %d", ev.Rack)
+			}
+		}
+	}
+	if drains == 0 {
+		t.Error("mtbf-drain's timeline drew no drains over its horizon")
 	}
 }

@@ -8,8 +8,9 @@ import (
 	"hash/crc32"
 	"os"
 	"reflect"
-	"runtime"
+	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/simulator"
 )
@@ -127,32 +128,23 @@ func TestDecodeSharesTaskNames(t *testing.T) {
 }
 
 // checkDecode decodes data as load does and holds FuzzDecodeCell's
-// invariants: no panic, no allocation beyond a small multiple of the
-// input, and an accepted record re-encodes to one that decodes to the
-// same Result.
+// invariants, each decided by the input alone (no reading of the
+// process's memory counters, which other goroutines move): no panic; an
+// accepted record keeps at most a small multiple of its size in memory
+// and re-encodes to one that decodes to the same Result; and each of its
+// counts, forged past what the bytes left can hold, is refused as a
+// count before anything is allocated from it (see checkForgedCounts).
 func checkDecode(t *testing.T, data []byte) {
 	k, _, _ := openCell(data)
 	key := string(k)
-	// A decoded job or event takes at most 4.5 times its least encoding
-	// in memory; the constant covers the Result itself and an error. The
-	// runtime's counter also sees the test binary's other goroutines, so
-	// only a reading over the bound three times in a row fails.
-	for try := 1; ; try++ {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		_, _ = decodeCell(data, key)
-		runtime.ReadMemStats(&after)
-		grew := after.TotalAlloc - before.TotalAlloc
-		if grew <= uint64(8*len(data)+4096) {
-			break
-		}
-		if try == 3 {
-			t.Fatalf("decoding %d bytes allocated %d", len(data), grew)
-		}
-	}
 	res, err := decodeCell(data, key)
 	if err != nil {
 		return
+	}
+	// A decoded job or event takes at most 4.5 times its least encoding
+	// in memory; the constant covers the Result itself.
+	if n := footprint(res); n > 8*len(data)+4096 {
+		t.Fatalf("decoding %d bytes kept %d", len(data), n)
 	}
 	rec := encodeCell(key, res)
 	again, err := decodeCell(rec, key)
@@ -163,6 +155,60 @@ func checkDecode(t *testing.T, data []byte) {
 	// compared by its bits, which also holds for a NaN the fuzzer writes.
 	if !bytes.Equal(encodeCell(key, again), rec) {
 		t.Fatalf("round trip changed the result:\n first  %+v\n second %+v", res, again)
+	}
+	checkForgedCounts(t, key, res)
+}
+
+// footprint is the memory a decoded Result holds: the struct, its
+// slices' backing arrays and every string's bytes (counted even where
+// the decoder shares a catalog name or an event kind).
+func footprint(res *simulator.Result) int {
+	n := int(unsafe.Sizeof(*res)) + len(res.Scheduler)
+	n += cap(res.Jobs) * int(unsafe.Sizeof(simulator.JobMetric{}))
+	for _, j := range res.Jobs {
+		n += len(j.Name)
+	}
+	n += cap(res.Events) * int(unsafe.Sizeof(simulator.Event{}))
+	for _, e := range res.Events {
+		n += len(e.Kind)
+	}
+	return n
+}
+
+// checkForgedCounts rewrites each count of res's record in turn, with
+// its slice emptied, to two counts the bytes left cannot hold: the least
+// whose slice alone would break checkDecode's bound, and one no
+// allocation can hold. The decoder must refuse both as counts. One that
+// sized a slice from the first would fail later with another error, and
+// one that sized a slice from the second, even to refuse it after,
+// would panic.
+func checkForgedCounts(t *testing.T, key string, res *simulator.Result) {
+	noJobs, noEvents := *res, *res
+	noJobs.Jobs, noEvents.Events = nil, nil
+	emptyJobs, emptyEvents := noJobs, noEvents
+	emptyJobs.Jobs, emptyEvents.Events = []simulator.JobMetric{}, []simulator.Event{}
+	for _, c := range []struct {
+		none, empty *simulator.Result
+		elem        int
+	}{
+		{&noJobs, &emptyJobs, int(unsafe.Sizeof(simulator.JobMetric{}))},
+		{&noEvents, &emptyEvents, int(unsafe.Sizeof(simulator.Event{}))},
+	} {
+		// The two records differ first at the count: 0 for nil, 1 for
+		// empty.
+		rec, none := encodeCell(key, c.empty), encodeCell(key, c.none)
+		at := 0
+		for rec[at] == none[at] {
+			at++
+		}
+		least := uint64((8*(len(rec)+binary.MaxVarintLen64)+4096)/c.elem + 1)
+		for _, n := range []uint64{least, 1 << 62} {
+			forged := binary.AppendUvarint(bytes.Clone(rec[:at]), n+1)
+			forged = reseal(append(forged, rec[at+1:]...))
+			if _, err := decodeCell(forged, key); err == nil || !strings.HasPrefix(err.Error(), "count ") {
+				t.Fatalf("a count forged to %d was not refused as a count (%v)", n, err)
+			}
+		}
 	}
 }
 

@@ -140,6 +140,7 @@ type Cache struct {
 // zero value — every counter nil — is a valid no-op set, which is what
 // an uninstrumented cache records against.
 type cacheObs struct {
+	reg        *obs.Registry // the registry the handles live in
 	memoryHits *obs.Counter
 	diskHits   *obs.Counter
 	computes   *obs.Counter
@@ -166,15 +167,18 @@ func (c *Cache) oh() *cacheObs {
 // starts recording: hits by source, computes, singleflight dedupes, disk
 // writes, corrupt-file discards, plus live gauges for the in-memory memo
 // size and bytes persisted on disk. Telemetry never affects what Do
-// returns. Safe on a nil Cache or registry; safe to call concurrently
-// with Do (counters recorded before the call are simply not counted).
+// returns. A cache already instrumented against reg returns at once, so
+// callers may instrument it on every use. Safe on a nil Cache or
+// registry; safe to call concurrently with Do (counters recorded before
+// the call are simply not counted).
 func (c *Cache) Instrument(reg *obs.Registry) {
-	if c == nil || reg == nil {
+	if c == nil || reg == nil || c.oh().reg == reg {
 		return
 	}
 	hits := reg.CounterVec("servecache_hits_total", "Cache hits by source (memory: in-process memo; disk: persisted file).", "source")
 	evictions := reg.CounterVec("cache_evictions_total", "Entries evicted from the daemon's bounded stores, by store and reason.", "store", "reason")
 	c.obsP.Store(&cacheObs{
+		reg:           reg,
 		memoryHits:    hits.With("memory"),
 		diskHits:      hits.With("disk"),
 		computes:      reg.Counter("servecache_computes_total", "Cache misses that ran a full simulation."),

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/obs"
 	"repro/internal/scenario"
 	"repro/internal/schedulers"
 	"repro/internal/simulator"
@@ -652,5 +653,30 @@ func TestNewRemovesUnreadableFiles(t *testing.T) {
 	}
 	if len(warnings) != 1 {
 		t.Errorf("warnings = %q, want one", warnings)
+	}
+}
+
+// TestInstrumentOncePerRegistry: instrumenting a cache again against the
+// registry it already records to allocates nothing, and every count
+// keeps landing in the same series.
+func TestInstrumentOncePerRegistry(t *testing.T) {
+	c := mustCache(t, "")
+	reg := obs.NewRegistry()
+	c.Instrument(reg)
+	if allocs := testing.AllocsPerRun(20, func() { c.Instrument(reg) }); allocs != 0 {
+		t.Errorf("instrumenting again allocated %v objects per call, want 0", allocs)
+	}
+	ctx := context.Background()
+	for range 3 {
+		if _, err := c.Do(ctx, "k", func() (*simulator.Result, error) { return &simulator.Result{}, nil }); err != nil {
+			t.Fatal(err)
+		}
+		c.Instrument(reg)
+	}
+	if computes, hits := reg.CounterValue("servecache_computes_total"), reg.CounterValue("servecache_hits_total", "memory"); computes != 1 || hits != 2 {
+		t.Errorf("registry counts %d computes and %d memory hits, want 1 and 2", computes, hits)
+	}
+	if got := reg.GaugeValue("servecache_entries"); got != 1 {
+		t.Errorf("servecache_entries = %v, want 1", got)
 	}
 }

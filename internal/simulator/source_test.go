@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/scenario"
 )
 
@@ -50,12 +51,12 @@ func TestSourcePathsEquivalent(t *testing.T) {
 	}
 }
 
-func TestDrainMTBFSourceEndToEnd(t *testing.T) {
+func TestMTBFDrainTimelineEndToEnd(t *testing.T) {
 	spec := scenario.CapacitySpec{DrainMTBF: 150, DrainRestock: 200, MinServers: 1}
 	run := func() *Result {
 		cfg := mixedConfig(t, 10)
 		cfg.MinServers = spec.MinServers
-		cfg.Source = scenario.NewDrainMTBFSource(spec, 11)
+		cfg.Source = scenario.NewTimelineSource(spec.Timeline(0, 11))
 		res, err := Run(cfg, &fifoTest{})
 		if err != nil {
 			t.Fatal(err)
@@ -73,6 +74,40 @@ func TestDrainMTBFSourceEndToEnd(t *testing.T) {
 		t.Errorf("chaos drains counted as autoscaler activity: %+v", res)
 	}
 	if again := run(); !reflect.DeepEqual(res, again) {
-		t.Error("same (spec, seed) drain run is not deterministic")
+		t.Error("same (spec, seeds) drain run is not deterministic")
+	}
+}
+
+// A drain that names no rack empties the live rack its Pick selects,
+// counted among the racks still live when it applies: after rack 1 has
+// left, Pick 0.6 of the live racks {0, 2} is rack 2, where the same pick
+// over every rack id would name the absent rack 1 and change nothing.
+func TestPickedDrainHitsALiveRack(t *testing.T) {
+	topo, err := cluster.ParseShape("2x8,1x4,1x2") // racks of 16, 4 and 2 GPUs
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig(smallTrace(t, 6))
+	cfg.Topo = topo
+	cfg.RecordEvents = true
+	cfg.Source = scenario.NewTimelineSource([]scenario.CapacityEvent{
+		{Time: 10, Kind: scenario.CapacityRackDrain, Rack: 1},
+		{Time: 10, Kind: scenario.CapacityRackDrain, Rack: -1, Pick: 0.6},
+		{Time: 20, Kind: scenario.CapacityRackDrain, Rack: -1, Pick: 0.99},
+	})
+	res, err := Run(cfg, &fifoTest{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var gpus []int
+	for _, ev := range res.Events {
+		if ev.Kind == EventCapacity {
+			gpus = append(gpus, ev.GPUs)
+		}
+	}
+	// 22 GPUs − rack 1 (4) = 18, − rack 2 (2) = 16; then the one live
+	// rack, rack 0, drains down to the one-server floor: 8.
+	if want := []int{18, 16, 8}; !reflect.DeepEqual(gpus, want) {
+		t.Errorf("capacity after each drain = %v, want %v", gpus, want)
 	}
 }

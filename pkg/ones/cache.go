@@ -106,8 +106,9 @@ func (c *Cache) Stats() CacheStats {
 // writes, corrupt-file discards, plus live gauges for the memo size and
 // bytes on disk. Sessions built with both WithCache and WithMetrics call
 // this automatically; call it directly when the cache is used without a
-// Session (onesd does, so cache series exist before the first run). Safe
-// on a nil Metrics; telemetry never changes what the cache returns.
+// Session (onesd does, so cache series exist before the first run).
+// Instrumenting again against the same Metrics does nothing. Safe on a
+// nil Metrics; telemetry never changes what the cache returns.
 func (c *Cache) Instrument(m *Metrics) {
 	if m == nil {
 		return

@@ -8,20 +8,16 @@ import (
 )
 
 // settings accumulate the functional options into the engine parameters
-// plus the session-level simulation shape.
+// and the session's cell, unresolved: New normalizes the cell through the
+// engine once every option has applied.
 type settings struct {
-	params     engine.Params
-	scheduler  string
-	scenario   string
-	autoscaler string
-	servers    int
-	gpusPer    int
-	shape      string
-	trace      Trace
-	observer   Observer
-	cache      *Cache
-	metrics    *Metrics
-	err        error // first option-validation failure, surfaced by New
+	params   engine.Params
+	cell     engine.Cell
+	trace    Trace
+	observer Observer
+	cache    *Cache
+	metrics  *Metrics
+	err      error // first option-validation failure, surfaced by New
 }
 
 // Option configures a Session under construction. Options are applied in
@@ -38,7 +34,7 @@ func (s *settings) fail(err error) {
 // "drl", "tiresias", "optimus", "fifo", "sjf" — see Schedulers). The
 // default is "ones".
 func WithScheduler(name string) Option {
-	return func(s *settings) { s.scheduler = name }
+	return func(s *settings) { s.cell.Scheduler = name }
 }
 
 // WithScenario selects the world model by registry name (see Scenarios).
@@ -46,7 +42,7 @@ func WithScheduler(name string) Option {
 // day — diurnal arrivals over preemptible capacity. The default is
 // "steady", the paper's fixed testbed.
 func WithScenario(name string) Option {
-	return func(s *settings) { s.scenario = name }
+	return func(s *settings) { s.cell.Scenario = name }
 }
 
 // WithAutoscaler attaches a reactive autoscaling controller by registry
@@ -54,7 +50,7 @@ func WithScenario(name string) Option {
 // fixed cadence and grows or shrinks the server fleet in a closed loop —
 // no pre-planned capacity timeline. The default is "" (no controller).
 func WithAutoscaler(name string) Option {
-	return func(s *settings) { s.autoscaler = name }
+	return func(s *settings) { s.cell.Autoscaler = name }
 }
 
 // WithTopology shapes the cluster: servers homogeneous servers of
@@ -72,9 +68,9 @@ func WithTopology(servers, gpusPerServer int) Option {
 			s.fail(fmt.Errorf("ones: WithTopology(%d, %d): more than %d GPUs", servers, gpusPerServer, cluster.MaxGPUs))
 			return
 		}
-		s.servers = servers
-		s.gpusPer = gpusPerServer
-		s.shape = ""
+		s.cell.Capacity = servers * gpusPerServer
+		s.cell.GPUsPer = gpusPerServer
+		s.cell.Shape = ""
 	}
 }
 
@@ -97,8 +93,8 @@ func WithShape(shape string) Option {
 		// Store the canonical rendering so spelling variants of one
 		// topology ("4x8, 2x4" vs "4x8,2x4") share a simulation cell and
 		// a cache entry. Group order is preserved — it is semantic.
-		s.shape = topo.Shape()
-		s.servers, s.gpusPer = 0, 0
+		s.cell.Shape = topo.Shape()
+		s.cell.Capacity, s.cell.GPUsPer = 0, 0
 	}
 }
 

@@ -123,27 +123,18 @@ func (r *Result) FractionDoneWithin(seconds float64) float64 {
 	return float64(n) / float64(len(r.Jobs))
 }
 
-// newResult converts an internal simulation result into the public view.
-func newResult(cell engine.Cell, p engine.Params, res *simulator.Result) *Result {
-	seed := cell.TraceSeed
-	if seed == 0 {
-		seed = p.Seed
-	}
-	scenarioName := cell.Scenario
-	if scenarioName == "" {
-		scenarioName = "steady"
-	}
-	capacity := cell.Capacity
-	if capacity <= 0 {
-		capacity = res.TotalGPUs
-	}
+// newResult converts an internal simulation result into the public view
+// of its cell, which must be resolved (engine.Cell.Normalize): every
+// field read here is then a CellKey dimension, so cells that share a key
+// share their Result's bytes.
+func newResult(cell engine.Cell, res *simulator.Result) *Result {
 	out := &Result{
 		Scheduler:          res.Scheduler,
-		Scenario:           scenarioName,
+		Scenario:           cell.Scenario,
 		Autoscaler:         cell.Autoscaler,
-		Capacity:           capacity,
+		Capacity:           cell.Capacity,
 		Shape:              cell.Shape,
-		TraceSeed:          seed,
+		TraceSeed:          cell.TraceSeed,
 		Jobs:               make([]Job, len(res.Jobs)),
 		Makespan:           res.Makespan,
 		MeanJCT:            res.MeanJCT(),
@@ -162,11 +153,7 @@ func newResult(cell engine.Cell, p engine.Params, res *simulator.Result) *Result
 		Truncated:          res.Truncated,
 		Unfinished:         res.Unfinished,
 	}
-	// Resolve the cell's defaulted capacity before deriving the rack
-	// summary, so a default-topology session still reports its one rack.
-	rcell := cell
-	rcell.Capacity = capacity
-	if topo, err := rcell.Topology(); err == nil && topo.NumServers() > 0 {
+	if topo, err := cell.Topology(); err == nil && topo.NumServers() > 0 {
 		for _, rc := range topo.RackSummary() {
 			out.Racks = append(out.Racks, RackCapacity{Rack: rc.Rack, Servers: rc.Servers, GPUs: rc.GPUs})
 		}

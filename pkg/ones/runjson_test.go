@@ -47,8 +47,9 @@ func TestRunJSONServesCachedCellsAsSharedJSON(t *testing.T) {
 
 // TestRunJSONIsAFunctionOfTheKey: sessions whose cells share a CellKey
 // share one cache entry and so one encoding, built by whichever session
-// is served first. newResult reads the session's own, unnormalized cell,
-// so each spelling of a key must marshal its Run to those same bytes.
+// is served first, so each spelling of a key must marshal its Run to
+// those same bytes. newResult reads only the session's resolved cell;
+// this guards that it stays so.
 func TestRunJSONIsAFunctionOfTheKey(t *testing.T) {
 	ctx := context.Background()
 	for _, tc := range []struct {
@@ -105,7 +106,7 @@ func TestRunJSONIsAFunctionOfTheKey(t *testing.T) {
 // slice once, however long the log, and an empty log stays nil.
 func TestNewResultSizesEventsOnce(t *testing.T) {
 	sess := quickSession(t, WithEventLog(true))
-	cell := sess.cell(sess.scheduler)
+	cell := sess.base
 	res, err := sess.runner.Result(context.Background(), cell)
 	if err != nil {
 		t.Fatal(err)
@@ -116,13 +117,13 @@ func TestNewResultSizesEventsOnce(t *testing.T) {
 	noLog := *res
 	noLog.Events = nil
 	allocs := func(r *simulator.Result) float64 {
-		return testing.AllocsPerRun(20, func() { newResult(cell, sess.params, r) })
+		return testing.AllocsPerRun(20, func() { newResult(cell, r) })
 	}
 	if with, without := allocs(res), allocs(&noLog); with > without+1 {
 		t.Errorf("converting %d events allocated %v objects, %v without the log; want at most one more", len(res.Events), with, without)
 	}
 	noLog.Events = []simulator.Event{}
-	if got := newResult(cell, sess.params, &noLog).Events; got != nil {
+	if got := newResult(cell, &noLog).Events; got != nil {
 		t.Errorf("an empty log converted to %#v, want nil", got)
 	}
 }

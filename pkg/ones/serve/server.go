@@ -231,7 +231,10 @@ func (r *run) wakeLocked() {
 }
 
 // finish records the terminal state and wakes the run's stream clients:
-// a done run keeps res or, when the cache served it, raw (see run).
+// a done run keeps res or, when the cache served it, raw (see run). A
+// run that simulated its cell keeps the Result its cell-done event
+// carries instead of res: the session built both from the same cell and
+// simulation, so the run holds one copy, not two.
 // wasCancelled separates a client cancellation from a genuine failure.
 func (r *run) finish(res *ones.Result, raw json.RawMessage, err error, wasCancelled bool) {
 	r.mu.Lock()
@@ -240,6 +243,11 @@ func (r *run) finish(res *ones.Result, raw json.RawMessage, err error, wasCancel
 	case err == nil:
 		r.status = StatusDone
 		r.result, r.resultJSON = res, raw
+		for _, p := range r.log {
+			if res != nil && p.Kind == ones.KindCellDone && p.Result != nil {
+				r.result = p.Result
+			}
+		}
 	case wasCancelled:
 		r.status = StatusCancelled
 		r.errMsg = err.Error()

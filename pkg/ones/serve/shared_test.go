@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/pkg/ones"
 )
 
 // sharedSpecs are the cells the shared-JSON tests serve from the cache:
@@ -159,4 +161,36 @@ func TestSharedResultConcurrentGets(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestComputedRunKeepsOneResult: a run that simulated its cell keeps the
+// Result its cell-done event carries, so the struct GET serves is that
+// event's, not a second copy of it.
+func TestComputedRunKeepsOneResult(t *testing.T) {
+	srv, ts := newTestServer(t, "")
+	defer func() {
+		srv.Shutdown(context.Background())
+		ts.Close()
+	}()
+	for name, spec := range sharedSpecs() {
+		id, _ := runDone(t, ts.URL, spec)
+		r, ok := srv.get(id)
+		if !ok {
+			t.Fatalf("%s: run %s is gone", name, id)
+		}
+		st, raw := r.snapshot()
+		if raw != nil || st.Result == nil {
+			t.Fatalf("%s: run %s was not computed here", name, id)
+		}
+		events, _, _ := r.since(0)
+		var carried *ones.Result
+		for _, p := range events {
+			if p.Kind == ones.KindCellDone {
+				carried = p.Result
+			}
+		}
+		if carried == nil || st.Result != carried {
+			t.Errorf("%s: GET serves Result %p, the cell-done event carries %p", name, st.Result, carried)
+		}
+	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"repro/internal/simulator"
 	"sync"
 	"time"
 
@@ -13,6 +12,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/scenario"
 	"repro/internal/schedulers"
+	"repro/internal/simulator"
 )
 
 // Session is a configured front door to the scheduler and experiment
@@ -22,16 +22,12 @@ import (
 // request it, as long as its cache is unbounded. Under CacheLimits an
 // evicted cell reloads from disk or recomputes, with identical results.
 type Session struct {
-	params     engine.Params
-	scheduler  string
-	scenario   string
-	autoscaler string
-	servers    int
-	gpusPer    int
-	shape      string
-	traceSeed  int64
-	obs        Observer
-	runner     *engine.Runner
+	// base is the session's own cell, resolved once through the engine
+	// (engine.Cell.Normalize): what Run simulates, what its CellKey names
+	// and what every Result reports.
+	base   engine.Cell
+	obs    Observer
+	runner *engine.Runner
 
 	progress struct {
 		sync.Mutex
@@ -46,46 +42,34 @@ type Session struct {
 // ErrUnknownScheduler / ErrUnknownScenario / ErrUnknownAutoscaler rather
 // than on first Run.
 func New(opts ...Option) (*Session, error) {
-	st := settings{scheduler: "ones", scenario: scenario.Steady}
+	st := settings{cell: engine.Cell{Scheduler: "ones", Scenario: scenario.Steady}}
 	for _, o := range opts {
 		o(&st)
 	}
 	if st.err != nil {
 		return nil, st.err
 	}
-	if !schedulers.Has(st.scheduler) {
-		return nil, fmt.Errorf("%w %q (known: %v)", ErrUnknownScheduler, st.scheduler, Schedulers())
+	if !schedulers.Has(st.cell.Scheduler) {
+		return nil, fmt.Errorf("%w %q (known: %v)", ErrUnknownScheduler, st.cell.Scheduler, Schedulers())
 	}
-	if _, err := scenario.Get(st.scenario); err != nil {
+	if _, err := scenario.Get(st.cell.Scenario); err != nil {
 		return nil, err
 	}
-	if st.autoscaler != "" {
-		if _, err := autoscale.Get(st.autoscaler); err != nil {
+	if st.cell.Autoscaler != "" {
+		if _, err := autoscale.Get(st.cell.Autoscaler); err != nil {
 			return nil, err
 		}
 	}
-	p := st.params
-	if st.trace.Jobs > 0 {
-		p.Jobs = st.trace.Jobs
-	}
-	if st.trace.MeanInterarrival > 0 {
-		p.Interarrival = st.trace.MeanInterarrival
-	}
-	if st.trace.MaxGPUs > 0 {
-		p.MaxGPUs = st.trace.MaxGPUs
-	}
+	// The trace seed comes from the final WithTrace: WithQuickScale
+	// resets the trace, so no option writes it into the cell directly.
+	st.cell.TraceSeed = st.trace.Seed
+	runner := engine.NewRunner(st.trace.params(st.params))
 	s := &Session{
-		scheduler:  st.scheduler,
-		scenario:   st.scenario,
-		autoscaler: st.autoscaler,
-		servers:    st.servers,
-		gpusPer:    st.gpusPer,
-		shape:      st.shape,
-		traceSeed:  st.trace.Seed,
-		obs:        st.observer,
-		runner:     engine.NewRunner(p),
+		base:   st.cell.Normalize(runner.Params()),
+		obs:    st.observer,
+		runner: runner,
 	}
-	if err := s.runner.CheckBounds(s.cell(s.scheduler)); err != nil {
+	if err := s.runner.CheckBounds(s.base); err != nil {
 		return nil, fmt.Errorf("ones: %w", err)
 	}
 	if st.cache != nil {
@@ -97,14 +81,13 @@ func New(opts ...Option) (*Session, error) {
 			st.cache.impl.Instrument(st.metrics.reg)
 		}
 	}
-	s.params = s.runner.Params()
 	if s.obs != nil {
 		s.runner.OnCellStart = func(cell engine.Cell) {
 			s.emit(s.cellProgress(KindCellStart, cell, 0, nil))
 		}
 		s.runner.OnCell = func(cell engine.Cell, res *simulator.Result, elapsed time.Duration) {
 			s.credit()
-			s.emit(s.cellProgress(KindCellDone, cell, elapsed, newResult(cell, s.params, res)))
+			s.emit(s.cellProgress(KindCellDone, cell, elapsed, newResult(cell, res)))
 		}
 		s.runner.OnCellCached = func(engine.Cell) { s.credit() }
 	}
@@ -178,18 +161,11 @@ func (s *Session) cellProgress(kind ProgressKind, cell engine.Cell, elapsed time
 	return p
 }
 
-// cell maps the session configuration onto one engine cell for the given
-// scheduler.
+// cell is the session's cell under another scheduler.
 func (s *Session) cell(scheduler string) engine.Cell {
-	return engine.Cell{
-		Scheduler:  scheduler,
-		Capacity:   s.servers * s.gpusPer,
-		GPUsPer:    s.gpusPer,
-		Shape:      s.shape,
-		TraceSeed:  s.traceSeed,
-		Scenario:   s.scenario,
-		Autoscaler: s.autoscaler,
-	}
+	c := s.base
+	c.Scheduler = scheduler
+	return c
 }
 
 // Run simulates the session's configured trace under its configured
@@ -199,14 +175,13 @@ func (s *Session) cell(scheduler string) engine.Cell {
 // Results are memoized: a second identical Run returns instantly.
 func (s *Session) Run(ctx context.Context) (*Result, error) {
 	start := time.Now()
-	cell := s.cell(s.scheduler)
-	s.beginBatch([]engine.Cell{cell})
+	s.beginBatch([]engine.Cell{s.base})
 	defer s.endBatch(start)
-	res, err := s.runner.Result(ctx, cell)
+	res, err := s.runner.Result(ctx, s.base)
 	if err != nil {
 		return nil, err
 	}
-	return newResult(cell, s.params, res), nil
+	return newResult(s.base, res), nil
 }
 
 // RunJSON is Run for a caller that encodes the Result as JSON, as onesd
@@ -219,22 +194,22 @@ func (s *Session) Run(ctx context.Context) (*Result, error) {
 // encoded here and a caller that keeps it keeps the smaller struct.
 func (s *Session) RunJSON(ctx context.Context) (*Result, json.RawMessage, error) {
 	start := time.Now()
-	cell := s.cell(s.scheduler)
-	s.beginBatch([]engine.Cell{cell})
+	s.beginBatch([]engine.Cell{s.base})
 	defer s.endBatch(start)
-	res, cached, err := s.runner.ResultCached(ctx, cell)
+	res, cached, err := s.runner.ResultCached(ctx, s.base)
 	if err != nil {
 		return nil, nil, err
 	}
 	if !cached {
-		return newResult(cell, s.params, res), nil, nil
+		return newResult(s.base, res), nil, nil
 	}
 	// The entry is shared by every session whose cell has its CellKey, so
-	// the bytes must depend on the key alone; newResult reads only what
-	// the key fixes (TestRunJSONIsAFunctionOfTheKey pins this).
+	// the bytes must depend on the key alone; newResult reads only the
+	// resolved cell, whose every field is a key dimension
+	// (TestRunJSONIsAFunctionOfTheKey pins this).
 	var out *Result
-	raw := s.runner.Cache.Attached(engine.CellKey(s.params, cell), res, func() []byte {
-		out = newResult(cell, s.params, res)
+	raw := s.runner.Cache.Attached(engine.CellKey(s.runner.Params(), s.base), res, func() []byte {
+		out = newResult(s.base, res)
 		b, err := json.Marshal(out)
 		if err != nil {
 			return nil
@@ -272,7 +247,7 @@ func (s *Session) Compare(ctx context.Context, schedulerNames ...string) ([]*Res
 	}
 	out := make([]*Result, len(raw))
 	for i, r := range raw {
-		out[i] = newResult(cells[i], s.params, r)
+		out[i] = newResult(cells[i], r)
 	}
 	return out, nil
 }
@@ -311,7 +286,7 @@ func (s *Session) RunExperiments(ctx context.Context, names ...string) ([]Experi
 		exps[i] = e
 	}
 	start := time.Now()
-	cells := engine.DeclaredCells(exps, s.params)
+	cells := engine.DeclaredCells(exps, s.runner.Params())
 	s.beginBatch(cells)
 	defer s.endBatch(start)
 	if len(cells) > 0 {

@@ -1,6 +1,7 @@
 package ones
 
 import (
+	"repro/internal/engine"
 	"repro/internal/scenario"
 	"repro/internal/workload"
 )
@@ -23,28 +24,20 @@ type Trace struct {
 	Seed int64
 }
 
-// config expands the public trace shape into the internal generator
-// config, with defaults resolved.
-func (t Trace) config() workload.Config {
-	cfg := workload.Config{
-		Seed:             t.Seed,
-		NumJobs:          t.Jobs,
-		MeanInterarrival: t.MeanInterarrival,
-		MaxReqGPUs:       t.MaxGPUs,
+// params overlays the trace's set fields on p. New and GenerateTrace
+// both map a Trace onto engine parameters through it; the seed maps onto
+// the cell (engine.Cell.TraceSeed).
+func (t Trace) params(p engine.Params) engine.Params {
+	if t.Jobs > 0 {
+		p.Jobs = t.Jobs
 	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 1
+	if t.MeanInterarrival > 0 {
+		p.Interarrival = t.MeanInterarrival
 	}
-	if cfg.NumJobs <= 0 {
-		cfg.NumJobs = 120
+	if t.MaxGPUs > 0 {
+		p.MaxGPUs = t.MaxGPUs
 	}
-	if cfg.MeanInterarrival <= 0 {
-		cfg.MeanInterarrival = 12
-	}
-	if cfg.MaxReqGPUs <= 0 {
-		cfg.MaxReqGPUs = 8
-	}
-	return cfg
+	return p
 }
 
 // TraceData is a generated (or decoded) workload trace: an opaque,
@@ -60,14 +53,17 @@ type TraceData struct {
 // ("diurnal+spot") are accepted; unknown names fail wrapping
 // ErrUnknownScenario.
 func GenerateTrace(t Trace, scenarioName string) (*TraceData, error) {
-	cfg := t.config()
-	if scenarioName != "" {
-		spec, err := scenario.Get(scenarioName)
-		if err != nil {
-			return nil, err
-		}
-		cfg.Arrival = spec.Arrival
+	// Resolve the defaults as a session's cell does, so the trace is the
+	// one a session with this Trace and scenario and the default master
+	// seed simulates.
+	p := t.params(engine.Params{}).Normalize()
+	cell := engine.Cell{TraceSeed: t.Seed, Scenario: scenarioName}.Normalize(p)
+	spec, err := scenario.Get(cell.Scenario)
+	if err != nil {
+		return nil, err
 	}
+	cfg := p.TraceConfig(cell.TraceSeed)
+	cfg.Arrival = spec.Arrival
 	tr, err := workload.Generate(cfg)
 	if err != nil {
 		return nil, err
