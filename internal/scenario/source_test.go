@@ -78,9 +78,28 @@ func TestSourcesComposition(t *testing.T) {
 	}
 }
 
-func TestTimelineDrawsMTBFDrains(t *testing.T) {
+// replay drains a source the way the simulator does, collecting every
+// event it delivers.
+func replay(src CapacitySource) []CapacityEvent {
+	var all []CapacityEvent
+	for wake := src.NextWake(-1); wake >= 0; wake = src.NextWake(wake) {
+		all = append(all, src.Next(wake, ClusterView{})...)
+	}
+	return all
+}
+
+// The DrainMTBF process reaches the simulator as drawn events of the
+// capacity timeline, replayed by the TimelineSource the engine builds.
+// The draws are fixed by the seeds; which rack a drain empties depends on
+// the cluster's state when it applies, so a drawn drain names no rack
+// and carries only its Pick (the simulator's TestPickedDrainHitsALiveRack
+// checks how a pick resolves against the live racks).
+func TestDrainMTBFSourceDeterministicAndStateDependent(t *testing.T) {
 	spec := CapacitySpec{DrainMTBF: 500, DrainRestock: 300}
-	first := spec.Timeline(1, 7)
+	first := replay(NewTimelineSource(spec.Timeline(1, 7)))
+	if len(first) == 0 {
+		t.Fatal("no drain events drawn over a horizon of 14 MTBFs")
+	}
 	var drains, restocks int
 	last := -1.0
 	for _, ev := range first {
@@ -104,21 +123,36 @@ func TestTimelineDrawsMTBFDrains(t *testing.T) {
 		}
 	}
 	if drains == 0 || restocks != drains {
-		t.Errorf("drains = %d, restocks = %d; want equal and nonzero over 14 MTBFs", drains, restocks)
+		t.Errorf("drains = %d, restocks = %d; want equal and nonzero", drains, restocks)
 	}
-	if again := spec.Timeline(1, 7); !reflect.DeepEqual(first, again) {
-		t.Error("same (spec, seeds) expanded to different timelines")
+	if again := replay(NewTimelineSource(spec.Timeline(1, 7))); !reflect.DeepEqual(first, again) {
+		t.Error("same (spec, seeds) expanded to different event sequences")
+	}
+}
+
+func TestDrainMTBFSourceZeroSpec(t *testing.T) {
+	tl := (CapacitySpec{}).Timeline(1, 7)
+	if len(tl) != 0 {
+		t.Errorf("a zero spec drew %+v", tl)
+	}
+	if NewTimelineSource(tl).NextWake(-1) >= 0 {
+		t.Error("zero DrainMTBF must yield an exhausted source")
+	}
+}
+
+// The drains come from their own seed: the scenario seed and the other
+// processes leave them as they are, and at a tie they follow every other
+// event of the instant.
+func TestTimelineDrawsMTBFDrains(t *testing.T) {
+	spec := CapacitySpec{DrainMTBF: 500, DrainRestock: 300}
+	first := spec.Timeline(1, 7)
+	if len(first) == 0 {
+		t.Fatal("no drain events drawn over a horizon of 14 MTBFs")
 	}
 	if reflect.DeepEqual(first, spec.Timeline(1, 8)) {
 		t.Error("different drain seeds drew identical drains")
 	}
-	if got := (CapacitySpec{}).Timeline(1, 7); len(got) != 0 {
-		t.Errorf("a zero spec drew %+v", got)
-	}
 
-	// The drains come from their own seed: the scenario seed and the
-	// other processes leave them as they are, and at a tie they follow
-	// every other event of the instant.
 	spec.FailMTBF, spec.FailRepair = 300, 900
 	spec.Planned = []CapacityEvent{{Time: first[0].Time, Kind: CapacityLeave}}
 	var got []CapacityEvent
