@@ -20,18 +20,33 @@ import (
 	"repro/internal/workload"
 )
 
-// runExperiment renders one named experiment on a fresh quick runner.
+// runExperiment renders one named cell-less experiment at quick scale.
 func runExperiment(b *testing.B, name string) string {
 	b.Helper()
 	e, err := experiments.Get(name)
 	if err != nil {
 		b.Fatal(err)
 	}
-	out, err := e.Run(context.Background(), engine.NewRunner(engine.QuickParams()))
+	if e.Cells != nil {
+		b.Fatalf("%s declares simulation cells", name)
+	}
+	out, err := e.Run(engine.QuickParams().Normalize(), nil)
 	if err != nil {
 		b.Fatal(err)
 	}
 	return out
+}
+
+// declaredCells returns a fresh runner over p and the named experiment's
+// own declared cells under the runner's normalized params.
+func declaredCells(b *testing.B, name string, p engine.Params) (*engine.Runner, []engine.Cell) {
+	b.Helper()
+	e, err := experiments.Get(name)
+	if err != nil {
+		b.Fatal(err)
+	}
+	r := engine.NewRunner(p)
+	return r, e.Cells(r.Params())
 }
 
 // --- Figure 2: throughput vs workers, elastic vs fixed batch ---
@@ -146,9 +161,9 @@ var fig15Once struct {
 }
 
 func fig15Results(b *testing.B) []*simulator.Result {
+	r, cells := declaredCells(b, "fig15", engine.QuickParams())
 	fig15Once.Do(func() {
-		r := engine.NewRunner(engine.QuickParams())
-		fig15Once.results, fig15Once.err = r.Compare(context.Background(), 0, engine.PaperSchedulers())
+		fig15Once.results, fig15Once.err = r.Results(context.Background(), cells)
 	})
 	if fig15Once.err != nil {
 		b.Fatal(fig15Once.err)
@@ -158,8 +173,8 @@ func fig15Results(b *testing.B) []*simulator.Result {
 
 func BenchmarkFig15SchedulerComparison(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := engine.NewRunner(engine.QuickParams())
-		results, err := r.Compare(context.Background(), 0, engine.PaperSchedulers())
+		r, cells := declaredCells(b, "fig15", engine.QuickParams())
+		results, err := r.Results(context.Background(), cells)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -247,24 +262,17 @@ func BenchmarkFig17Scalability(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		p := engine.QuickParams()
 		p.Capacities = []int{16, 64}
-		r := engine.NewRunner(p)
-		// Warm the whole sweep in one batch; the per-capacity reads
-		// below are cache hits.
-		if _, err := r.Results(context.Background(), engine.SweepCells(engine.PaperSchedulers(), p.Capacities)); err != nil {
+		r, cells := declaredCells(b, "fig17", p)
+		results, err := r.Results(context.Background(), cells)
+		if err != nil {
 			b.Fatal(err)
 		}
-		for _, capGPUs := range p.Capacities {
-			results, err := r.Compare(context.Background(), capGPUs, engine.PaperSchedulers())
-			if err != nil {
-				b.Fatal(err)
-			}
-			for _, res := range results {
-				if res.Scheduler == "ONES" {
-					if capGPUs == 16 {
-						b.ReportMetric(res.MeanJCT(), "ones-16gpu-jct-s")
-					} else {
-						b.ReportMetric(res.MeanJCT(), "ones-64gpu-jct-s")
-					}
+		for j, res := range results {
+			if res.Scheduler == "ONES" {
+				if cells[j].Capacity == 16 {
+					b.ReportMetric(res.MeanJCT(), "ones-16gpu-jct-s")
+				} else {
+					b.ReportMetric(res.MeanJCT(), "ones-64gpu-jct-s")
 				}
 			}
 		}
@@ -302,8 +310,7 @@ func benchEngineSweep(b *testing.B, workers int) {
 	for i := 0; i < b.N; i++ {
 		p := engine.QuickParams()
 		p.Workers = workers
-		r := engine.NewRunner(p)
-		cells := engine.SweepCells(engine.PaperSchedulers(), p.Capacities)
+		r, cells := declaredCells(b, "fig17", p)
 		if _, err := r.Results(context.Background(), cells); err != nil {
 			b.Fatal(err)
 		}

@@ -1,12 +1,14 @@
 // Command experiments regenerates the paper's tables and figures through
 // the public ones SDK. Experiments are selected by registry name; their
-// declared simulation cells are prewarmed across the session's worker
-// pool before anything renders, so runs shared between figures (Fig 15,
-// Fig 17, Fig 18, Table 4) execute exactly once. Progress and timing go
-// to stderr (streamed through the SDK's Observer interface); stdout
-// carries only the tables and figures, byte-identical for a given seed
-// at any -parallel setting. Ctrl-C cancels cleanly at the next cell
-// boundary.
+// declared simulation cells run as one batch across the session's worker
+// pool, and each experiment then renders from the results of its own
+// cells, so runs shared between figures (Fig 15, Fig 17, Fig 18,
+// Table 4) execute exactly once and rendering simulates nothing.
+// Progress and timing go to stderr (streamed through the SDK's Observer
+// interface); stdout carries only the tables and figures, byte-identical
+// for a given seed at any -parallel setting. Ctrl-C cancels cleanly,
+// mid-cell or between renders: the command prints "context canceled",
+// exits 1 and writes nothing to stdout.
 //
 // Examples:
 //

@@ -33,9 +33,9 @@ func main() {
 	}
 
 	fmt.Printf("sweeping cluster capacity over the same 40-job CV+NLP trace (%d workers)…\n", s.Workers())
-	// One call prewarms every scheduler×capacity cell the two figures
-	// declare — shared cells simulate once — then renders both from the
-	// warm cache.
+	// One call runs every capacity×scheduler cell the two figures declare
+	// — shared cells simulate once — then renders both from those
+	// results.
 	results, err := s.RunExperiments(context.Background(), "fig17", "fig18")
 	if err != nil {
 		log.Fatal(err)

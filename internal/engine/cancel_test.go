@@ -14,7 +14,7 @@ import (
 // cancelCells is a grid big enough that cancellation after the first
 // completed cell always leaves work unstarted.
 func cancelCells() []Cell {
-	return SweepCells([]string{"fifo", "sjf", "tiresias", "optimus"}, []int{16, 32})
+	return grid(Cell{}, []string{"fifo", "sjf", "tiresias", "optimus"}, 16, 32)
 }
 
 // TestResultsCancelMidRun is the cancellation contract at every worker

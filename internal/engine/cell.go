@@ -191,74 +191,3 @@ func CellKey(p Params, c Cell) string {
 	}
 	return key
 }
-
-// ComparisonCells returns one cell per scheduler at the given capacity,
-// all sharing the master trace seed.
-func ComparisonCells(scheds []string, capacity int) []Cell {
-	cells := make([]Cell, len(scheds))
-	for i, s := range scheds {
-		cells[i] = Cell{Scheduler: s, Capacity: capacity}
-	}
-	return cells
-}
-
-// SweepCells returns the scheduler × capacity cross product, scheduler-
-// major (all capacities of the first scheduler first).
-func SweepCells(scheds []string, capacities []int) []Cell {
-	cells := make([]Cell, 0, len(scheds)*len(capacities))
-	for _, s := range scheds {
-		for _, cap := range capacities {
-			cells = append(cells, Cell{Scheduler: s, Capacity: cap})
-		}
-	}
-	return cells
-}
-
-// ShapeCells returns the shape × scheduler cross product under the given
-// scenario, shape-major (all schedulers on the first shape first — the
-// row order of the hetero sweep). An empty shape string means the
-// default homogeneous 64-GPU Longhorn cluster. All cells share the
-// master trace seed, so every (shape, scheduler) pair replays the
-// identical job stream.
-func ShapeCells(scheds, shapes []string, scenarioName string) []Cell {
-	cells := make([]Cell, 0, len(scheds)*len(shapes))
-	for _, shape := range shapes {
-		for _, s := range scheds {
-			cells = append(cells, Cell{Scheduler: s, Shape: shape, Scenario: scenarioName})
-		}
-	}
-	return cells
-}
-
-// AutoscalerCells returns the scenario × autoscaler × scheduler cross
-// product at the given capacity: scenario-major, then autoscaler (an
-// empty autoscaler name is the controller-free baseline), then
-// scheduler — the row blocks of the reactive-sweep table. All cells
-// share the master trace seed, so every (scenario, autoscaler) pair of
-// one scheduler replays the identical job stream.
-func AutoscalerCells(scheds, autoscalers, scenarios []string, capacity int) []Cell {
-	cells := make([]Cell, 0, len(scheds)*len(autoscalers)*len(scenarios))
-	for _, scn := range scenarios {
-		for _, as := range autoscalers {
-			for _, s := range scheds {
-				cells = append(cells, Cell{Scheduler: s, Capacity: capacity, Scenario: scn, Autoscaler: as})
-			}
-		}
-	}
-	return cells
-}
-
-// ScenarioCells returns the scenario × scheduler cross product at the
-// given capacity, scenario-major (all schedulers under the first
-// scenario first — the row order of the scenario-sweep table). All cells
-// share the master trace seed; scenarios with identical arrival specs
-// replay the identical trace.
-func ScenarioCells(scheds, scenarios []string, capacity int) []Cell {
-	cells := make([]Cell, 0, len(scheds)*len(scenarios))
-	for _, scn := range scenarios {
-		for _, s := range scheds {
-			cells = append(cells, Cell{Scheduler: s, Capacity: capacity, Scenario: scn})
-		}
-	}
-	return cells
-}

@@ -4,13 +4,13 @@
 // cached pool of simulation runs.
 //
 // The unit of simulation work is a Cell — one (scheduler, capacity,
-// trace-seed) combination. Experiments declare the cells they consume;
-// the Runner fans independent cells across a worker pool, memoizes every
-// result in a shared cache (so Fig 15, Fig 17, Fig 18 and Table 4 share
-// rather than repeat the 64-GPU comparison runs), and derives each cell's
-// scheduler seed deterministically from the master seed — identical
-// master seeds produce byte-identical experiment output at any worker
-// count.
+// trace-seed) combination. Experiments declare the cells they consume
+// and render from their results; the Runner fans independent cells
+// across a worker pool, memoizes every result in a shared cache (so
+// Fig 15, Fig 17, Fig 18 and Table 4 share rather than repeat the 64-GPU
+// comparison runs), and derives each cell's scheduler seed
+// deterministically from the master seed — identical master seeds
+// produce byte-identical experiment output at any worker count.
 package engine
 
 import "repro/internal/workload"

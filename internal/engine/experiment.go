@@ -1,6 +1,6 @@
 package engine
 
-import "context"
+import "repro/internal/simulator"
 
 // Experiment is one named, self-describing figure or table of the paper's
 // evaluation.
@@ -9,19 +9,20 @@ type Experiment struct {
 	Name string
 	// Title is a one-line description shown by -list.
 	Title string
-	// Cells declares the simulation runs the experiment consumes, so a
-	// driver can prewarm the shared cache at full parallelism before
+	// Cells declares the simulation runs the experiment consumes, in the
+	// order Run reads them, so a driver can run every selected
+	// experiment's cells in one batch at full parallelism before
 	// rendering anything. Nil when the experiment needs no simulation.
 	Cells func(p Params) []Cell
-	// Run renders the experiment (reading simulations through r's cache).
-	// Cancelling the context aborts its cells, running ones included;
-	// Run then returns ctx.Err() and nothing of them is cached.
-	Run func(ctx context.Context, r *Runner) (string, error)
+	// Run renders the experiment from normalized params and the results
+	// of its declared cells: res[i] is the result of Cells(p)[i] (nil
+	// without cells). It simulates nothing.
+	Run func(p Params, res []*simulator.Result) (string, error)
 }
 
 // DeclaredCells gathers the declared simulation dependencies of the given
 // experiments, deduplicated, in first-declaration order and normalized
-// against p — the prewarm set a driver hands to Runner.Results.
+// against p — the batch a driver hands to Runner.Results.
 func DeclaredCells(exps []Experiment, p Params) []Cell {
 	seen := make(map[Cell]bool)
 	var cells []Cell

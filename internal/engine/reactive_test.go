@@ -31,10 +31,12 @@ func TestCellKeyAutoscalerAppendsDimension(t *testing.T) {
 // all three built-in policies, and the stochastic drain scenario, over
 // reactive-friendly arrivals on a deliberately tight cluster.
 func reactiveCells() []Cell {
-	cells := AutoscalerCells(
-		[]string{"ones", "tiresias"},
-		[]string{"", "reactive-conservative", "reactive-aggressive", "reactive-emergency"},
-		[]string{"diurnal", "burst"}, 16)
+	var cells []Cell
+	for _, scn := range []string{"diurnal", "burst"} {
+		for _, as := range []string{"", "reactive-conservative", "reactive-aggressive", "reactive-emergency"} {
+			cells = append(cells, grid(Cell{Scenario: scn, Autoscaler: as}, []string{"ones", "tiresias"}, 16)...)
+		}
+	}
 	// Stochastic rack drains need more than one rack to be interesting.
 	cells = append(cells,
 		Cell{Scheduler: "ones", Shape: "2x4,2x4", Scenario: "mtbf-drain"},

@@ -244,12 +244,6 @@ func (r *Runner) Results(ctx context.Context, cells []Cell) ([]*simulator.Result
 	return out, nil
 }
 
-// Compare runs every scheduler at the given capacity against the shared
-// master-seed trace — the paired comparison of Figures 15/17/18.
-func (r *Runner) Compare(ctx context.Context, capacity int, scheds []string) ([]*simulator.Result, error) {
-	return r.Results(ctx, ComparisonCells(scheds, capacity))
-}
-
 // simulate executes one simulation: check the cell's bounds, wait for a
 // worker slot (or the context), resolve the scenario, generate the trace
 // its arrival process shapes, build the named scheduler with the

@@ -31,13 +31,26 @@ func testParams(workers int) Params {
 	}
 }
 
+// grid returns base under each scheduler at each capacity,
+// capacity-major.
+func grid(base Cell, scheds []string, capacities ...int) []Cell {
+	var cells []Cell
+	for _, capGPUs := range capacities {
+		for _, s := range scheds {
+			base.Scheduler, base.Capacity = s, capGPUs
+			cells = append(cells, base)
+		}
+	}
+	return cells
+}
+
 func testCells() []Cell {
-	cells := SweepCells([]string{"ones", "fifo", "sjf", "tiresias"}, []int{16, 32})
+	cells := grid(Cell{}, []string{"ones", "fifo", "sjf", "tiresias"}, 16, 32)
 	// Scenario cells: non-stationary arrivals and capacity churn must be
 	// just as deterministic as the fixed-world grid.
-	cells = append(cells, ScenarioCells(
-		[]string{"ones", "tiresias"},
-		[]string{"diurnal", "node-failure", "spot"}, 32)...)
+	for _, scn := range []string{"diurnal", "node-failure", "spot"} {
+		cells = append(cells, grid(Cell{Scenario: scn}, []string{"ones", "tiresias"}, 32)...)
+	}
 	return cells
 }
 
@@ -122,7 +135,7 @@ func TestRunnerCacheDedupes(t *testing.T) {
 
 func TestRunnerPairsTraces(t *testing.T) {
 	r := NewRunner(testParams(2))
-	results, err := r.Compare(context.Background(), 16, []string{"fifo", "sjf"})
+	results, err := r.Results(context.Background(), grid(Cell{}, []string{"fifo", "sjf"}, 16))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,11 +309,11 @@ func TestCellSchedulerSeedStableAndDistinct(t *testing.T) {
 
 func TestDeclaredCellsDedupes(t *testing.T) {
 	exps := []Experiment{
-		{Name: "a", Run: nopRun, Cells: func(p Params) []Cell {
+		{Name: "a", Cells: func(p Params) []Cell {
 			return []Cell{{Scheduler: "ones"}, {Scheduler: "fifo", Capacity: 16}}
 		}},
-		{Name: "b", Run: nopRun}, // no cells
-		{Name: "c", Run: nopRun, Cells: func(p Params) []Cell {
+		{Name: "b"}, // no cells
+		{Name: "c", Cells: func(p Params) []Cell {
 			return []Cell{{Scheduler: "ones", Capacity: 64, TraceSeed: 7}} // alias of a's first
 		}},
 	}
@@ -312,5 +325,3 @@ func TestDeclaredCellsDedupes(t *testing.T) {
 		t.Errorf("cells not normalized: %+v", cells[0])
 	}
 }
-
-func nopRun(ctx context.Context, r *Runner) (string, error) { return "", nil }

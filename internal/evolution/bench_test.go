@@ -32,17 +32,27 @@ func iterateBench() (*Engine, *Context) {
 // BenchmarkScore measures the SRUF objective on one candidate via the
 // one-pass aggregate load and a worker's throughput memo, on one reused
 // scratch. Iterate's workers score from reorder's aggregates instead of
-// loading; the ablation without reorder takes this path.
+// loading; the ablation without reorder takes this path. TestScoreAllocs
+// pins its allocs/op.
 func BenchmarkScore(b *testing.B) {
+	scoreOnce := scoreBench()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		scoreOnce()
+	}
+}
+
+// scoreBench returns BenchmarkScore's operation, one score of a fixed
+// candidate on a 32-GPU cluster with 12 alive jobs, after a call that
+// warms the memo and the scratch.
+func scoreBench() func() {
 	topo := cluster.Uniform(8, 4)
 	ctx := testCtx(42, 12, topo)
 	s := Refresh(cluster.NewSchedule(topo), ctx)
 	rhos := SampleRhos(ctx)
 	sc := &newWorker().sc
-	score(s, ctx, rhos, sc) // warm the memo and the scratch
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		score(s, ctx, rhos, sc)
-	}
+	scoreOnce := func() { score(s, ctx, rhos, sc) }
+	scoreOnce()
+	return scoreOnce
 }

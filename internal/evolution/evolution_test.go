@@ -715,3 +715,11 @@ func TestIterateAllocs(t *testing.T) {
 		t.Errorf("one Iterate round allocates %v times, want at most %d", got, maxAllocs)
 	}
 }
+
+// TestScoreAllocs pins BenchmarkScore's operation at zero allocations:
+// a warm worker scores a candidate from its memo and scratch alone.
+func TestScoreAllocs(t *testing.T) {
+	if got := testing.AllocsPerRun(100, scoreBench()); got != 0 {
+		t.Errorf("one score allocates %v times, want 0", got)
+	}
+}

@@ -1,8 +1,8 @@
 // Package experiments defines every figure and table of the paper's
 // evaluation as a named engine.Experiment. Drivers select experiments
-// by name (Get) or take them all in paper order (All), prewarm their
+// by name (Get) or take them all in paper order (All), run their
 // declared simulation cells through a parallel engine.Runner, and
-// render them.
+// render each from the results of its own cells.
 package experiments
 
 import (

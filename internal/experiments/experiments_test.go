@@ -16,13 +16,21 @@ import (
 
 func quickRunner() *engine.Runner { return engine.NewRunner(engine.QuickParams()) }
 
+// runExp renders one experiment as a session does: its declared cells
+// resolve through r, and Run renders from their results.
 func runExp(t *testing.T, r *engine.Runner, name string) string {
 	t.Helper()
 	e, err := Get(name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := e.Run(context.Background(), r)
+	var res []*simulator.Result
+	if e.Cells != nil {
+		if res, err = r.Results(context.Background(), e.Cells(r.Params())); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+	out, err := e.Run(r.Params(), res)
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
@@ -30,10 +29,15 @@ func heteroScenarios() []string {
 	return []string{scenario.Steady, scenario.RackDrain}
 }
 
-func heteroCells(p engine.Params) []engine.Cell {
+// heteroCells declares one paired comparison per (scenario, shape),
+// scenario-major. All cells share the master trace seed, so every
+// (shape, scheduler) pair replays the identical job stream.
+func heteroCells(engine.Params) []engine.Cell {
 	var cells []engine.Cell
 	for _, scn := range heteroScenarios() {
-		cells = append(cells, engine.ShapeCells(engine.PaperSchedulers(), heteroShapes(), scn)...)
+		for _, shape := range heteroShapes() {
+			cells = paired(cells, engine.Cell{Shape: shape, Scenario: scn})
+		}
 	}
 	return cells
 }
@@ -47,18 +51,10 @@ var hetero = engine.Experiment{
 	Name:  "hetero",
 	Title: "heterogeneous fleets: per-server shapes and rack-drain failure domains",
 	Cells: heteroCells,
-	Run: func(ctx context.Context, r *engine.Runner) (string, error) {
-		scheds := engine.PaperSchedulers()
+	Run: func(_ engine.Params, sweep []*simulator.Result) (string, error) {
 		shapes := heteroShapes()
 		scenarios := heteroScenarios()
-		flat, err := r.Results(ctx, heteroCells(r.Params()))
-		if err != nil {
-			return "", err
-		}
-		// flat is scenario-major, then shape-major, then scheduler.
-		resultAt := func(scn, shape, sched int) *simulator.Result {
-			return flat[scn*len(shapes)*len(scheds)+shape*len(scheds)+sched]
-		}
+		rows := comparisons(sweep)
 
 		var b strings.Builder
 		b.WriteString("Heterogeneous cluster sweep — per-server shapes and rack failure domains\n")
@@ -73,15 +69,15 @@ var hetero = engine.Experiment{
 			}
 			b.WriteString(")\n")
 			fmt.Fprintf(&b, "%-12s %-12s", "scenario", "metric")
-			for _, res := range flat[:len(scheds)] {
+			for _, res := range rows[0] {
 				fmt.Fprintf(&b, " %12s", res.Scheduler)
 			}
 			b.WriteByte('\n')
 			for ci, scn := range scenarios {
 				row := func(metric string, f func(res *simulator.Result) string) {
 					fmt.Fprintf(&b, "%-12s %-12s", scn, metric)
-					for k := range scheds {
-						fmt.Fprintf(&b, " %12s", f(resultAt(ci, si, k)))
+					for _, res := range rows[ci*len(shapes)+si] {
+						fmt.Fprintf(&b, " %12s", f(res))
 					}
 					b.WriteByte('\n')
 				}

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
@@ -9,6 +8,7 @@ import (
 	"repro/internal/perfmodel"
 	"repro/internal/runtime"
 	"repro/internal/scaling"
+	"repro/internal/simulator"
 )
 
 // Fig16Row is one model's measured and calibrated scaling overheads.
@@ -28,12 +28,11 @@ type Fig16Row struct {
 var fig16 = engine.Experiment{
 	Name:  "fig16",
 	Title: "live scaling overhead: elastic vs checkpoint-based (measured)",
-	Run: func(ctx context.Context, r *engine.Runner) (string, error) {
-		rows, err := Fig16Rows(r.Params())
+	Run: func(p engine.Params, _ []*simulator.Result) (string, error) {
+		rows, err := Fig16Rows(p)
 		if err != nil {
 			return "", err
 		}
-		scale := paramScale(r.Params())
 		var b strings.Builder
 		b.WriteString("Figure 16 — batch-size scaling overhead: elastic vs checkpoint-based (s)\n")
 		fmt.Fprintf(&b, "%-12s %16s %16s %14s %14s\n",
@@ -43,30 +42,23 @@ var fig16 = engine.Experiment{
 				row.Model, row.ElasticMeasured, row.CheckpointMeasured, row.ElasticPaper, row.CheckpointPaper)
 		}
 		b.WriteString("(live columns: measured on the goroutine mini-cluster with models scaled down\n")
-		fmt.Fprintf(&b, " by %dx; calibrated columns: cost model matching the paper's V100 testbed)\n", scale)
+		fmt.Fprintf(&b, " by %dx; calibrated columns: cost model matching the paper's V100 testbed)\n", p.ParamScale)
 		return b.String(), nil
 	},
 }
 
-func paramScale(p engine.Params) int {
-	if p.ParamScale <= 0 {
-		return 50
-	}
-	return p.ParamScale
-}
-
 // Fig16Rows measures one 2→4 rescale per model, elastic and
-// checkpoint-based, on the live goroutine runtime.
+// checkpoint-based, on the live goroutine runtime, with each model's
+// parameter count divided by the normalized params' ParamScale.
 func Fig16Rows(p engine.Params) ([]Fig16Row, error) {
 	models := []string{"alexnet", "resnet18", "resnet50", "vgg16", "googlenet", "inceptionv3", "lstm"}
-	scale := paramScale(p)
 	rows := make([]Fig16Row, 0, len(models))
 	for _, name := range models {
 		prof, err := perfmodel.ByName(name)
 		if err != nil {
 			return nil, err
 		}
-		params := int(prof.GradBytes/4) / scale
+		params := int(prof.GradBytes/4) / p.ParamScale
 		if params < 1024 {
 			params = 1024
 		}

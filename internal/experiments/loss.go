@@ -1,19 +1,19 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
 	"repro/internal/engine"
 	"repro/internal/perfmodel"
+	"repro/internal/simulator"
 )
 
 // fig13 regenerates Figure 13: abrupt 256→4096 rescale at epoch 30.
 var fig13 = engine.Experiment{
 	Name:  "fig13",
 	Title: "loss under an abrupt 256→4096 batch rescale",
-	Run: func(ctx context.Context, r *engine.Runner) (string, error) {
+	Run: func(engine.Params, []*simulator.Result) (string, error) {
 		return lossCurve("Figure 13 — loss under abrupt rescale 256→4096 at epoch 30",
 			map[int]int{30: 4096})
 	},
@@ -23,7 +23,7 @@ var fig13 = engine.Experiment{
 var fig14 = engine.Experiment{
 	Name:  "fig14",
 	Title: "loss under a gradual 256→1024→4096 batch rescale",
-	Run: func(ctx context.Context, r *engine.Runner) (string, error) {
+	Run: func(engine.Params, []*simulator.Result) (string, error) {
 		return lossCurve("Figure 14 — loss under gradual rescale 256→1024→4096",
 			map[int]int{30: 1024, 60: 4096})
 	},

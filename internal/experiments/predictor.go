@@ -1,13 +1,13 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
 	"repro/internal/engine"
 	"repro/internal/perfmodel"
 	"repro/internal/predictor"
+	"repro/internal/simulator"
 	"repro/internal/workload"
 )
 
@@ -17,8 +17,8 @@ import (
 var fig6 = engine.Experiment{
 	Name:  "fig6",
 	Title: "online prediction of training progress on a held-out job",
-	Run: func(ctx context.Context, r *engine.Runner) (string, error) {
-		pred := predictor.New(r.Params().Seed, predictor.DefaultConfig())
+	Run: func(p engine.Params, _ []*simulator.Result) (string, error) {
+		pred := predictor.New(p.Seed, predictor.DefaultConfig())
 		catalog := workload.Catalog()
 		// Train the model on completed jobs spanning the catalog.
 		for i, task := range catalog {

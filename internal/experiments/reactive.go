@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
@@ -27,8 +26,19 @@ func reactiveScenarios() []string {
 // a reactive controller grows through the peak and shrinks after it.
 const reactiveCapacity = 16
 
-func reactiveCells(p engine.Params) []engine.Cell {
-	return engine.AutoscalerCells(engine.PaperSchedulers(), reactiveAutoscalers(), reactiveScenarios(), reactiveCapacity)
+// reactiveCells declares one paired comparison per (scenario,
+// autoscaler), scenario-major; an empty autoscaler is the
+// controller-free baseline. All cells share the master trace seed, so
+// every (scenario, autoscaler) pair of one scheduler replays the
+// identical job stream.
+func reactiveCells(engine.Params) []engine.Cell {
+	var cells []engine.Cell
+	for _, scn := range reactiveScenarios() {
+		for _, as := range reactiveAutoscalers() {
+			cells = paired(cells, engine.Cell{Capacity: reactiveCapacity, Scenario: scn, Autoscaler: as})
+		}
+	}
+	return cells
 }
 
 // reactive sweeps autoscaler aggressiveness against the scheduler
@@ -41,18 +51,10 @@ var reactive = engine.Experiment{
 	Name:  "reactive",
 	Title: "closed-loop reactive autoscaling: policy aggressiveness × scheduler",
 	Cells: reactiveCells,
-	Run: func(ctx context.Context, r *engine.Runner) (string, error) {
-		scheds := engine.PaperSchedulers()
+	Run: func(_ engine.Params, sweep []*simulator.Result) (string, error) {
 		autoscalers := reactiveAutoscalers()
 		scenarios := reactiveScenarios()
-		flat, err := r.Results(ctx, reactiveCells(r.Params()))
-		if err != nil {
-			return "", err
-		}
-		// flat is scenario-major, then autoscaler, then scheduler.
-		resultAt := func(scn, as, sched int) *simulator.Result {
-			return flat[scn*len(autoscalers)*len(scheds)+as*len(scheds)+sched]
-		}
+		rows := comparisons(sweep)
 		label := func(as string) string {
 			if as == "" {
 				return "fixed-fleet"
@@ -65,15 +67,15 @@ var reactive = engine.Experiment{
 		for ci, scn := range scenarios {
 			fmt.Fprintf(&b, "\nscenario %s\n", scn)
 			fmt.Fprintf(&b, "%-14s %-12s", "autoscaler", "metric")
-			for _, res := range flat[:len(scheds)] {
+			for _, res := range rows[0] {
 				fmt.Fprintf(&b, " %12s", res.Scheduler)
 			}
 			b.WriteByte('\n')
 			for ai, as := range autoscalers {
 				row := func(metric string, f func(res *simulator.Result) string) {
 					fmt.Fprintf(&b, "%-14s %-12s", label(as), metric)
-					for k := range scheds {
-						fmt.Fprintf(&b, " %12s", f(resultAt(ci, ai, k)))
+					for _, res := range rows[ci*len(autoscalers)+ai] {
+						fmt.Fprintf(&b, " %12s", f(res))
 					}
 					b.WriteByte('\n')
 				}

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
@@ -23,8 +22,14 @@ func sweepScenarios() []string {
 	}
 }
 
-func scenarioCells(p engine.Params) []engine.Cell {
-	return engine.ScenarioCells(engine.PaperSchedulers(), sweepScenarios(), 0)
+// scenarioCells declares one paired comparison per sweepScenarios row,
+// on the default 64-GPU cluster.
+func scenarioCells(engine.Params) []engine.Cell {
+	var cells []engine.Cell
+	for _, scn := range sweepScenarios() {
+		cells = paired(cells, engine.Cell{Scenario: scn})
+	}
+	return cells
 }
 
 // scenarioSweep extends the evaluation past the paper's fixed 64-GPU
@@ -36,39 +41,29 @@ var scenarioSweep = engine.Experiment{
 	Name:  "scenario",
 	Title: "scheduler robustness under elastic capacity, failures and shifting load",
 	Cells: scenarioCells,
-	Run: func(ctx context.Context, r *engine.Runner) (string, error) {
-		scheds := engine.PaperSchedulers()
+	Run: func(_ engine.Params, sweep []*simulator.Result) (string, error) {
 		scenarios := sweepScenarios()
-		// Same helper as the Cells declaration: the scenario-major layout
-		// below must match the cells the driver prewarmed.
-		flat, err := r.Results(ctx, scenarioCells(r.Params()))
-		if err != nil {
-			return "", err
-		}
-		byScenario := make(map[string][]*simulator.Result, len(scenarios))
-		for i, name := range scenarios {
-			byScenario[name] = flat[i*len(scheds) : (i+1)*len(scheds)]
-		}
+		byScenario := comparisons(sweep)
 
 		var b strings.Builder
 		b.WriteString("Scenario sweep — schedulers under changing worlds (64 GPUs initially)\n")
 		header := func(metric string) {
 			fmt.Fprintf(&b, "\n%s\n%-14s", metric, "scenario")
-			for _, res := range byScenario[scenarios[0]] {
+			for _, res := range byScenario[0] {
 				fmt.Fprintf(&b, " %12s", res.Scheduler)
 			}
 			b.WriteByte('\n')
 		}
-		row := func(name string, f func(res *simulator.Result) string) {
-			fmt.Fprintf(&b, "%-14s", name)
-			for _, res := range byScenario[name] {
+		row := func(i int, f func(res *simulator.Result) string) {
+			fmt.Fprintf(&b, "%-14s", scenarios[i])
+			for _, res := range byScenario[i] {
 				fmt.Fprintf(&b, " %12s", f(res))
 			}
 			b.WriteByte('\n')
 		}
 		header("average JCT (s; * = truncated run, unfinished jobs excluded)")
-		for _, name := range scenarios {
-			row(name, func(res *simulator.Result) string {
+		for i := range scenarios {
+			row(i, func(res *simulator.Result) string {
 				mark := ""
 				if res.Truncated {
 					mark = "*"
@@ -77,20 +72,20 @@ var scenarioSweep = engine.Experiment{
 			})
 		}
 		header("makespan (s)")
-		for _, name := range scenarios {
-			row(name, func(res *simulator.Result) string {
+		for i := range scenarios {
+			row(i, func(res *simulator.Result) string {
 				return fmt.Sprintf("%.0f", res.Makespan)
 			})
 		}
 		header("evictions (jobs forced off GPUs by server losses)")
-		for _, name := range scenarios {
-			row(name, func(res *simulator.Result) string {
+		for i := range scenarios {
+			row(i, func(res *simulator.Result) string {
 				return fmt.Sprintf("%d", res.Evictions)
 			})
 		}
 		header("utilization (busy / available GPU-seconds)")
-		for _, name := range scenarios {
-			row(name, func(res *simulator.Result) string {
+		for i := range scenarios {
+			row(i, func(res *simulator.Result) string {
 				return fmt.Sprintf("%.2f", res.Utilization())
 			})
 		}

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"strings"
@@ -12,16 +11,44 @@ import (
 	"repro/internal/stats"
 )
 
-// fig15Cells are the headline-comparison runs: every paper scheduler on
-// the default 64-GPU trace (capacity 0 ⇒ the Longhorn testbed).
-func fig15Cells(p engine.Params) []engine.Cell {
-	return engine.ComparisonCells(engine.PaperSchedulers(), 0)
+// paired appends base under every paper scheduler, in PaperSchedulers
+// order: one paired comparison, every scheduler replaying the identical
+// trace in the identical world. Every simulated experiment declares its
+// cells as a run of these and reads them back through comparisons.
+func paired(cells []engine.Cell, base engine.Cell) []engine.Cell {
+	for _, s := range engine.PaperSchedulers() {
+		base.Scheduler = s
+		cells = append(cells, base)
+	}
+	return cells
 }
 
-// sweepCells are the capacity-sweep runs of Figures 17/18. The 64-GPU
-// column is the same cell set as Figure 15, so the cache runs it once.
+// comparisons splits the results of cells declared through paired into
+// one paired comparison each, in declaration order.
+func comparisons(res []*simulator.Result) [][]*simulator.Result {
+	n := len(engine.PaperSchedulers())
+	out := make([][]*simulator.Result, 0, len(res)/n)
+	for i := 0; i+n <= len(res); i += n {
+		out = append(out, res[i:i+n])
+	}
+	return out
+}
+
+// fig15Cells are the headline-comparison runs: every paper scheduler on
+// the default 64-GPU trace (capacity 0 ⇒ the Longhorn testbed).
+func fig15Cells(engine.Params) []engine.Cell {
+	return paired(nil, engine.Cell{})
+}
+
+// sweepCells are the capacity-sweep runs of Figures 17/18, one paired
+// comparison per capacity in Params.Capacities order. The 64-GPU row is
+// the same cell set as Figure 15, so a batch runs it once.
 func sweepCells(p engine.Params) []engine.Cell {
-	return engine.SweepCells(engine.PaperSchedulers(), p.Capacities)
+	var cells []engine.Cell
+	for _, capGPUs := range p.Capacities {
+		cells = paired(cells, engine.Cell{Capacity: capGPUs})
+	}
+	return cells
 }
 
 // fig15 renders all nine panels of Figure 15 as text.
@@ -29,11 +56,7 @@ var fig15 = engine.Experiment{
 	Name:  "fig15",
 	Title: "head-to-head scheduler comparison on the 64-GPU trace",
 	Cells: fig15Cells,
-	Run: func(ctx context.Context, r *engine.Runner) (string, error) {
-		results, err := r.Compare(ctx, 0, engine.PaperSchedulers())
-		if err != nil {
-			return "", err
-		}
+	Run: func(p engine.Params, results []*simulator.Result) (string, error) {
 		sums := make([]metrics.Summary, len(results))
 		for i, res := range results {
 			sums[i] = metrics.Summarize(res)
@@ -50,7 +73,7 @@ var fig15 = engine.Experiment{
 		}
 		for _, m := range []metrics.Metric{metrics.JCT, metrics.Exec, metrics.Queue} {
 			fmt.Fprintf(&b, "Figure 15g–i — cumulative frequency of %s\n", m)
-			b.WriteString(metrics.RenderCF(metrics.CFCurves(results, m, r.Params().CFPoints)))
+			b.WriteString(metrics.RenderCF(metrics.CFCurves(results, m, p.CFPoints)))
 			b.WriteByte('\n')
 		}
 		// The paper's headline observation on the JCT distribution.
@@ -68,11 +91,7 @@ var table4 = engine.Experiment{
 	Name:  "table4",
 	Title: "Wilcoxon significance tests on the paired Figure 15 JCTs",
 	Cells: fig15Cells,
-	Run: func(ctx context.Context, r *engine.Runner) (string, error) {
-		results, err := r.Compare(ctx, 0, engine.PaperSchedulers())
-		if err != nil {
-			return "", err
-		}
+	Run: func(_ engine.Params, results []*simulator.Result) (string, error) {
 		var ones *simulator.Result
 		for _, res := range results {
 			if res.Scheduler == "ONES" {
@@ -104,49 +123,23 @@ var table4 = engine.Experiment{
 	},
 }
 
-// sweepResults gathers the capacity sweep, one paired comparison per
-// capacity, in Params.Capacities order. Every cell of the sweep is
-// issued in a single batch — no barrier between capacities — so a
-// non-prewarmed caller still overlaps all independent runs.
-func sweepResults(ctx context.Context, r *engine.Runner) (map[int][]*simulator.Result, error) {
-	caps := r.Params().Capacities
-	scheds := engine.PaperSchedulers()
-	var cells []engine.Cell
-	for _, capGPUs := range caps {
-		cells = append(cells, engine.ComparisonCells(scheds, capGPUs)...)
-	}
-	flat, err := r.Results(ctx, cells)
-	if err != nil {
-		return nil, err
-	}
-	byCap := make(map[int][]*simulator.Result, len(caps))
-	for i, capGPUs := range caps {
-		byCap[capGPUs] = flat[i*len(scheds) : (i+1)*len(scheds)]
-	}
-	return byCap, nil
-}
-
 // fig17 renders average JCT vs cluster capacity.
 var fig17 = engine.Experiment{
 	Name:  "fig17",
 	Title: "average JCT vs cluster capacity",
 	Cells: sweepCells,
-	Run: func(ctx context.Context, r *engine.Runner) (string, error) {
-		byCap, err := sweepResults(ctx, r)
-		if err != nil {
-			return "", err
-		}
-		caps := r.Params().Capacities
+	Run: func(p engine.Params, sweep []*simulator.Result) (string, error) {
+		byCap := comparisons(sweep)
 		var b strings.Builder
 		b.WriteString("Figure 17 — average JCT (s) vs cluster capacity\n")
 		fmt.Fprintf(&b, "%8s", "GPUs")
-		for _, res := range byCap[caps[0]] {
+		for _, res := range byCap[0] {
 			fmt.Fprintf(&b, " %10s", res.Scheduler)
 		}
 		b.WriteByte('\n')
-		for _, capGPUs := range caps {
+		for i, capGPUs := range p.Capacities {
 			fmt.Fprintf(&b, "%8d", capGPUs)
-			for _, res := range byCap[capGPUs] {
+			for _, res := range byCap[i] {
 				fmt.Fprintf(&b, " %10.1f", res.MeanJCT())
 			}
 			b.WriteByte('\n')
@@ -160,21 +153,17 @@ var fig18 = engine.Experiment{
 	Name:  "fig18",
 	Title: "JCT relative to ONES per capacity",
 	Cells: sweepCells,
-	Run: func(ctx context.Context, r *engine.Runner) (string, error) {
-		byCap, err := sweepResults(ctx, r)
-		if err != nil {
-			return "", err
-		}
-		caps := r.Params().Capacities
+	Run: func(p engine.Params, sweep []*simulator.Result) (string, error) {
+		byCap := comparisons(sweep)
 		var b strings.Builder
 		b.WriteString("Figure 18 — JCT relative to ONES (lower is better; ONES = 1.00)\n")
 		fmt.Fprintf(&b, "%8s", "GPUs")
-		for _, res := range byCap[caps[0]] {
+		for _, res := range byCap[0] {
 			fmt.Fprintf(&b, " %10s", res.Scheduler)
 		}
 		b.WriteByte('\n')
-		for _, capGPUs := range caps {
-			results := byCap[capGPUs]
+		for i, capGPUs := range p.Capacities {
+			results := byCap[i]
 			var ones float64
 			for _, res := range results {
 				if res.Scheduler == "ONES" {

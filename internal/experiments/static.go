@@ -1,12 +1,12 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
 	"repro/internal/engine"
 	"repro/internal/perfmodel"
+	"repro/internal/simulator"
 	"repro/internal/workload"
 )
 
@@ -15,7 +15,7 @@ import (
 var fig2 = engine.Experiment{
 	Name:  "fig2",
 	Title: "training speed of ResNet50 on CIFAR10, elastic vs fixed batch",
-	Run: func(ctx context.Context, r *engine.Runner) (string, error) {
+	Run: func(engine.Params, []*simulator.Result) (string, error) {
 		p := perfmodel.CIFARResNet50()
 		var b strings.Builder
 		b.WriteString("Figure 2 — training speed of ResNet50 on CIFAR10 (images/s)\n")
@@ -34,7 +34,7 @@ var fig2 = engine.Experiment{
 var fig3 = engine.Experiment{
 	Name:  "fig3",
 	Title: "accuracy with fixed local batch 256 and no LR scaling",
-	Run: func(ctx context.Context, r *engine.Runner) (string, error) {
+	Run: func(engine.Params, []*simulator.Result) (string, error) {
 		p := perfmodel.CIFARResNet50()
 		var b strings.Builder
 		b.WriteString("Figure 3 — accuracy with fixed local batch 256 (no LR scaling)\n")
@@ -56,7 +56,7 @@ var fig3 = engine.Experiment{
 var table2 = engine.Experiment{
 	Name:  "table2",
 	Title: "workload catalog composition (50 task types)",
-	Run: func(ctx context.Context, r *engine.Runner) (string, error) {
+	Run: func(engine.Params, []*simulator.Result) (string, error) {
 		catalog := workload.Catalog()
 		var b strings.Builder
 		b.WriteString("Table 2 — workload catalog (50 task types)\n")
@@ -72,7 +72,7 @@ var table2 = engine.Experiment{
 var table3 = engine.Experiment{
 	Name:  "table3",
 	Title: "scheduler capability matrix",
-	Run: func(ctx context.Context, r *engine.Runner) (string, error) {
+	Run: func(engine.Params, []*simulator.Result) (string, error) {
 		var b strings.Builder
 		b.WriteString("Table 3 — scheduler capabilities\n")
 		fmt.Fprintf(&b, "%-10s %-18s %-12s %-14s %-14s\n",

@@ -73,20 +73,39 @@ func TestEventQueueMatchesReferenceHeap(t *testing.T) {
 }
 
 // BenchmarkEventQueue measures a push-all/pop-all cycle at simulation
-// scale. allocs/op should be ~0: the flat queue boxes nothing and the
-// backing array is reused across iterations.
+// scale. TestEventQueueAllocs pins its allocs/op at 0: the flat queue
+// boxes nothing and the backing array is reused across iterations.
 func BenchmarkEventQueue(b *testing.B) {
-	rng := rand.New(rand.NewSource(7))
-	evs := randomEvents(rng, 4096)
-	var q eventQueue
+	cycle := queueBench()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		cycle()
+	}
+}
+
+// queueBench returns BenchmarkEventQueue's operation: push 4096 random
+// events onto one reused queue, then pop them all.
+func queueBench() func() {
+	rng := rand.New(rand.NewSource(7))
+	evs := randomEvents(rng, 4096)
+	var q eventQueue
+	return func() {
 		for _, e := range evs {
 			q.push(e)
 		}
 		for q.len() > 0 {
 			q.pop()
 		}
+	}
+}
+
+// TestEventQueueAllocs pins a push-all/pop-all cycle at zero
+// allocations once AllocsPerRun's warm-up call has grown the backing
+// array. Allocation counts do not depend on the machine, so the bound
+// is exact.
+func TestEventQueueAllocs(t *testing.T) {
+	if got := testing.AllocsPerRun(20, queueBench()); got != 0 {
+		t.Errorf("one push-all/pop-all cycle allocates %v times, want 0", got)
 	}
 }

@@ -38,6 +38,28 @@ func checkHitProgress(t *testing.T, rec *recorder) {
 	}
 }
 
+// TestRenderNeverSimulates: experiments render from the results of
+// their batch, not through the cache, so a memo too small to hold the
+// batch still computes each distinct cell once — fig15 and table4 share
+// their four cells.
+func TestRenderNeverSimulates(t *testing.T) {
+	c, err := NewCache("", func(string, ...any) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.SetLimits(CacheLimits{MaxEntries: 1})
+	s, err := New(WithQuickScale(), WithCache(c))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.RunExperiments(context.Background(), "fig15", "table4"); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.Stats().Computes; got != 4 {
+		t.Errorf("fig15 + table4 computed %d cells, want the 4 distinct ones", got)
+	}
+}
+
 // TestWithCacheWarmRestart: a second session over the same cache
 // directory — the restarted-daemon / re-invoked-CLI path — serves the
 // run from disk, simulating nothing, byte-identical to the cold result.

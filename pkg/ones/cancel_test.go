@@ -118,6 +118,24 @@ func TestRunExperimentCancel(t *testing.T) {
 	}
 }
 
+// TestRunExperimentsCancelBetweenRenders: a cancel that lands after the
+// batch has run, between two renders, still fails the call with
+// context.Canceled and no outputs, though the next render would simulate
+// nothing — so a cancelled cmd/experiments writes no partial stdout.
+func TestRunExperimentsCancelBetweenRenders(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	s := cancelSession(t, 2, WithObserver(ObserverFunc(func(p Progress) {
+		if p.Kind == KindExperimentDone && p.Experiment == "fig15" {
+			cancel()
+		}
+	})))
+	out, err := s.RunExperiments(ctx, "fig15", "table4")
+	if !errors.Is(err, context.Canceled) || out != nil {
+		t.Fatalf("RunExperiments cancelled after fig15 rendered = %d outputs, %v; want none, context.Canceled", len(out), err)
+	}
+}
+
 // TestCancelAbortsMidCell: cancelling while ONES is deep inside a single
 // long evolutionary cell returns promptly — the simulator polls the
 // context and the evolution loop short-circuits — instead of running the

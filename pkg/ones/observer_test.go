@@ -83,8 +83,8 @@ func TestObserverStreamsCellProgress(t *testing.T) {
 }
 
 // TestExperimentProgressCountsEachCellOnce: fig15 and table4 share the
-// four comparison cells, prewarmed once and then re-read by each
-// renderer; the batch still ends at Done == Total == 4.
+// four comparison cells, which run once and are credited once; the
+// batch ends at Done == Total == 4.
 func TestExperimentProgressCountsEachCellOnce(t *testing.T) {
 	rec := &recorder{}
 	s, err := New(WithQuickScale(), WithObserver(rec))

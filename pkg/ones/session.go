@@ -126,14 +126,10 @@ func (s *Session) beginBatch(cells []engine.Cell) {
 	s.emit(Progress{Kind: KindRunStart, Done: done, Total: total})
 }
 
-// credit counts one resolved cell toward Done. Experiment rendering
-// re-reads cells its batch already resolved; those reads are not new
-// work, so Done never passes Total.
+// credit counts one resolved cell toward Done.
 func (s *Session) credit() {
 	s.progress.Lock()
-	if s.progress.done < s.progress.total {
-		s.progress.done++
-	}
+	s.progress.done++
 	s.progress.Unlock()
 }
 
@@ -271,11 +267,13 @@ func (s *Session) RunExperiment(ctx context.Context, name string) (string, error
 }
 
 // RunExperiments regenerates the named experiments in order. Their
-// declared simulation cells are deduplicated and prewarmed across the
-// worker pool first — experiments sharing runs (fig15, table4, fig17,
+// declared simulation cells are deduplicated and run as one batch across
+// the worker pool first — experiments sharing runs (fig15, table4, fig17,
 // fig18) execute them once — and each experiment then renders from the
-// warm cache. All names validate (wrapping ErrUnknownExperiment) before
-// any simulation starts.
+// results of its own cells, simulating nothing more. All names validate
+// (wrapping ErrUnknownExperiment) before any simulation starts.
+// Cancelling the context aborts the batch or the next render, and the
+// call returns ctx.Err() with no outputs.
 func (s *Session) RunExperiments(ctx context.Context, names ...string) ([]ExperimentResult, error) {
 	exps := make([]engine.Experiment, len(names))
 	for i, name := range names {
@@ -286,19 +284,32 @@ func (s *Session) RunExperiments(ctx context.Context, names ...string) ([]Experi
 		exps[i] = e
 	}
 	start := time.Now()
-	cells := engine.DeclaredCells(exps, s.runner.Params())
+	p := s.runner.Params()
+	cells := engine.DeclaredCells(exps, p)
 	s.beginBatch(cells)
 	defer s.endBatch(start)
-	if len(cells) > 0 {
-		if _, err := s.runner.Results(ctx, cells); err != nil {
-			return nil, err
-		}
+	results, err := s.runner.Results(ctx, cells)
+	if err != nil {
+		return nil, err
+	}
+	byCell := make(map[engine.Cell]*simulator.Result, len(cells))
+	for i, c := range cells {
+		byCell[c] = results[i]
 	}
 	out := make([]ExperimentResult, len(exps))
 	for i, e := range exps {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		var res []*simulator.Result
+		if e.Cells != nil {
+			for _, c := range e.Cells(p) {
+				res = append(res, byCell[c.Normalize(p)])
+			}
+		}
 		expStart := time.Now()
 		s.emit(Progress{Kind: KindExperimentStart, Experiment: e.Name})
-		text, err := e.Run(ctx, s.runner)
+		text, err := e.Run(p, res)
 		if err != nil {
 			return nil, fmt.Errorf("ones: experiment %s: %w", e.Name, err)
 		}
