@@ -197,9 +197,12 @@ func TestResultCachedReportsCacheService(t *testing.T) {
 	cell := Cell{Scheduler: "fifo", Capacity: 16}
 	result := func(r *Runner, c Cell) bool {
 		t.Helper()
-		_, cached, err := r.ResultCached(ctx, c)
+		_, key, cached, err := r.ResultCached(ctx, c)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if want := CellKey(r.Params(), c); key != want {
+			t.Errorf("ResultCached returned key %q, want %q", key, want)
 		}
 		return cached
 	}
@@ -221,7 +224,7 @@ func TestResultCachedReportsCacheService(t *testing.T) {
 	fresh := Cell{Scheduler: "sjf", Capacity: 16}
 	first := make(chan bool)
 	go func() {
-		_, cached, err := r.ResultCached(ctx, fresh)
+		_, _, cached, err := r.ResultCached(ctx, fresh)
 		if err != nil {
 			t.Error(err)
 		}
@@ -232,7 +235,7 @@ func TestResultCachedReportsCacheService(t *testing.T) {
 		for r.CachedCells() == 0 { // until the first call holds the entry
 			time.Sleep(time.Millisecond)
 		}
-		_, cached, err := r.ResultCached(ctx, fresh)
+		_, _, cached, err := r.ResultCached(ctx, fresh)
 		if err != nil {
 			t.Error(err)
 		}

@@ -178,17 +178,19 @@ func isCtxErr(err error) bool {
 // of the same cell do not hold slots the pool could be simulating with.
 // A caller whose context ends stops waiting at once.
 func (r *Runner) Result(ctx context.Context, cell Cell) (*simulator.Result, error) {
-	res, _, err := r.ResultCached(ctx, cell)
+	res, _, _, err := r.ResultCached(ctx, cell)
 	return res, err
 }
 
-// ResultCached is Result that also reports whether the cache served the
+// ResultCached is Result that also returns the cell's CellKey, the key
+// its cache entry lives under, and reports whether the cache served the
 // cell: a memory or disk hit, or a wait on another caller's computation,
 // rather than a simulation this call ran.
-func (r *Runner) ResultCached(ctx context.Context, cell Cell) (res *simulator.Result, cached bool, err error) {
+func (r *Runner) ResultCached(ctx context.Context, cell Cell) (res *simulator.Result, key string, cached bool, err error) {
 	cell = cell.Normalize(r.params)
+	key = CellKey(r.params, cell)
 	simulated := false
-	res, err = r.Cache.Do(ctx, CellKey(r.params, cell), func() (*simulator.Result, error) {
+	res, err = r.Cache.Do(ctx, key, func() (*simulator.Result, error) {
 		simulated = true
 		return r.simulate(ctx, cell)
 	})
@@ -197,11 +199,11 @@ func (r *Runner) ResultCached(ctx context.Context, cell Cell) (res *simulator.Re
 		if !simulated && r.OnCellCached != nil {
 			r.OnCellCached(cell)
 		}
-		return res, !simulated, nil
+		return res, key, !simulated, nil
 	case isCtxErr(err):
-		return nil, false, err
+		return nil, key, false, err
 	default:
-		return nil, false, fmt.Errorf("engine: cell %s: %w", cell, err)
+		return nil, key, false, fmt.Errorf("engine: cell %s: %w", cell, err)
 	}
 }
 

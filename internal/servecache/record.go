@@ -26,9 +26,10 @@ const (
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// encodeCell returns the record that persists res under key.
-func encodeCell(key string, res *simulator.Result) []byte {
-	b := make([]byte, 0, 128+len(key)+64*len(res.Jobs)+24*len(res.Events))
+// encodeCell returns the record that persists res under key, with the
+// bytes attached to its memo entry (nil for none; see Cache.Attached).
+func encodeCell(key string, res *simulator.Result, attached []byte) []byte {
+	b := make([]byte, 0, 128+len(key)+64*len(res.Jobs)+24*len(res.Events)+len(attached))
 	b = append(b, magic...)
 	b = binary.AppendUvarint(b, Version)
 	b = appendString(b, key)
@@ -56,6 +57,7 @@ func encodeCell(key string, res *simulator.Result) []byte {
 		b = appendString(b, string(e.Kind))
 		b = appendInts(b, int(e.Job), e.GPUs, e.Batch)
 	}
+	b = append(appendCount(b, attached), attached...)
 	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, castagnoli))
 }
 
@@ -106,16 +108,18 @@ func openCell(data []byte) (key, payload []byte, err error) {
 	return key, r.b, r.err
 }
 
-// decodeCell returns the Result a record stores for key. Any defect,
-// from a flipped bit to a count the bytes left cannot hold, is an error;
-// the decoded Result is never partial.
-func decodeCell(data []byte, key string) (*simulator.Result, error) {
+// decodeCell returns the Result a record stores for key and the bytes
+// it persisted beside it (nil for none). The bytes are a capacity-capped
+// slice of data, not a copy. Any defect, from a flipped bit to a count
+// the bytes left cannot hold, is an error; the decoded Result is never
+// partial.
+func decodeCell(data []byte, key string) (*simulator.Result, []byte, error) {
 	k, payload, err := openCell(data)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if string(k) != key {
-		return nil, fmt.Errorf("key mismatch (%.60q...)", k)
+		return nil, nil, fmt.Errorf("key mismatch (%.60q...)", k)
 	}
 	r := reader{b: payload}
 	res := &simulator.Result{Scheduler: r.str()}
@@ -157,13 +161,18 @@ func decodeCell(data []byte, key string) (*simulator.Result, error) {
 			e.Batch = r.int()
 		}
 	}
+	var attached []byte
+	if n, ok := r.count(1); ok {
+		attached = r.b[:n:n]
+		r.b = r.b[n:]
+	}
 	if r.err == nil && len(r.b) > 0 {
-		r.fail("%d bytes after the result", len(r.b))
+		r.fail("%d bytes after the attached bytes", len(r.b))
 	}
 	if r.err != nil {
-		return nil, r.err
+		return nil, nil, r.err
 	}
-	return res, nil
+	return res, attached, nil
 }
 
 // reader decodes a record front to back. Every read first checks that

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -57,7 +58,8 @@ func fillDistinct(t *testing.T, v reflect.Value, next *int) {
 // TestCodecCoversEveryField round-trips a Result whose every field,
 // JobMetric's and Event's included, holds a distinct non-zero value, so
 // a field added to the Result tree without codec support fails here.
-// Nil and empty slices must stay distinct as well.
+// Nil and empty slices must stay distinct as well, attached bytes
+// included.
 func TestCodecCoversEveryField(t *testing.T) {
 	full := &simulator.Result{}
 	next := 0
@@ -68,12 +70,17 @@ func TestCodecCoversEveryField(t *testing.T) {
 		{Jobs: []simulator.JobMetric{}},
 		{Events: []simulator.Event{}},
 	} {
-		got, err := decodeCell(encodeCell("k", res), "k")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, res) {
-			t.Errorf("round trip changed the result:\n got  %+v\n want %+v", got, res)
+		for _, attached := range [][]byte{nil, {}, []byte(`{"mean_jct_s":1.5}`)} {
+			got, gotAttached, err := decodeCell(encodeCell("k", res, attached), "k")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, res) {
+				t.Errorf("round trip changed the result:\n got  %+v\n want %+v", got, res)
+			}
+			if !reflect.DeepEqual(gotAttached, attached) {
+				t.Errorf("round trip changed the attached bytes: got %#v, want %#v", gotAttached, attached)
+			}
 		}
 	}
 }
@@ -89,9 +96,9 @@ func TestDecodeSharesEventKinds(t *testing.T) {
 	noLog := *withLog
 	noLog.Events = nil
 	allocs := func(res *simulator.Result) float64 {
-		rec := encodeCell("k", res)
+		rec := encodeCell("k", res, nil)
 		return testing.AllocsPerRun(20, func() {
-			if _, err := decodeCell(rec, "k"); err != nil {
+			if _, _, err := decodeCell(rec, "k"); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -103,25 +110,32 @@ func TestDecodeSharesEventKinds(t *testing.T) {
 
 // TestDecodeSharesTaskNames: decoding a default-scale cell's record
 // allocates no string per job, since every job is named after a
-// workload.Catalog task. What is left is the Result, its job slice and
+// workload.Catalog task, and nothing for its attached bytes, which are
+// a slice of the record. What is left is the Result, its job slice and
 // the scheduler name.
 func TestDecodeSharesTaskNames(t *testing.T) {
 	res := tiresiasResult(t, false)
 	if len(res.Jobs) != 120 {
 		t.Fatalf("the default cell has %d jobs, want 120", len(res.Jobs))
 	}
-	rec := encodeCell("k", res)
-	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := decodeCell(rec, "k"); err != nil {
-			t.Fatal(err)
+	blob, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, attached := range [][]byte{nil, blob} {
+		rec := encodeCell("k", res, attached)
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, _, err := decodeCell(rec, "k"); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 3 {
+			t.Errorf("decoding %d jobs and %d attached bytes allocated %v objects, want at most 3", len(res.Jobs), len(attached), allocs)
 		}
-	})
-	if allocs > 3 {
-		t.Errorf("decoding %d jobs allocated %v objects, want at most 3", len(res.Jobs), allocs)
 	}
 	// A name outside the catalog still round-trips, as its own copy.
 	res.Jobs[0].Name = "custom-task"
-	got, err := decodeCell(encodeCell("k", res), "k")
+	got, _, err := decodeCell(encodeCell("k", res, nil), "k")
 	if err != nil || got.Jobs[0].Name != "custom-task" {
 		t.Fatalf("decoded name %q (%v), want custom-task", got.Jobs[0].Name, err)
 	}
@@ -131,13 +145,14 @@ func TestDecodeSharesTaskNames(t *testing.T) {
 // invariants, each decided by the input alone (no reading of the
 // process's memory counters, which other goroutines move): no panic; an
 // accepted record keeps at most a small multiple of its size in memory
-// and re-encodes to one that decodes to the same Result; and each of its
+// (its attached bytes are a slice of the input) and re-encodes to one
+// that decodes to the same Result and attached bytes; and each of its
 // counts, forged past what the bytes left can hold, is refused as a
 // count before anything is allocated from it (see checkForgedCounts).
 func checkDecode(t *testing.T, data []byte) {
 	k, _, _ := openCell(data)
 	key := string(k)
-	res, err := decodeCell(data, key)
+	res, attached, err := decodeCell(data, key)
 	if err != nil {
 		return
 	}
@@ -146,15 +161,16 @@ func checkDecode(t *testing.T, data []byte) {
 	if n := footprint(res); n > 8*len(data)+4096 {
 		t.Fatalf("decoding %d bytes kept %d", len(data), n)
 	}
-	rec := encodeCell(key, res)
-	again, err := decodeCell(rec, key)
+	rec := encodeCell(key, res, attached)
+	again, againAttached, err := decodeCell(rec, key)
 	if err != nil {
 		t.Fatalf("re-encoded record rejected: %v", err)
 	}
 	// Equal re-encodings mean reflect.DeepEqual results with every float
-	// compared by its bits, which also holds for a NaN the fuzzer writes.
-	if !bytes.Equal(encodeCell(key, again), rec) {
-		t.Fatalf("round trip changed the result:\n first  %+v\n second %+v", res, again)
+	// compared by its bits, which also holds for a NaN the fuzzer writes,
+	// and equal attached bytes, nil kept apart from empty.
+	if !bytes.Equal(encodeCell(key, again, againAttached), rec) {
+		t.Fatalf("round trip changed the record:\n first  %+v, attached %q\n second %+v, attached %q", res, attached, again, againAttached)
 	}
 	checkForgedCounts(t, key, res)
 }
@@ -175,28 +191,29 @@ func footprint(res *simulator.Result) int {
 	return n
 }
 
-// checkForgedCounts rewrites each count of res's record in turn, with
-// its slice emptied, to two counts the bytes left cannot hold: the least
-// whose slice alone would break checkDecode's bound, and one no
-// allocation can hold. The decoder must refuse both as counts. One that
-// sized a slice from the first would fail later with another error, and
-// one that sized a slice from the second, even to refuse it after,
-// would panic.
+// checkForgedCounts rewrites each count of res's record in turn (the
+// jobs, the events and the attached bytes), with its slice emptied, to
+// two counts the bytes left cannot hold: the least whose slice alone
+// would break checkDecode's bound, and one no allocation can hold. The
+// decoder must refuse both as counts. One that sized a slice from the
+// first would fail later with another error, and one that sized a slice
+// from the second, even to refuse it after, would panic.
 func checkForgedCounts(t *testing.T, key string, res *simulator.Result) {
 	noJobs, noEvents := *res, *res
 	noJobs.Jobs, noEvents.Events = nil, nil
 	emptyJobs, emptyEvents := noJobs, noEvents
 	emptyJobs.Jobs, emptyEvents.Events = []simulator.JobMetric{}, []simulator.Event{}
 	for _, c := range []struct {
-		none, empty *simulator.Result
+		none, empty []byte // records with the slice nil and empty
 		elem        int
 	}{
-		{&noJobs, &emptyJobs, int(unsafe.Sizeof(simulator.JobMetric{}))},
-		{&noEvents, &emptyEvents, int(unsafe.Sizeof(simulator.Event{}))},
+		{encodeCell(key, &noJobs, nil), encodeCell(key, &emptyJobs, nil), int(unsafe.Sizeof(simulator.JobMetric{}))},
+		{encodeCell(key, &noEvents, nil), encodeCell(key, &emptyEvents, nil), int(unsafe.Sizeof(simulator.Event{}))},
+		{encodeCell(key, res, nil), encodeCell(key, res, []byte{}), 1},
 	} {
 		// The two records differ first at the count: 0 for nil, 1 for
 		// empty.
-		rec, none := encodeCell(key, c.empty), encodeCell(key, c.none)
+		rec, none := c.empty, c.none
 		at := 0
 		for rec[at] == none[at] {
 			at++
@@ -205,7 +222,7 @@ func checkForgedCounts(t *testing.T, key string, res *simulator.Result) {
 		for _, n := range []uint64{least, 1 << 62} {
 			forged := binary.AppendUvarint(bytes.Clone(rec[:at]), n+1)
 			forged = reseal(append(forged, rec[at+1:]...))
-			if _, err := decodeCell(forged, key); err == nil || !strings.HasPrefix(err.Error(), "count ") {
+			if _, _, err := decodeCell(forged, key); err == nil || !strings.HasPrefix(err.Error(), "count ") {
 				t.Fatalf("a count forged to %d was not refused as a count (%v)", n, err)
 			}
 		}
@@ -215,16 +232,25 @@ func checkForgedCounts(t *testing.T, key string, res *simulator.Result) {
 // FuzzDecodeCell feeds the record decoder arbitrary bytes. Each input is
 // also tried with its checksum resealed: a mutated record almost never
 // passes the checksum, and resealing lets the fuzzer reach the payload
-// decoder behind it.
+// decoder behind it. The seeds carry no attached bytes, empty ones and a
+// small Result's JSON, as onesd attaches it (the decoder never parses
+// the bytes, and a short seed keeps the fuzzer fast).
 func FuzzDecodeCell(f *testing.F) {
+	fifo := simulate(f, "fifo", false)
+	blob, err := json.Marshal(fifo)
+	if err != nil {
+		f.Fatal(err)
+	}
 	for _, res := range []*simulator.Result{
-		simulate(f, "fifo", false),
+		fifo,
 		simulate(f, "ones", true),
 		{Jobs: []simulator.JobMetric{}},
 	} {
-		rec := encodeCell("cell|seed=1", res)
-		for _, n := range []int{len(rec), len(rec) - 1, len(rec) / 2, len(magic) + 4, 3} {
-			f.Add(rec[:n])
+		for _, attached := range [][]byte{nil, {}, blob} {
+			rec := encodeCell("cell|seed=1", res, attached)
+			for _, n := range []int{len(rec), len(rec) - 1, len(rec) / 2, len(magic) + 4, 3} {
+				f.Add(rec[:n])
+			}
 		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -235,19 +261,26 @@ func FuzzDecodeCell(f *testing.F) {
 	})
 }
 
-// TestCorruptionNeverServed damages a real persisted record in every
-// part: truncations at sampled lengths, and one flipped bit at sampled
-// offsets of the magic, version, key, payload and checksum. Each damaged
-// file must be discarded and the cell recomputed, never served.
+// TestCorruptionNeverServed damages a real persisted record, one that
+// carries attached bytes, in every part: truncations at sampled lengths,
+// and one flipped bit at sampled offsets of the magic, version, key,
+// result, attached bytes and checksum. Each damaged file must be
+// discarded and the cell recomputed, never served, and its bytes never
+// attached.
 func TestCorruptionNeverServed(t *testing.T) {
 	const key = "cell"
 	dir := t.TempDir()
 	res := simulate(t, "ones", true)
+	blob, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
 	c := mustCache(t, dir)
 	ctx := context.Background()
 	if _, err := c.Do(ctx, key, func() (*simulator.Result, error) { return res, nil }); err != nil {
 		t.Fatal(err)
 	}
+	c.Attached(key, res, func() []byte { return blob })
 	path := c.path(key)
 	good, err := os.ReadFile(path)
 	if err != nil {
@@ -258,12 +291,18 @@ func TestCorruptionNeverServed(t *testing.T) {
 	keyAt := versionAt + 1
 	payloadAt := keyAt + 1 + len(key)
 	crcAt := len(good) - 4
+	attachedPart := append(binary.AppendUvarint(nil, uint64(len(blob))+1), blob...)
+	attachedAt := crcAt - len(attachedPart)
+	if !bytes.Equal(good[attachedAt:crcAt], attachedPart) {
+		t.Fatal("the rewritten record does not end with its attached bytes")
+	}
 	type damage struct {
 		name string
 		data []byte
 	}
 	var cases []damage
-	for _, n := range []int{0, 1, versionAt, keyAt, payloadAt, payloadAt + 1, crcAt / 2, crcAt, len(good) - 1} {
+	for _, n := range []int{0, 1, versionAt, keyAt, payloadAt, payloadAt + 1, attachedAt / 2,
+		attachedAt, attachedAt + 1, (attachedAt + crcAt) / 2, crcAt, len(good) - 1} {
 		cases = append(cases, damage{fmt.Sprintf("truncated to %d bytes", n), good[:n]})
 	}
 	for _, part := range []struct {
@@ -273,7 +312,8 @@ func TestCorruptionNeverServed(t *testing.T) {
 		{"magic", 0, versionAt},
 		{"version", versionAt, keyAt},
 		{"key", keyAt, payloadAt},
-		{"payload", payloadAt, crcAt},
+		{"result", payloadAt, attachedAt},
+		{"attached", attachedAt, crcAt},
 		{"checksum", crcAt, len(good)},
 	} {
 		step := max(1, (part.to-part.from)/24)
@@ -301,8 +341,11 @@ func TestCorruptionNeverServed(t *testing.T) {
 		if d := c.Stats().Discards - discards; d != 1 {
 			t.Errorf("%s: %d discards, want 1", tc.name, d)
 		}
+		if b := c.Attached(key, got, func() []byte { return []byte("built") }); string(b) != "built" {
+			t.Errorf("%s: the recomputed entry came with attached bytes", tc.name)
+		}
 	}
-	if len(cases) < 50 {
+	if len(cases) < 60 {
 		t.Fatalf("only %d damaged records tried", len(cases))
 	}
 	t.Logf("%d damaged records of a %d-byte record, all discarded", len(cases), len(good))

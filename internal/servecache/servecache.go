@@ -10,11 +10,13 @@
 // binary record: the magic "ONESCELL", the format Version as a uvarint,
 // the key (uvarint length, then its bytes; stored in full so a hash
 // collision is caught), the fields of simulator.Result in declaration
-// order, and a CRC-32C (Castagnoli) of everything before it. Strings are
-// a uvarint length and their bytes, ints zig-zag varints, a bool one
-// byte (0 or 1), a float64 the 8 little-endian bytes of its IEEE 754
-// bits, and a slice a uvarint count (0 for nil, n+1 for n elements)
-// followed by each element's fields in declaration order.
+// order, the bytes attached to the cell's memo entry (see Attached), and
+// a CRC-32C (Castagnoli) of everything before it. Strings are a uvarint
+// length and their bytes, ints zig-zag varints, a bool one byte (0 or
+// 1), a float64 the 8 little-endian bytes of its IEEE 754 bits, and a
+// slice a uvarint count (0 for nil, n+1 for n elements) followed by each
+// element's fields in declaration order; the attached bytes are such a
+// slice of bytes, counted 0 when the entry had none.
 //
 // The decoder checks the magic and the checksum first, then the version
 // and the key, and every length and count against the bytes left before
@@ -33,8 +35,10 @@
 //
 // A completed memo entry can also carry one byte slice derived from its
 // Result (see Attached): onesd keeps the public JSON of a cache-served
-// cell there, so each entry is encoded once however often it is served.
-// The bytes live and die with the entry and are never persisted.
+// cell there. The first attachment rewrites the cell's record with the
+// bytes, and a disk hit on a record that carries them attaches them as
+// it loads, so each cell is encoded once per cache directory however
+// often it is served or reloaded.
 package servecache
 
 import (
@@ -58,9 +62,12 @@ import (
 )
 
 // Version is the on-disk record format version. Bump it whenever the
-// record layout or the simulator's result semantics change: old files
-// are then discarded (and recomputed) instead of serving stale physics.
-const Version = 2
+// record layout or the simulator's result semantics change, and whenever
+// the bytes callers attach change for the same Result: onesd persists
+// the public ones.Result JSON of each cell, so any change to that JSON
+// must bump Version too. Old files are then discarded (and recomputed)
+// instead of serving stale physics or stale bytes.
+const Version = 3
 
 // recordExt names the files holding cell records; tempPrefix starts
 // the temp files a write renames into place.
@@ -236,8 +243,9 @@ type entry struct {
 	// singleflight contract: waiters hold the entry pointer and must see
 	// it resolve).
 	elem *list.Element
-	// attached is the byte slice derived from res (see Attached): set at
-	// most once, under Cache.mu, and never written after.
+	// attached is the byte slice derived from res (see Attached): loaded
+	// with res, or set at most once under Cache.mu, and never written
+	// after.
 	attached []byte
 }
 
@@ -441,10 +449,17 @@ func (c *Cache) Reset() int {
 // bytes. When key's entry is gone, still in flight or holding another
 // result, build's bytes come back unattached, so bytes derived from an
 // evicted result never reach the entry that replaced it. The bytes are
-// shared by every caller and must not be modified. They leave the memo
-// with their entry (a cap eviction or Reset), and an entry loaded from
-// disk starts without them. Attached is not a use: it moves no entry in
-// the LRU order and counts nothing.
+// shared by every caller and must not be modified.
+//
+// With a directory, the call that attaches the bytes also rewrites the
+// cell's record to carry them (temp file and rename, then the byte-cap
+// sweep, as an insert does; a failed write warns, and the memo keeps the
+// bytes), and a disk hit on that record loads them with its Result, so
+// build runs once per cell per directory. The bytes therefore outlive
+// this process: they must be a function of key alone, and a change to
+// what build returns for a key must bump Version. They leave the memo
+// with their entry (a cap eviction or Reset). Attached is not a use: it
+// moves no entry in the LRU order and counts nothing.
 func (c *Cache) Attached(key string, res *simulator.Result, build func() []byte) []byte {
 	c.mu.Lock()
 	if e := c.holdingLocked(key, res); e != nil && e.attached != nil {
@@ -458,15 +473,19 @@ func (c *Cache) Attached(key string, res *simulator.Result, build func() []byte)
 	}
 	b = b[:len(b):len(b)] // an append by any holder copies
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	e := c.holdingLocked(key, res)
-	if e == nil {
-		return b
-	}
-	if e.attached == nil {
+	attach := e != nil && e.attached == nil
+	if attach {
 		e.attached = b
+	} else if e != nil {
+		b = e.attached
 	}
-	return e.attached
+	c.mu.Unlock()
+	if attach && c.dir != "" {
+		c.store(key, res, b)
+		c.sweepDisk()
+	}
+	return b
 }
 
 // holdingLocked returns key's memo entry if it has completed holding res.
@@ -549,8 +568,8 @@ func (c *Cache) Do(ctx context.Context, key string, compute func() (*simulator.R
 // resolve fills the entry: disk first, compute on miss, write-through on
 // success.
 func (c *Cache) resolve(e *entry, compute func() (*simulator.Result, error)) {
-	if res, ok := c.load(e.key); ok {
-		e.res = res
+	if res, attached, ok := c.load(e.key); ok {
+		e.res, e.attached = res, attached
 		c.count(func(s *Stats) { s.DiskHits++ })
 		c.oh().diskHits.Inc()
 		return
@@ -561,7 +580,7 @@ func (c *Cache) resolve(e *entry, compute func() (*simulator.Result, error)) {
 	}
 	c.count(func(s *Stats) { s.Computes++ })
 	c.oh().computes.Inc()
-	c.store(e.key, e.res)
+	c.store(e.key, e.res, nil)
 }
 
 func (c *Cache) count(f func(*Stats)) {
@@ -576,11 +595,12 @@ func (c *Cache) path(key string) string {
 	return filepath.Join(c.dir, hex.EncodeToString(sum[:])+recordExt)
 }
 
-// load reads a persisted result, discarding (with a warning) anything
-// unreadable, corrupt, version-mismatched or keyed differently.
-func (c *Cache) load(key string) (*simulator.Result, bool) {
+// load reads a persisted result and the bytes its record carries,
+// discarding (with a warning) anything unreadable, corrupt,
+// version-mismatched or keyed differently.
+func (c *Cache) load(key string) (*simulator.Result, []byte, bool) {
 	if c.dir == "" {
-		return nil, false
+		return nil, nil, false
 	}
 	path := c.path(key)
 	data, err := os.ReadFile(path)
@@ -588,12 +608,12 @@ func (c *Cache) load(key string) (*simulator.Result, bool) {
 		if !os.IsNotExist(err) {
 			c.discard(path, fmt.Sprintf("unreadable: %v", err))
 		}
-		return nil, false
+		return nil, nil, false
 	}
-	res, err := decodeCell(data, key)
+	res, attached, err := decodeCell(data, key)
 	if err != nil {
 		c.discard(path, err.Error())
-		return nil, false
+		return nil, nil, false
 	}
 	// Under a disk cap, touch the file so the byte-cap sweep (oldest
 	// mtime first) approximates LRU instead of FIFO; nothing else reads
@@ -605,7 +625,7 @@ func (c *Cache) load(key string) (*simulator.Result, bool) {
 		now := time.Now()
 		_ = os.Chtimes(path, now, now)
 	}
-	return res, true
+	return res, attached, true
 }
 
 // discard warns about and removes a bad cache file; the caller recomputes.
@@ -618,10 +638,10 @@ func (c *Cache) discard(path, reason string) {
 	}
 }
 
-// store writes a result through to disk (temp file + rename, so readers
-// and crashes never see a torn entry). Failures warn and continue: the
-// in-memory memo still has the result.
-func (c *Cache) store(key string, res *simulator.Result) {
+// store writes a result and its attached bytes through to disk (temp
+// file + rename, so readers and crashes never see a torn entry).
+// Failures warn and continue: the in-memory memo still has both.
+func (c *Cache) store(key string, res *simulator.Result, attached []byte) {
 	if c.dir == "" {
 		return
 	}
@@ -631,7 +651,7 @@ func (c *Cache) store(key string, res *simulator.Result) {
 		c.warn("servecache: temp file: %v", err)
 		return
 	}
-	if _, err := tmp.Write(encodeCell(key, res)); err != nil {
+	if _, err := tmp.Write(encodeCell(key, res, attached)); err != nil {
 		tmp.Close()
 		os.Remove(tmp.Name())
 		c.warn("servecache: write %s: %v", filepath.Base(path), err)

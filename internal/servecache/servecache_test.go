@@ -1,6 +1,7 @@
 package servecache
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -229,51 +230,54 @@ func TestCorruptFileDiscardedWithWarning(t *testing.T) {
 	if err != nil {
 		t.Fatalf("recomputed entry not rewritten: %v", err)
 	}
-	if back, err := decodeCell(data, "k"); err != nil {
+	if back, _, err := decodeCell(data, "k"); err != nil {
 		t.Errorf("rewritten entry does not decode: %v", err)
 	} else if !reflect.DeepEqual(back, res) {
 		t.Error("rewritten entry decodes to a different result")
 	}
 }
 
+// TestVersionMismatchDiscarded: a record of another format version is
+// discarded with a warning naming the version, and recomputed. The
+// version-2 record has that format's own layout (no attached bytes), so
+// a checksum over it holds and the version is its only defect.
 func TestVersionMismatchDiscarded(t *testing.T) {
-	dir := t.TempDir()
 	res := simulate(t, "fifo", false)
-	c1 := mustCache(t, dir)
-	if _, err := c1.Do(context.Background(), "k", func() (*simulator.Result, error) { return res, nil }); err != nil {
-		t.Fatal(err)
+	rec := encodeCell("k", res, nil)
+	if rec[len(magic)] != Version {
+		t.Fatalf("version byte = %d, want %d", rec[len(magic)], Version)
 	}
-	path := cacheFile(t, dir)
-	// Re-encode the record at version 1 with a valid checksum, so the
-	// version is its only defect.
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
+	v1 := bytes.Clone(rec)
+	v1[len(magic)] = 1
+	// Version 2 ended with the event log: drop the attached count, 0 here.
+	crcAt := len(rec) - 4
+	if rec[crcAt-1] != 0 {
+		t.Fatalf("attached count = %d, want 0 for none", rec[crcAt-1])
 	}
-	if data[len(magic)] != Version {
-		t.Fatalf("version byte = %d, want %d", data[len(magic)], Version)
-	}
-	data[len(magic)] = 1
-	if err := os.WriteFile(path, reseal(data), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var warned bool
-	want := fmt.Sprintf("format version 1, want %d", Version)
-	c2, err := New(dir, func(format string, args ...any) {
-		warned = strings.Contains(fmt.Sprintf(format, args...), want)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	recomputed := false
-	if _, err := c2.Do(context.Background(), "k", func() (*simulator.Result, error) {
-		recomputed = true
-		return res, nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if !recomputed || !warned {
-		t.Errorf("version-mismatched file: recomputed=%t warned of the version=%t, want both", recomputed, warned)
+	v2 := append(bytes.Clone(rec[:crcAt-1]), 0, 0, 0, 0)
+	v2[len(magic)] = 2
+	for version, data := range map[int][]byte{1: reseal(v1), 2: reseal(v2)} {
+		var warned bool
+		want := fmt.Sprintf("format version %d, want %d", version, Version)
+		c, err := New(t.TempDir(), func(format string, args ...any) {
+			warned = warned || strings.Contains(fmt.Sprintf(format, args...), want)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(c.path("k"), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		recomputed := false
+		if _, err := c.Do(context.Background(), "k", func() (*simulator.Result, error) {
+			recomputed = true
+			return res, nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if st := c.Stats(); !recomputed || !warned || st.Discards != 1 {
+			t.Errorf("version-%d file: recomputed=%t warned of the version=%t discards=%d, want both and 1", version, recomputed, warned, st.Discards)
+		}
 	}
 }
 

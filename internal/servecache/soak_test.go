@@ -1,6 +1,7 @@
 package servecache
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -33,30 +34,56 @@ func dirBytes(t *testing.T, dir string) int64 {
 	return total
 }
 
+// carriesBytes reports whether key's record exists and carries attached
+// bytes.
+func carriesBytes(t *testing.T, c *Cache, key string) bool {
+	t.Helper()
+	data, err := os.ReadFile(c.path(key))
+	if err != nil {
+		return false
+	}
+	_, attached, err := decodeCell(data, key)
+	if err != nil {
+		t.Fatalf("%s: %v", key, err)
+	}
+	return attached != nil
+}
+
 // TestEvictionSoak drives a bounded cache through a seeded-random
-// sequence of inserts and hits, holding two invariants after every
-// operation:
+// sequence of inserts, hits, attachments, Resets and limit changes,
+// holding two invariants after every operation:
 //
 //   - the in-memory memo never exceeds MaxEntries (every entry here is
 //     completed, so the cap is exact);
-//   - the disk directory never exceeds MaxDiskBytes (Do sweeps after
-//     each insert).
+//   - the disk directory never exceeds MaxDiskBytes, though an
+//     attachment rewrites a record several times its first size (Do
+//     sweeps after each insert, Attached after each rewrite, SetLimits
+//     at once).
 //
 // Afterwards it pins the determinism contract across the churn: a key
 // that survived on disk reloads byte-identical in a fresh cache with the
-// compute forbidden, and an in-flight entry is never evicted however many
-// inserts press on the cap.
+// compute forbidden, with the bytes its record carries and no build,
+// and an in-flight entry is never evicted however many inserts press on
+// the cap.
 func TestEvictionSoak(t *testing.T) {
 	dir := t.TempDir()
 	c := mustCache(t, dir)
 
 	res := simulate(t, "fifo", false)
-	// Size one record so the byte cap is a meaningful ~5 files.
-	fileSize := int64(len(encodeCell("probe", res)))
+	blob, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Size the records so the byte cap holds a few of them.
+	plain := int64(len(encodeCell("soak-key-000", res, nil)))
+	attached := int64(len(encodeCell("soak-key-000", res, blob)))
+	if attached < 2*plain {
+		t.Fatalf("a record with bytes takes %d bytes, %d without: the rewrites would barely grow it", attached, plain)
+	}
 
 	limits := Limits{
 		MaxEntries:   8,
-		MaxDiskBytes: 5*fileSize + fileSize/2,
+		MaxDiskBytes: 3*attached + plain/2,
 	}
 	c.SetLimits(limits)
 
@@ -64,10 +91,36 @@ func TestEvictionSoak(t *testing.T) {
 	ctx := context.Background()
 	keys := func(i int) string { return fmt.Sprintf("soak-key-%03d", i) }
 	compute := func() (*simulator.Result, error) { return res, nil }
-	for step := 0; step < 400; step++ {
-		key := keys(rng.Intn(40)) // insert or hit a key from the working set
-		if _, err := c.Do(ctx, key, compute); err != nil {
-			t.Fatalf("step %d: Do(%s): %v", step, key, err)
+	// held maps each key to the result Do last returned for it, which its
+	// entry may since have dropped.
+	held := map[string]*simulator.Result{}
+	rewrites := 0 // attachments after which the key's record carries bytes
+	for step := 0; step < 600; step++ {
+		key := keys(rng.Intn(40)) // a key from the working set
+		switch op := rng.Intn(100); {
+		case op < 55: // insert or hit
+			got, err := c.Do(ctx, key, compute)
+			if err != nil {
+				t.Fatalf("step %d: Do(%s): %v", step, key, err)
+			}
+			held[key] = got
+		case op < 90: // attach, to a live entry or a dropped one
+			if r, ok := held[key]; ok {
+				if b := c.Attached(key, r, func() []byte { return blob }); !bytes.Equal(b, blob) {
+					t.Fatalf("step %d: Attached(%s) = %d bytes, want the blob", step, key, len(b))
+				}
+				if carriesBytes(t, c, key) {
+					rewrites++
+				}
+			}
+		case op < 95:
+			c.Reset()
+		default:
+			limits = Limits{
+				MaxEntries:   4 + rng.Intn(9),
+				MaxDiskBytes: int64(1+rng.Intn(4))*attached + plain/2,
+			}
+			c.SetLimits(limits)
 		}
 		if n := c.Stats().Entries; n > limits.MaxEntries {
 			t.Fatalf("step %d: memo holds %d entries, cap %d", step, n, limits.MaxEntries)
@@ -77,40 +130,52 @@ func TestEvictionSoak(t *testing.T) {
 		}
 	}
 	st := c.Stats()
-	if st.MemoEvictions == 0 || st.DiskEvictions == 0 {
-		t.Fatalf("soak never exercised eviction: stats %+v", st)
+	if st.MemoEvictions == 0 || st.DiskEvictions == 0 || rewrites == 0 {
+		t.Fatalf("soak never exercised eviction or a rewrite: %d rewrites, stats %+v", rewrites, st)
 	}
+	t.Logf("%d rewrites; stats %+v", rewrites, st)
 
 	// Determinism across the churn: any key still persisted reloads
-	// byte-identical in a fresh cache without computing.
-	survivor := ""
-	for i := 0; i < 40; i++ {
-		if _, err := os.Stat(c.path(keys(i))); err == nil {
-			survivor = keys(i)
-			break
+	// byte-identical in a fresh cache without computing, and one whose
+	// record carries bytes reloads with them. The last key inserted and
+	// attached is sure to be among them.
+	last := keys(40)
+	lastRes, err := c.Do(ctx, last, compute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Attached(last, lastRes, func() []byte { return blob })
+	c2 := mustCache(t, dir)
+	survivors, withBytes := 0, 0
+	for i := 0; i <= 40; i++ {
+		key := keys(i)
+		if _, err := os.Stat(c.path(key)); err != nil {
+			continue
+		}
+		survivors++
+		got, err := c2.Do(ctx, key, func() (*simulator.Result, error) {
+			t.Fatalf("warm restart recomputed %s instead of loading it", key)
+			return nil, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotJSON, err := json.Marshal(got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(gotJSON, blob) {
+			t.Errorf("warm-restart result of %s not byte-identical to the computed one", key)
+		}
+		if b := c2.Attached(key, got, func() []byte { return nil }); b != nil {
+			withBytes++
+			if !bytes.Equal(b, blob) {
+				t.Errorf("%s reloaded with %d attached bytes, want the blob", key, len(b))
+			}
 		}
 	}
-	if survivor == "" {
-		t.Fatal("no persisted key survived the soak (cap fits ~5 files)")
-	}
-	c2 := mustCache(t, dir)
-	got, err := c2.Do(ctx, survivor, func() (*simulator.Result, error) {
-		t.Fatalf("warm restart recomputed %s instead of loading it", survivor)
-		return nil, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotJSON, err := json.Marshal(got)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantJSON, err := json.Marshal(res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(gotJSON) != string(wantJSON) {
-		t.Error("warm-restart result not byte-identical to the computed one")
+	if survivors == 0 || withBytes == 0 {
+		t.Fatalf("%d persisted keys survived the soak, %d with bytes; want some of each", survivors, withBytes)
 	}
 
 	// In-flight entries are never evicted: park a compute mid-flight,

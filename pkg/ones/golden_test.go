@@ -52,7 +52,9 @@ func drainOpts(scenarioName string) []ones.Option {
 
 // TestResultsGolden: each golden session's Result marshals to the bytes
 // whose SHA-256 testdata/results.golden records, one "<case>/<scheduler>
-// <hex>" line each. A mismatch prints the session and its JSON.
+// <hex>" line each. A mismatch prints the session and its JSON. Cache
+// records persist this JSON (see RunJSON), so an intended change to it
+// must also bump servecache.Version.
 func TestResultsGolden(t *testing.T) {
 	want := readGolden(t, "testdata/results.golden")
 	ctx := context.Background()
@@ -95,6 +97,7 @@ func TestResultsGolden(t *testing.T) {
 	}
 	if t.Failed() {
 		t.Logf("digests of this build:\n%s", strings.Join(got, "\n"))
+		t.Log("the public Result JSON changed: cache records persist it, so an intended change must bump servecache.Version as well as re-record the golden, or a cache directory written before it keeps serving the old JSON")
 	}
 }
 

@@ -127,3 +127,45 @@ func TestNewResultSizesEventsOnce(t *testing.T) {
 		t.Errorf("an empty log converted to %#v, want nil", got)
 	}
 }
+
+// BenchmarkRunJSON serves a default-scale cell (120 jobs, Tiresias under
+// spot preemptions) through RunJSON from a cache with a directory, after
+// a memo hit has attached the cell's JSON. memory is a memo hit, which
+// returns the attached bytes; disk resets the memo before each call, so
+// every call is a disk hit that loads the cell's record.
+func BenchmarkRunJSON(b *testing.B) {
+	ctx := context.Background()
+	cache, err := NewCache(b.TempDir(), func(string, ...any) {})
+	if err != nil {
+		b.Fatal(err)
+	}
+	sess, err := New(WithScheduler("tiresias"), WithScenario("spot"), WithCache(cache))
+	if err != nil {
+		b.Fatal(err)
+	}
+	// The first call simulates the cell, the second attaches its JSON.
+	for range 2 {
+		if _, _, err := sess.RunJSON(ctx); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, bc := range []struct {
+		name  string
+		reset bool
+	}{{"memory", false}, {"disk", true}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				if bc.reset {
+					cache.Reset()
+				}
+				if _, raw, err := sess.RunJSON(ctx); err != nil || raw == nil {
+					b.Fatalf("RunJSON served no shared JSON (%v)", err)
+				}
+			}
+			if st := cache.Stats(); st.Computes != 1 {
+				b.Fatalf("cache stats = %+v, want the one compute", st)
+			}
+		})
+	}
+}

@@ -143,18 +143,24 @@ func writeRun(w http.ResponseWriter, code int, r *run) {
 	io.WriteString(w, tail)
 }
 
-func (s *Server) handleCreate(w http.ResponseWriter, req *http.Request) {
+// decodeRunSpec reads a POST /v1/runs body: one RunSpec object with no
+// unknown field. A second object or stray text after it is rejected like
+// an unknown field, not silently dropped.
+func decodeRunSpec(body io.Reader) (RunSpec, error) {
 	var spec RunSpec
-	dec := json.NewDecoder(http.MaxBytesReader(w, req.Body, 1<<20))
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
-	err := dec.Decode(&spec)
-	if err == nil {
-		// One spec per body: a second object or stray text after it is
-		// rejected like an unknown field, not silently dropped.
-		if _, tail := dec.Token(); tail != io.EOF {
-			err = errors.New("trailing data after the spec")
-		}
+	if err := dec.Decode(&spec); err != nil {
+		return RunSpec{}, err
 	}
+	if _, tail := dec.Token(); tail != io.EOF {
+		return RunSpec{}, errors.New("trailing data after the spec")
+	}
+	return spec, nil
+}
+
+func (s *Server) handleCreate(w http.ResponseWriter, req *http.Request) {
+	spec, err := decodeRunSpec(http.MaxBytesReader(w, req.Body, 1<<20))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("bad run spec: %w", err))
 		return

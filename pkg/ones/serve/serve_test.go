@@ -30,6 +30,17 @@ func slowSpec() RunSpec {
 	return RunSpec{Scheduler: "ones", Jobs: 40, Interarrival: 10, Population: 24, Seed: 3}
 }
 
+// createBodies are raw POST /v1/runs bodies and the status each draws.
+// Unknown spec fields and data after the spec are rejected, not silently
+// ignored — typos in scripts must not silently run the default
+// simulation.
+var createBodies = map[string]int{
+	`{"schedulr":"ones"}`:                                             http.StatusBadRequest,
+	`{"scheduler":"fifo","jobs":5,"quick":true} garbage`:              http.StatusBadRequest,
+	`{"scheduler":"fifo","jobs":5,"quick":true}{"scheduler":"bogus"}`: http.StatusBadRequest,
+	"{\"scheduler\":\"fifo\",\"jobs\":5,\"quick\":true}\n":            http.StatusCreated,
+}
+
 func newTestServer(t *testing.T, dir string) (*Server, *httptest.Server) {
 	t.Helper()
 	cache, err := ones.NewCache(dir, func(string, ...any) {})
@@ -308,15 +319,7 @@ func TestDaemonErrorPaths(t *testing.T) {
 	doJSON(t, "POST", ts.URL+"/v1/runs", RunSpec{Scheduler: "ones", Population: 100_000_000}, http.StatusBadRequest)
 	doJSON(t, "GET", ts.URL+"/v1/runs/run-999999", nil, http.StatusNotFound)
 	doJSON(t, "DELETE", ts.URL+"/v1/runs/run-999999", nil, http.StatusNotFound)
-	// Unknown spec fields and data after the spec are rejected, not
-	// silently ignored — typos in scripts must not silently run the
-	// default simulation.
-	for body, want := range map[string]int{
-		`{"schedulr":"ones"}`:                                             http.StatusBadRequest,
-		`{"scheduler":"fifo","jobs":5,"quick":true} garbage`:              http.StatusBadRequest,
-		`{"scheduler":"fifo","jobs":5,"quick":true}{"scheduler":"bogus"}`: http.StatusBadRequest,
-		"{\"scheduler\":\"fifo\",\"jobs\":5,\"quick\":true}\n":            http.StatusCreated,
-	} {
+	for body, want := range createBodies {
 		resp, err := http.Post(ts.URL+"/v1/runs", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)

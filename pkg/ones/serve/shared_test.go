@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -47,13 +49,35 @@ func runDone(t *testing.T, base string, spec RunSpec) (string, []byte) {
 	return st.ID, doJSON(t, "GET", base+"/v1/runs/"+st.ID, nil, http.StatusOK)
 }
 
+// persisted reports whether a cell record in dir carries result, the
+// JSON of a Result, as its attached bytes do.
+func persisted(t *testing.T, dir string, result []byte) bool {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join(dir, "*.cell"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		data, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bytes.Contains(data, result) {
+			return true
+		}
+	}
+	return false
+}
+
 // TestCacheServedBodiesMatchEncoder: a cache-served run is written by
 // splicing its cell's shared Result JSON into the status body. Every GET
 // and DELETE body of such a run must equal what writeJSON writes for the
 // same RunStatus, with the Result decoded from the body, and its result
 // must be byte for byte the one the run that computed the cell served.
-// The runs cover memory hits (the first one encodes the entry's JSON,
-// later ones reuse it) and disk hits after a restart.
+// The runs cover memory hits (the first one encodes the entry's JSON and
+// persists it in the cell's record, later ones reuse it) and, through a
+// second cache over the same directory after a restart, disk hits served
+// from the persisted bytes and memory hits after them.
 func TestCacheServedBodiesMatchEncoder(t *testing.T) {
 	dir := t.TempDir()
 	check := func(t *testing.T, srv *Server, base, id string, want []byte) {
@@ -94,9 +118,16 @@ func TestCacheServedBodiesMatchEncoder(t *testing.T) {
 			}
 		}
 		cold[name] = bytes.Clone(resultTail(t, body))
+		result := cold[name][len(`"result":`) : len(cold[name])-len("}\n")]
+		if persisted(t, dir, result) {
+			t.Fatalf("%s: the computing run persisted its Result's JSON", name)
+		}
 		for range 2 {
 			id, _ := runDone(t, ts.URL, spec)
 			check(t, srv, ts.URL, id, cold[name])
+		}
+		if !persisted(t, dir, result) {
+			t.Fatalf("%s: no cell record carries the JSON its memory hit attached", name)
 		}
 	}
 	srv.Shutdown(context.Background())

@@ -184,27 +184,30 @@ func (s *Session) Run(ctx context.Context) (*Result, error) {
 // does. A cell served from the cache (a memory or disk hit, or a wait on
 // another caller's computation) comes back as the JSON encoding of its
 // Result and a nil Result. That JSON is encoded once per cache entry and
-// shared by every caller: it must not be modified. A cell this call
-// simulated, or whose Result does not encode, comes back as the Result
-// Run returns and nil JSON, so a cell nobody asks for twice is never
-// encoded here and a caller that keeps it keeps the smaller struct.
+// shared by every caller: it must not be modified. A cache with a
+// directory also persists it in the cell's record, so a later disk hit,
+// in this process or another, returns it without encoding. A cell this
+// call simulated, or whose Result does not encode, comes back as the
+// Result Run returns and nil JSON, so a cell nobody asks for twice is
+// never encoded here and a caller that keeps it keeps the smaller struct.
 func (s *Session) RunJSON(ctx context.Context) (*Result, json.RawMessage, error) {
 	start := time.Now()
 	s.beginBatch([]engine.Cell{s.base})
 	defer s.endBatch(start)
-	res, cached, err := s.runner.ResultCached(ctx, s.base)
+	res, key, cached, err := s.runner.ResultCached(ctx, s.base)
 	if err != nil {
 		return nil, nil, err
 	}
 	if !cached {
 		return newResult(s.base, res), nil, nil
 	}
-	// The entry is shared by every session whose cell has its CellKey, so
-	// the bytes must depend on the key alone; newResult reads only the
-	// resolved cell, whose every field is a key dimension
+	// The entry is shared by every session whose cell has its CellKey, and
+	// with a cache directory the bytes persist in the cell's record, so
+	// they must depend on the key alone; newResult reads only the resolved
+	// cell, whose every field is a key dimension
 	// (TestRunJSONIsAFunctionOfTheKey pins this).
 	var out *Result
-	raw := s.runner.Cache.Attached(engine.CellKey(s.runner.Params(), s.base), res, func() []byte {
+	raw := s.runner.Cache.Attached(key, res, func() []byte {
 		out = newResult(s.base, res)
 		b, err := json.Marshal(out)
 		if err != nil {
